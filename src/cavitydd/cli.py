@@ -99,6 +99,7 @@ _FLOAT_KEYS = {"omega_r", "omega_0", "g", "taup"}
 def load_config(path: str) -> ExperimentConfig:
     """Parse a flat key = value config file."""
     values = {}
+    seen = {}
     valid = {f.name for f in fields(ExperimentConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -112,6 +113,10 @@ def load_config(path: str) -> ExperimentConfig:
             val = val.strip()
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {seen[key]})")
+            seen[key] = lineno
             if key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:

@@ -1,16 +1,25 @@
 """High-accuracy time-ordered propagation of H(t) = Hc(t) + Hs over pulse
 sequences, with stroboscopic sampling at period boundaries.
 
-The integrator is the 4th-order commutator-free Magnus scheme: per step of
-size h, with H evaluated at the two Gauss-Legendre nodes t + (1/2 -+
-sqrt(3)/6) h,
+The integrator is the 4th-order commutator-free Magnus scheme (Alvermann &
+Fehske, J. Comput. Phys. 230, 5930 (2011)): per step of size h, with H
+evaluated at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h,
 
     U_step = exp(-i h (w2 H1 + w1 H2)) exp(-i h (w1 H1 + w2 H2)),
     w1 = 1/4 + sqrt(3)/6,  w2 = 1/4 - sqrt(3)/6,
 
-each factor an exact Hermitian exponential.  The expansion parameters tested
-elsewhere in this package never enter here: the propagator integrates the
-lab-frame Hamiltonian directly, so it is an independent oracle for them.
+each factor an exact Hermitian exponential.  Within a pulse H = Hs + V(t) K
+with K = sigma_axis/2 (x) 1, and w1 + w2 = 1/2, so every factor's generator
+is Hs/2 + c K with a real coefficient c.  A pulse unitary is therefore
+batched: one vectorised envelope evaluation at all 2*steps nodes, then
+blocks of _BLOCK generators, each with one stacked eigendecomposition and a
+pairwise tree product, multiplied into the running unitary.  Hermiticity of
+Hs is validated once per pulse unitary; K is Hermitian by construction, so
+each generator is too.  The step count is validated, and the step-halving
+self-check made, in one place (``_checked_period_unitary``) for every entry
+point.  The expansion parameters tested elsewhere in this package never
+enter here: the propagator integrates the lab-frame Hamiltonian directly,
+so it is an independent oracle for them.
 
 Delta pulses are applied as exact -i sigma rotations between integration
 segments; free-evolution delays are exact exponentials of Hs.
@@ -23,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CouplingSet, PAULI, assemble, expm_herm, kron, op_norm)
+from .algebra import (CouplingSet, PAULI, assemble, expm_herm, is_hermitian,
+                      kron, op_norm)
 from .errors import ConvergenceError
 from .sequences import Delay, PulseSpec, Sequence
 from .shapes import PulseShape, amplitude
@@ -37,6 +47,9 @@ _CF4_W2 = 0.25 - np.sqrt(3) / 6
 MIN_STEPS_PER_PULSE = 16
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
+# CF4 exponentials per stacked eigendecomposition: deep enough to amortise
+# the Python overhead, shallow enough to keep peak memory flat
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -101,16 +114,25 @@ def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                    sign: int, steps: int) -> np.ndarray:
+    if not is_hermitian(hs):
+        raise ValueError("pulse propagation requires a Hermitian system "
+                         "Hamiltonian")
     h = shape.taup / steps
+    t0 = np.arange(steps)[:, None] * h
+    amp = sign * amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
+    # CF4 factor coefficients in time order: step k applies
+    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
+    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
     u = np.eye(hs.shape[0], dtype=complex)
-    for k in range(steps):
-        t0 = k * h
-        v1 = sign * amplitude(shape, t0 + _GL_NODE_1 * h)
-        v2 = sign * amplitude(shape, t0 + _GL_NODE_2 * h)
-        ha = hs + v1 * k_op
-        hb = hs + v2 * k_op
-        u = expm_herm(_CF4_W2 * ha + _CF4_W1 * hb, h) \
-            @ expm_herm(_CF4_W1 * ha + _CF4_W2 * hb, h) @ u
+    for b in range(0, coef.size, _BLOCK):
+        c = coef[b:b + _BLOCK, None, None]
+        w, v = np.linalg.eigh(0.5 * hs + c * k_op)
+        f = (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        # pairwise tree product, later factors on the left
+        while len(f) > 1:
+            paired = f[1::2] @ f[:-1:2]
+            f = np.concatenate([paired, f[-1:]]) if len(f) % 2 else paired
+        u = f[0] @ u
     return u
 
 
@@ -141,6 +163,34 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     return u
 
 
+def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
+                            steps_per_pulse: int, self_check: bool,
+                            tol: float = SELF_CHECK_TOL):
+    """(U(T), |U(steps) - U(steps/2)|): the one step-count validation and
+    step-halving check behind every entry point.
+
+    The difference is 0.0 without ``self_check`` and for the exact
+    delta-pulse schedules; above ``tol`` a ConvergenceError asks for more
+    steps.
+    """
+    if steps_per_pulse < MIN_STEPS_PER_PULSE:
+        raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
+    check = self_check and not schedule.shape.is_delta
+    if check and steps_per_pulse // 2 < MIN_STEPS_PER_PULSE:
+        raise ValueError("self_check needs steps_per_pulse >= "
+                         f"{2 * MIN_STEPS_PER_PULSE}")
+    u = _period_unitary(couplings, schedule, steps_per_pulse)
+    if not check:
+        return u, 0.0
+    halving = op_norm(u - _period_unitary(couplings, schedule,
+                                          steps_per_pulse // 2))
+    if halving > tol:
+        raise ConvergenceError(
+            f"step-halving check failed: |U - U_half| = {halving:.3e} > "
+            f"{tol:g}; increase steps_per_pulse")
+    return u, halving
+
+
 def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
                      steps_per_pulse: int = 256,
                      self_check: bool = True) -> np.ndarray:
@@ -151,28 +201,15 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
     otherwise a ConvergenceError asks for more steps.  Delta-pulse schedules
     are exact and skip the check.
     """
-    if steps_per_pulse < MIN_STEPS_PER_PULSE:
-        raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
-    u = _period_unitary(couplings, schedule, steps_per_pulse)
-    if self_check and not schedule.shape.is_delta:
-        if steps_per_pulse // 2 < MIN_STEPS_PER_PULSE:
-            raise ValueError("self_check needs steps_per_pulse >= "
-                             f"{2 * MIN_STEPS_PER_PULSE}")
-        u_half = _period_unitary(couplings, schedule, steps_per_pulse // 2)
-        diff = op_norm(u - u_half)
-        if diff > SELF_CHECK_TOL:
-            raise ConvergenceError(
-                f"step-halving check failed: |U - U_half| = {diff:.3e} > "
-                f"{SELF_CHECK_TOL:g}; increase steps_per_pulse")
-    return u
+    return _checked_period_unitary(couplings, schedule, steps_per_pulse,
+                                   self_check)[0]
 
 
 def step_halving_difference(couplings: CouplingSet, schedule: ControlSchedule,
                             steps_per_pulse: int = 256) -> float:
     """|U(steps) - U(steps/2)|, the Richardson self-consistency measure."""
-    u = _period_unitary(couplings, schedule, steps_per_pulse)
-    u_half = _period_unitary(couplings, schedule, steps_per_pulse // 2)
-    return op_norm(u - u_half)
+    return _checked_period_unitary(couplings, schedule, steps_per_pulse,
+                                   True, tol=np.inf)[1]
 
 
 @dataclass
@@ -221,20 +258,8 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     if np.any(np.abs(norms - 1) > 1e-10):
         raise ValueError("initial qubit states must be normalized")
 
-    if schedule.shape.is_delta:
-        halving = 0.0
-        u = propagate_period(couplings, schedule, steps_per_pulse,
-                             self_check=False)
-    else:
-        u = _period_unitary(couplings, schedule, steps_per_pulse)
-        halving = 0.0
-        if self_check:
-            u_half = _period_unitary(couplings, schedule, steps_per_pulse // 2)
-            halving = op_norm(u - u_half)
-            if halving > SELF_CHECK_TOL:
-                raise ConvergenceError(
-                    f"step-halving check failed: {halving:.3e}; "
-                    "increase steps_per_pulse")
+    u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse,
+                                         self_check)
 
     ns = qs.shape[0]
     dim = 2 * d

@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(str(bad))
 
+    def test_duplicate_key(self, tmp_path, capsys):
+        bad = tmp_path / "dup.cfg"
+        bad.write_text("periods = 3\nsequence = 4p\nperiods = 5\n")
+        with pytest.raises(ValueError, match=r"3: duplicate key 'periods' "
+                                             r"\(first set on line 1\)"):
+            load_config(str(bad))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "duplicate key" in capsys.readouterr().err
+
     def test_validate(self):
         cfg = ExperimentConfig(periods=-1)
         with pytest.raises(ValueError):
@@ -136,6 +145,15 @@ class TestCommands:
                    "--output", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "convergence" in capsys.readouterr().err
+
+    def test_simulate_too_few_steps_for_self_check(self, tmp_path, capsys):
+        # 16 steps pass the config check but leave 8 for the halving check
+        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
+                   "--periods", "1", "--n-max", "2", "--grid", "4",
+                   "--steps-per-pulse", "16",
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "steps_per_pulse" in capsys.readouterr().err
 
     def test_effham_report(self, capsys):
         rc = main(["effham", "--sequence", "8a", "--shape", "G10",

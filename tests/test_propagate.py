@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cavitydd.algebra import (CouplingSet, ModelParams, assemble,
+from cavitydd import propagate
+from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
                               chemical_shift, expm_herm, jaynes_cummings,
-                              op_norm)
+                              kron, op_norm)
 from cavitydd.errors import ConvergenceError
 from cavitydd.metrics import BlochGrid
 from cavitydd.propagate import (build_schedule, propagate_period,
                                 run_trace, step_halving_difference)
 from cavitydd.sequences import parse_sequence
-from cavitydd.shapes import amplitude, delta
+from cavitydd.shapes import amplitude, delta, fourier, gaussian, hermitian
 from conftest import random_couplings
+
+PROPERTY_SHAPES = {"G10": gaussian(0.10), "H05": hermitian(0.05),
+                   "fourier": fourier([0.5, 1.0, 0.5])}
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,53 @@ class TestSchedule:
         sched = build_schedule(parse_sequence("X"), g10)
         with pytest.raises(ValueError):
             sched.field("w", 0.5)
+
+
+def step_loop_pulse_unitary(hs, k_op, shape, sign, steps):
+    """Reference CF4 pulse unitary: one step at a time, two scalar envelope
+    evaluations and two expm_herm exponentials per step."""
+    h = shape.taup / steps
+    u = np.eye(hs.shape[0], dtype=complex)
+    for k in range(steps):
+        t0 = k * h
+        v1 = sign * amplitude(shape, t0 + propagate._GL_NODE_1 * h)
+        v2 = sign * amplitude(shape, t0 + propagate._GL_NODE_2 * h)
+        ha = hs + v1 * k_op
+        hb = hs + v2 * k_op
+        u = expm_herm(propagate._CF4_W2 * ha + propagate._CF4_W1 * hb, h) \
+            @ expm_herm(propagate._CF4_W1 * ha + propagate._CF4_W2 * hb, h) @ u
+    return u
+
+
+class TestPulseUnitary:
+    # 27 steps give a last block of 22 factors, so the tree carries an odd
+    # factor on two of its levels
+    @pytest.mark.parametrize("steps", (16, 17, 27, 100, 257))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           axis=st.sampled_from("xyz"), sign=st.sampled_from((1, -1)),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)))
+    def test_batched_matches_step_loop(self, steps, seed, dim, axis, sign,
+                                       shape):
+        hs = assemble(random_couplings(np.random.default_rng(seed), dim))
+        k_op = kron(PAULI[axis] / 2, np.eye(dim, dtype=complex))
+        sh = PROPERTY_SHAPES[shape]
+        batched = propagate._pulse_unitary(hs, k_op, sh, sign, steps)
+        looped = step_loop_pulse_unitary(hs, k_op, sh, sign, steps)
+        assert op_norm(batched - looped) <= 1e-12
+
+    def test_off_hermitian_system_rejected(self, g10, grid6):
+        cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
+                                         n_max=2))
+        a0 = cs.a0.copy()
+        a0[0, 1] += 2e-11
+        # within CouplingSet's own 1e-10 tolerance, outside the propagator's
+        bad = CouplingSet(a0, cs.ax, cs.ay, cs.az)
+        sched = build_schedule(parse_sequence("X"), g10)
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagate_period(bad, sched)
+        with pytest.raises(ValueError, match="Hermitian"):
+            run_trace(bad, sched, 1, grid6.as_array())
 
 
 class TestPropagatePeriod:
@@ -115,6 +167,11 @@ class TestPropagatePeriod:
         sched = build_schedule(parse_sequence("X"), g10)
         with pytest.raises(ValueError):
             propagate_period(cs, sched, steps_per_pulse=8)
+        with pytest.raises(ValueError, match="self_check"):
+            propagate_period(cs, sched, steps_per_pulse=16)
+        with pytest.raises(ValueError, match="self_check"):
+            step_halving_difference(cs, sched, 16)
+        propagate_period(cs, sched, steps_per_pulse=16, self_check=False)
 
 
 class TestRunTrace:
@@ -181,6 +238,18 @@ class TestRunTrace:
             run_trace(cs, sched, 1, 2 * grid6.as_array())
         with pytest.raises(ValueError):
             run_trace(cs, sched, 1, grid6.as_array(), oscillator_level=7)
+
+    def test_steps_validation(self, g10, grid6):
+        cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.002,
+                                         n_max=4))
+        sched = build_schedule(parse_sequence("4p"), g10)
+        with pytest.raises(ValueError, match="steps_per_pulse"):
+            run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=4)
+        with pytest.raises(ValueError, match="self_check"):
+            run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=16)
+        tr = run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=16,
+                       self_check=False)
+        assert tr.halving_diff == 0.0
 
     def test_fock_start(self, g10, grid6):
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.0,
