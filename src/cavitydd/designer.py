@@ -10,14 +10,24 @@ self-refocusing).  In the cosine basis
 the odd endpoint derivatives vanish identically and the even ones are linear
 conditions sum_m (-1)^m m^(2k) A_m = -A0 [k = 0], so the area and endpoint
 constraints are eliminated analytically and only the one- or two-dimensional
-nonlinear system {s = 0 (, alpha = 0)} is solved, with a damped Newton
-iteration and a numerically differenced Jacobian.
+nonlinear system {s = 0 (, alpha = 0)} is solved.
+
+The pulse phase is then affine in the free coefficients x, phi = phi0 + x P,
+with phi0 and P tabulated once per (spec, n_quad, taup) on the quadrature
+nodes, so the constraints of a whole stack of free vectors come from one
+array evaluation of the shared quadrature in shapes (in chunks of _CHUNK
+rows, which bounds its temporaries).  The solver is a damped Newton
+iteration with a forward-difference Jacobian, run in lockstep over the
+stack: every iteration evaluates all Jacobian probe rows in one stacked
+call and every line-search halving in another, and a start leaves the stack
+as soon as it converges or fails.
 
 The system has many roots; Newton is run from a small deterministic seed
-grid and the root with the smallest peak amplitude max|V| is kept (the
-low-power branch).  Surplus coefficients (extra_terms > 0) are tuned by a
-deterministic compass search that minimizes max|V| subject to the same
-constraints.
+grid, all seeds at once, and the root with the smallest peak amplitude
+max|V| is kept (the low-power branch).  Surplus coefficients
+(extra_terms > 0) are tuned by a deterministic compass search that
+minimizes max|V| subject to the same constraints; it and the final polish
+run the same solver on a one-row stack.
 """
 
 from __future__ import annotations
@@ -111,13 +121,50 @@ def _fourier_shape(raw: np.ndarray, taup: float) -> shapes.PulseShape:
     return shapes.fourier(raw / unit, taup=taup)
 
 
-def _constraints(spec: DesignSpec, x: np.ndarray, taup: float, n_quad: int):
-    raw = _coeffs_from_free(spec, x, taup)
-    shape = _fourier_shape(raw, taup)
-    p = shapes._params_at(shape, n_quad, negate=False)
-    if spec.family == "S":
-        return np.array([p.s]), raw, p
-    return np.array([p.s, p.alpha]), raw, p
+# rows per stacked constraint evaluation: bounds the (rows, n_quad + 1)
+# quadrature temporaries, so a seed stack costs no more peak memory than
+# a single start
+_CHUNK = 4
+
+
+@lru_cache(maxsize=8)
+def _phase_basis(spec: DesignSpec, n_quad: int, taup: float):
+    """Phase on the n_quad + 1 quadrature nodes as an affine map of the free
+    tail x, phi(x) = phi0 + x @ P.
+
+    The envelope is linear in the raw coefficients and the endpoint
+    conditions make them affine in x, so phi0 is the cumulative Simpson
+    integral of the x = 0 envelope and row j of P that of the envelope's
+    change per unit x_j.
+    """
+    t = np.linspace(0.0, taup, n_quad + 1)
+
+    def envelope(x):
+        raw = _coeffs_from_free(spec, x, taup)
+        return shapes._raw_envelope(_fourier_shape(raw, taup), t)
+
+    n_free = spec.n_coeffs - 1 - spec.order
+    v0 = envelope(np.zeros(n_free))
+    dv = np.array([envelope(e) - v0 for e in np.eye(n_free)])
+    h = taup / n_quad
+    return shapes._cumulative_simpson(v0, h), shapes._cumulative_simpson(dv, h)
+
+
+def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
+                 n_quad: int) -> np.ndarray:
+    """Constraint values (s[, alpha]), one row per row of the stack xs."""
+    phi0, p = _phase_basis(spec, n_quad, taup)
+    out = np.empty((len(xs), spec.n_nonlinear))
+    for i in range(0, len(xs), _CHUNK):
+        chunk = xs[i:i + _CHUNK]
+        # summed term by term, not by matmul, so that a row's phase does not
+        # depend on how many rows share its chunk
+        phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
+        s, alpha, _ = shapes._phase_params(phi, taup / n_quad, taup)
+        out[i:i + _CHUNK, 0] = s
+        if spec.family == "Q":
+            out[i:i + _CHUNK, 1] = alpha
+    return out
 
 
 def _peak(raw: np.ndarray, taup: float) -> float:
@@ -128,65 +175,79 @@ def _peak(raw: np.ndarray, taup: float) -> float:
 
 def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
             tol: float, max_iter: int = 60):
-    """Damped Newton on the nonlinear constraints over the first n_nl free
-    coefficients; remaining free coefficients are held fixed."""
+    """Damped Newton on the nonlinear constraints, run in lockstep on every
+    row of the stack x0.
+
+    Each row is one start: its first n_nl free coefficients move and the
+    rest are held fixed.  Per iteration a row is tested for convergence,
+    gets a forward-difference Jacobian, fails on a singular Jacobian or a
+    non-finite or > 1e4 step, and takes the step halved (at most 40 times)
+    until the residual norm strictly drops, failing if it never does.  A
+    row leaves the stack when it converges or fails.  Returns the rows,
+    their constraint values and a per-row convergence flag.
+    """
     n_nl = spec.n_nonlinear
+    eps = 1e-7
     x = np.array(x0, dtype=float)
-
-    def f_of(xv):
-        return _constraints(spec, xv, taup, n_quad)[0]
-
-    f = f_of(x)
+    f = _constraints(spec, x, taup, n_quad)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
-        if np.max(np.abs(f)) < tol:
-            return x, f, True
-        jac = np.zeros((n_nl, n_nl))
-        eps = 1e-7
-        for j in range(n_nl):
-            xp = x.copy()
-            xp[j] += eps
-            jac[:, j] = (f_of(xp) - f) / eps
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return x, f, False
-        if not np.all(np.isfinite(dx)) or np.linalg.norm(dx) > 1e4:
-            return x, f, False
-        lam, improved = 1.0, False
+        done = live & (np.max(np.abs(f), axis=1) < tol)
+        ok |= done
+        live &= ~done
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        # one probe row per (start, coordinate); probe k moves k % n_nl
+        probes = np.repeat(x[rows], n_nl, axis=0)
+        k = np.arange(len(probes))
+        probes[k, k % n_nl] += eps
+        f_probe = _constraints(spec, probes, taup, n_quad)
+        jac = (f_probe.reshape(rows.size, n_nl, n_nl)
+               - f[rows, None, :]).transpose(0, 2, 1) / eps
+        # a singular Jacobian leaves its row NaN, which ends that start below
+        dx = np.full((rows.size, n_nl), np.nan)
+        for i, r in enumerate(rows):
+            try:
+                dx[i] = np.linalg.solve(jac[i], -f[r])
+            except np.linalg.LinAlgError:
+                pass
+        usable = (np.all(np.isfinite(dx), axis=1)
+                  & (np.linalg.norm(dx, axis=1) <= 1e4))
+        live[rows[~usable]] = False
+        rows, dx = rows[usable], dx[usable]
+        norm_f = np.linalg.norm(f[rows], axis=1)
+        lam = 1.0
         for _ in range(40):
-            f_try = f_of(_damped_step(x, dx, lam, n_nl))
-            if np.linalg.norm(f_try) < np.linalg.norm(f):
-                x = _damped_step(x, dx, lam, n_nl)
-                f = f_try
-                improved = True
+            if rows.size == 0:
                 break
+            x_try = x[rows]
+            x_try[:, :n_nl] += lam * dx
+            f_try = _constraints(spec, x_try, taup, n_quad)
+            better = np.linalg.norm(f_try, axis=1) < norm_f
+            x[rows[better]] = x_try[better]
+            f[rows[better]] = f_try[better]
+            rows, dx, norm_f = rows[~better], dx[~better], norm_f[~better]
             lam /= 2
-        if not improved:
-            return x, f, False
-    return x, f, np.max(np.abs(f)) < tol
-
-
-def _damped_step(x, dx, lam, n_nl):
-    out = x.copy()
-    out[:n_nl] = x[:n_nl] + lam * dx
-    return out
+        live[rows] = False  # no strict decrease within 40 halvings
+    ok |= live & (np.max(np.abs(f), axis=1) < tol)
+    return x, f, ok
 
 
 def _solve_branches(spec: DesignSpec, tail: np.ndarray, taup: float,
                     n_quad: int, tol: float):
-    """Newton from the deterministic seed grid; return (root, peak) pairs."""
-    n_nl = spec.n_nonlinear
-    seeds = []
-    if n_nl == 1:
-        seeds = [np.array([s]) for s in _SEEDS_1D]
+    """Newton from the whole deterministic seed grid at once; return
+    (key, root, peak) for each distinct converged root, in seed order."""
+    if spec.n_nonlinear == 1:
+        seeds = [(s,) for s in _SEEDS_1D]
     else:
-        seeds = [np.array([s1, s2]) for s1 in _SEEDS_2D for s2 in _SEEDS_2D]
+        seeds = [(s1, s2) for s1 in _SEEDS_2D for s2 in _SEEDS_2D]
+    x0 = np.array([np.concatenate([np.array(seed) / taup, tail])
+                   for seed in seeds])
+    roots, _, ok = _newton(spec, x0, taup, n_quad, tol)
     found = []
-    for seed in seeds:
-        x0 = np.concatenate([seed / taup, tail])
-        x, f, ok = _newton(spec, x0, taup, n_quad, tol)
-        if not ok:
-            continue
+    for x in roots[ok]:
         raw = _coeffs_from_free(spec, x, taup)
         key = tuple(np.round(raw * taup, 7))
         if any(k == key for k, _, _ in found):
@@ -210,6 +271,8 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     ConvergenceError
         If no Newton start converges, or the converged residuals exceed tol.
     """
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
     tail = np.zeros(spec.extra_terms)
@@ -225,17 +288,16 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         x_best = _minimize_peak(spec, x_best, taup, coarse, max(tol, 1e-11))
 
     # polish the winner at full and verify at doubled resolution
-    x, f, ok = _newton(spec, x_best, taup, n_quad, tol)
-    if not ok:
+    x, f, ok = _newton(spec, x_best[None], taup, n_quad, tol)
+    if not ok[0]:
         raise ConvergenceError(
-            f"polish stage failed for {spec}: best residuals {np.abs(f)}")
-    raw = _coeffs_from_free(spec, x, taup)
+            f"polish stage failed for {spec}: best residuals {np.abs(f[0])}")
+    raw = _coeffs_from_free(spec, x[0], taup)
     shape = _fourier_shape(raw, taup)
     p = shapes.compute_params(shape, n_quad)
     residuals = {"s": abs(p.s), "area": abs(p.area - np.pi)}
     if spec.family == "Q":
         residuals["alpha"] = abs(p.alpha)
-    m_solve, m_free = _endpoint_matrix(spec)
     a0 = raw[0]
     for k in range(spec.order):
         val = sum((-1.0) ** m * m ** (2 * k) * raw[m] for m in range(1, len(raw)))
@@ -272,10 +334,10 @@ def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, taup: float,
     x = np.array(x_start, dtype=float)
 
     def solved_peak(xv):
-        xs, f, ok = _newton(spec, xv, taup, n_quad, tol)
-        if not ok:
+        xs, _, ok = _newton(spec, xv[None], taup, n_quad, tol)
+        if not ok[0]:
             return None, np.inf
-        return xs, _peak(_coeffs_from_free(spec, xs, taup), taup)
+        return xs[0], _peak(_coeffs_from_free(spec, xs[0], taup), taup)
 
     x, best = solved_peak(x)
     step = 2.0 * np.pi / taup

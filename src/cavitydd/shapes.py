@@ -20,6 +20,7 @@ rotation, so it never enters a quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,8 +73,16 @@ class PulseShape:
     def __post_init__(self):
         if self.kind not in ("delta", "gaussian", "hermitian", "fourier"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
+        if not math.isfinite(self.taup):
+            raise ValueError("taup must be finite")
         if self.taup <= 0:
             raise ValueError("taup must be positive")
+        for name in ("width_ratio", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if self.coeffs and not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("fourier coefficients must be finite")
         if self.kind in ("gaussian", "hermitian"):
             if self.width_ratio is None or not (0 < self.width_ratio < 1):
                 raise ValueError("width_ratio must be in (0, 1)")
@@ -148,28 +157,34 @@ def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
     raise ValueError("delta shape has no pointwise envelope")
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    n = len(y) - 1
+def _simpson(y: np.ndarray, h: float):
+    """Composite Simpson integral along the last axis."""
+    n = y.shape[-1] - 1
     if n % 2:
         raise ValueError("simpson needs an even number of panels")
-    return h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+    return h / 3 * (y[..., 0] + y[..., -1] + 4 * y[..., 1:-1:2].sum(axis=-1)
+                    + 2 * y[..., 2:-1:2].sum(axis=-1))
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid via local cubics (O(h^4) global).
+    """Cumulative integral along the last axis of a uniform grid via local
+    cubics (O(h^4) global).
 
     Each panel [x_i, x_{i+1}] integrates the cubic through the four
     surrounding nodes; the end panels use one-sided stencils.
     """
-    n = len(y)
+    n = y.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples")
-    inc = np.empty(n - 1)
-    inc[0] = h * (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3]) / 24.0
-    inc[1:-1] = h * (-y[:-3] + 13 * y[1:-2] + 13 * y[2:-1] - y[3:]) / 24.0
-    inc[-1] = h * (y[-4] - 5 * y[-3] + 19 * y[-2] + 9 * y[-1]) / 24.0
-    out = np.zeros(n)
-    out[1:] = np.cumsum(inc)
+    inc = np.empty(y.shape[:-1] + (n - 1,))
+    inc[..., 0] = h * (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2]
+                       + y[..., 3]) / 24.0
+    inc[..., 1:-1] = h * (-y[..., :-3] + 13 * y[..., 1:-2] + 13 * y[..., 2:-1]
+                          - y[..., 3:]) / 24.0
+    inc[..., -1] = h * (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2]
+                        + 9 * y[..., -1]) / 24.0
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(inc, axis=-1)
     return out
 
 
@@ -237,18 +252,24 @@ class ShapeParams:
     area: float
 
 
+def _phase_params(phi: np.ndarray, h: float, taup: float):
+    """(s, alpha, zeta) from phase samples phi on a uniform grid of spacing h
+    along the last axis; any leading axes are a stack of pulses."""
+    sin_phi = np.sin(phi)
+    cos_phi = np.cos(phi)
+    s = _simpson(sin_phi, h) / taup
+    c_cum = _cumulative_simpson(cos_phi, h)
+    s_cum = _cumulative_simpson(sin_phi, h)
+    alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h) / taup ** 2
+    zeta = _simpson(c_cum, h) / taup ** 2
+    return s, alpha, zeta
+
+
 def _params_at(shape: PulseShape, n_quad: int, negate: bool) -> ShapeParams:
     t, v, phi = _sampled(shape, n_quad)
     if negate:
         phi = -phi
-    h = shape.taup / n_quad
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
-    s = _simpson(sin_phi, h) / shape.taup
-    c_cum = _cumulative_simpson(cos_phi, h)
-    s_cum = _cumulative_simpson(sin_phi, h)
-    alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h) / shape.taup ** 2
-    zeta = _simpson(c_cum, h) / shape.taup ** 2
+    s, alpha, zeta = _phase_params(phi, shape.taup / n_quad, shape.taup)
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 
@@ -264,7 +285,8 @@ def compute_params(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD,
     Raises
     ------
     ConvergenceError
-        If doubling the node count moves any parameter by >= 1e-9.
+        If doubling the node count moves any parameter by >= 1e-9, or a
+        parameter is not finite.
     """
     if n_quad < 64:
         raise ValueError("n_quad must be >= 64")
@@ -278,7 +300,8 @@ def compute_params(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD,
         "alpha": abs(fine.alpha - coarse.alpha),
         "zeta": abs(fine.zeta - coarse.zeta),
     }
-    if max(resid.values()) >= PARAM_CONVERGENCE_TOL:
+    # "not all(r < tol)" so that a NaN residual fails too
+    if not all(r < PARAM_CONVERGENCE_TOL for r in resid.values()):
         raise ConvergenceError(
             f"quadrature not converged at n_quad={n_quad}: residuals {resid}; "
             "increase n_quad")

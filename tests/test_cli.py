@@ -96,6 +96,17 @@ class TestCommands:
     def test_params_rejects_bad_shape(self, capsys):
         assert main(["params", "--shape", "warp:1"]) == 2
 
+    @pytest.mark.parametrize("spec", ["hermitian:0.05:nan", "fourier:1,nan",
+                                      "fourier:1,inf"])
+    def test_params_rejects_non_finite_shape(self, spec, capsys):
+        assert main(["params", "--shape", spec]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_design_rejects_non_finite_tol(self, tol, capsys):
+        assert main(["design", "--family", "Q", "-L", "1", "--tol", tol]) == 2
+        assert "tol must be finite" in capsys.readouterr().err
+
     def test_design_q1(self, capsys):
         assert main(["design", "--family", "Q", "--order", "1"]) == 0
         out = capsys.readouterr().out
@@ -136,6 +147,13 @@ class TestCommands:
     def test_simulate_validation_exit_code(self, capsys):
         assert main(["simulate", "--sequence", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_simulate_rejects_non_finite_taup(self, tmp_path, capsys):
+        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
+                   "--taup", "nan", "--periods", "1", "--n-max", "2",
+                   "--grid", "4", "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "taup must be finite" in capsys.readouterr().err
 
     def test_simulate_convergence_exit_code(self, tmp_path, capsys):
         # hot parameters at the minimum step count trip the halving check

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitydd import designer, shapes
 from cavitydd.designer import DesignSpec, design, design_named
@@ -18,6 +19,11 @@ class TestSpecValidation:
     def test_tol_floor(self):
         with pytest.raises(ValueError):
             design(DesignSpec("S", 1), tol=1e-14)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_tol_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            design(DesignSpec("S", 1), tol=tol)
 
     def test_named_lookup(self):
         with pytest.raises(ValueError):
@@ -98,3 +104,56 @@ def test_extra_terms_do_not_increase_peak():
     assert len(wide.coeffs) == 4
     assert wide.residuals["s"] < 1e-10
     assert wide.peak_amplitude <= base.peak_amplitude + 1e-6
+
+
+# minimal-peak branches recorded before the designer was batched
+PINNED_COEFFS = {
+    DesignSpec("S", 1): (0.5, 1.1873023243373562, 0.6873023243373563),
+    DesignSpec("S", 2): (0.5, 1.1624544759615039, 0.9599271615384061,
+                         0.29747268557690226),
+    DesignSpec("Q", 1): (0.5, 1.11172556678374, 1.5247603955731066,
+                         0.9130348287893664),
+    DesignSpec("Q", 2): (0.5, 1.0703073761480668, 1.4346767408852668,
+                         1.308787178343171, 0.44441781360597127),
+    DesignSpec("S", 2, extra_terms=1): (0.5, 1.2126376836994888,
+                                        0.681675372044182,
+                                        -0.28706582728030683,
+                                        -0.25610351562500006),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_COEFFS), ids=str)
+def test_designed_coefficients_pinned(spec):
+    if spec.extra_terms:
+        result = design(spec)
+    else:
+        result = design_named(f"{spec.family}{spec.order}")
+    expected = PINNED_COEFFS[spec]
+    assert len(result.coeffs) == len(expected)
+    assert np.max(np.abs(np.subtract(result.coeffs, expected))) <= 1e-10
+
+
+class TestStackedConstraints:
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
+           extra=st.integers(0, 1), taup=st.sampled_from((1.0, 2.5)),
+           n_quad=st.sampled_from((256, 1024)),
+           rows=st.sampled_from((1, designer._CHUNK, designer._CHUNK + 1)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_scalar_quadrature(self, family, order, extra, taup,
+                                          n_quad, rows, seed):
+        spec = DesignSpec(family, order, extra_terms=extra)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-8.0, 8.0,
+                         size=(rows, spec.n_nonlinear + extra)) / taup
+        got = designer._constraints(spec, xs, taup, n_quad)
+        assert got.shape == (rows, spec.n_nonlinear)
+        for x, row in zip(xs, got):
+            raw = designer._coeffs_from_free(spec, x, taup)
+            p = shapes._params_at(designer._fourier_shape(raw, taup), n_quad,
+                                  negate=False)
+            want = np.array([p.s, p.alpha])[:spec.n_nonlinear]
+            assert np.max(np.abs(row - want)) <= 1e-13
+        # a row's value does not depend on the rows sharing its chunk
+        alone = designer._constraints(spec, xs[-1:], taup, n_quad)
+        assert np.array_equal(alone[0], got[-1])

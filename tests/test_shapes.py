@@ -36,6 +36,28 @@ class TestConstruction:
         assert compute_params(sh).area == pytest.approx(np.pi, abs=1e-10)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian(0.10, taup=np.nan),
+        lambda: gaussian(0.10, taup=np.inf),
+        lambda: hermitian(0.05, gamma=np.nan),
+        lambda: hermitian(0.05, gamma=np.inf),
+        lambda: fourier([1.0, np.nan]),
+        lambda: fourier([1.0, np.inf]),
+        lambda: PulseShape(kind="fourier", coeffs=(0.5, np.nan)),
+    ], ids=["taup-nan", "taup-inf", "gamma-nan", "gamma-inf", "coeff-nan",
+            "coeff-inf", "raw-coeff-nan"])
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    def test_nan_residual_fails_the_doubling_check(self):
+        # gamma = 2 zeroes the hermitian normalization: every sample is NaN
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError):
+            compute_params(hermitian(0.05, gamma=2.0))
+
+
 class TestAmplitude:
     def test_gaussian_peak_value(self):
         # peak of the width-0.05 Gaussian is pi^(1/2)/tau (truncation is
@@ -121,6 +143,17 @@ class TestComputeParams:
         assert m.alpha == pytest.approx(-p.alpha, abs=1e-12)
         assert m.zeta == pytest.approx(p.zeta, abs=1e-12)
         assert m.area == pytest.approx(-np.pi, abs=1e-10)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("G10", (0.14897897047460365, 0.13078752125713428,
+                 0.24790540026491162, 3.141592653589799)),
+        ("H05", (2.832343931032467e-13, 0.0030769721139048117,
+                 0.2496473574121786, 3.1415926535897993)),
+    ])
+    def test_values_bitwise_pinned(self, name, expected):
+        # the stacked-phase quadrature helpers must not move a single bit
+        p = compute_params(shapes.named_builtin(name))
+        assert (p.s, p.alpha, p.zeta, p.area) == expected
 
     def test_node_doubling_stability(self):
         a = compute_params(gaussian(0.10), n_quad=2048)
