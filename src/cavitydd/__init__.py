@@ -7,7 +7,7 @@ from .algebra import (CouplingSet, ModelParams, assemble, chemical_shift,
                       expm_herm, jaynes_cummings)
 from .designer import DesignSpec, design, design_named
 from .errors import ConvergenceError
-from .metrics import BlochGrid, fidelity_min, leakage_max, quanta_max
+from .metrics import BlochGrid
 from .propagate import (ControlSchedule, EvolutionTrace, build_schedule,
                         propagate_period, run_trace)
 from .sequences import (Delay, PulseSpec, Sequence, effective_hamiltonian,
@@ -24,7 +24,7 @@ __all__ = [
     "PulseSpec", "Sequence", "ShapeParams", "amplitude", "assemble",
     "build_schedule", "chemical_shift", "compute_params", "delta", "design",
     "design_named", "effective_hamiltonian", "expand_pulse", "expm_herm",
-    "fidelity_min", "fourier", "gaussian", "hermitian", "jaynes_cummings",
-    "leakage_max", "order_check", "parse_sequence", "phase_integral",
-    "propagate_period", "quanta_max", "run_trace", "solve_hermitian_gamma",
+    "fourier", "gaussian", "hermitian", "jaynes_cummings", "order_check",
+    "parse_sequence", "phase_integral", "propagate_period", "run_trace",
+    "solve_hermitian_gamma",
 ]

@@ -58,22 +58,6 @@ def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def partial_trace_rest(rho: np.ndarray, dim_rest: int) -> np.ndarray:
-    """Reduced qubit state: trace out the rest factor of a joint density matrix."""
-    if rho.shape != (2 * dim_rest, 2 * dim_rest):
-        raise ValueError("density matrix does not match dim_rest")
-    r = rho.reshape(2, dim_rest, 2, dim_rest)
-    return np.einsum("injn->ij", r)
-
-
-def partial_trace_qubit(rho: np.ndarray, dim_rest: int) -> np.ndarray:
-    """Reduced oscillator state: trace out the qubit factor."""
-    if rho.shape != (2 * dim_rest, 2 * dim_rest):
-        raise ValueError("density matrix does not match dim_rest")
-    r = rho.reshape(2, dim_rest, 2, dim_rest)
-    return np.einsum("inim->nm", r)
-
-
 def lowering(dim: int) -> np.ndarray:
     """Oscillator annihilation operator b truncated to ``dim`` levels."""
     b = np.zeros((dim, dim), dtype=complex)
@@ -189,17 +173,3 @@ def assemble(couplings: CouplingSet) -> np.ndarray:
     d = couplings.dim
     return (kron(SIGMA_X, couplings.ax) + kron(SIGMA_Y, couplings.ay)
             + kron(SIGMA_Z, couplings.az) + kron(IDENTITY_2, couplings.a0))
-
-
-def qubit_op(axis: str, dim_rest: int) -> np.ndarray:
-    """sigma_axis (x) identity on the joint space."""
-    return kron(PAULI[axis], np.eye(dim_rest, dtype=complex))
-
-
-def dump_matrix(op: np.ndarray, digits: int = 6) -> str:
-    """Plain-text rendering of a complex matrix (debugging aid)."""
-    rows = []
-    for row in np.atleast_2d(op):
-        rows.append("  ".join(f"{z.real:+.{digits}e}{z.imag:+.{digits}e}j"
-                              for z in row))
-    return "\n".join(rows)

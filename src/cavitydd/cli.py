@@ -19,44 +19,7 @@ import numpy as np
 from . import designer, metrics, propagate, sequences, shapes
 from .algebra import ModelParams, jaynes_cummings
 from .errors import ConvergenceError
-
-_NAMED_DESIGNED = ("S1", "S2", "Q1", "Q2")
-_NAMED_BUILTIN = ("delta", "G05", "G10", "H05", "H10")
-
-
-def resolve_shape(spec: str, taup: float = 1.0) -> shapes.PulseShape:
-    """Shape from a name (G10, H05, Q1, ...), a colon spec
-    (gaussian:0.10, hermitian:0.05[:gamma], fourier:c0,c1,...), or the
-    ``kind=...`` serialization."""
-    text = spec.strip()
-    if text.startswith("kind="):
-        return shapes.shape_from_text(text, taup)
-    lowered = text.lower()
-    for name in _NAMED_BUILTIN:
-        if lowered == name.lower():
-            built = shapes.named_builtin(name)
-            return built if taup == built.taup else \
-                shapes.shape_from_text(shapes.shape_to_text(built), taup)
-    for name in _NAMED_DESIGNED:
-        if lowered == name.lower():
-            # designed coefficients are dimensionless (2*pi/taup units)
-            result = designer.design_named(name)
-            return shapes.fourier(result.coeffs, taup=taup)
-    if ":" in text:
-        kind, _, rest = text.partition(":")
-        kind = kind.lower()
-        if kind == "gaussian":
-            return shapes.gaussian(float(rest), taup)
-        if kind == "hermitian":
-            parts = rest.split(":")
-            gamma = float(parts[1]) if len(parts) > 1 else shapes.HERMITIAN_GAMMA
-            return shapes.hermitian(float(parts[0]), gamma, taup)
-        if kind == "fourier":
-            return shapes.fourier([float(c) for c in rest.split(",")], taup)
-        raise ValueError(f"unknown shape spec {spec!r}")
-    if lowered == "delta":
-        return shapes.delta(taup)
-    raise ValueError(f"unknown shape spec {spec!r}")
+from .shapes import resolve_shape
 
 
 @dataclass
@@ -193,14 +156,13 @@ def cmd_simulate(args) -> int:
                                 grid.as_array(),
                                 oscillator_level=cfg.oscillator_level,
                                 steps_per_pulse=cfg.steps_per_pulse)
-    metrics.write_csv(cfg.output, trace, grid, cfg.taup)
-    fmin = metrics.fidelity_min(trace, grid)
-    nmax = metrics.quanta_max(trace, grid)
+    metrics.write_csv(cfg.output, trace, cfg.taup)
+    fmin = trace.fidelity_min
     print(f"wrote {cfg.output}: {cfg.periods} periods of {cfg.sequence} + "
           f"{cfg.shape}")
     print(f"final fidelity_min = {fmin[-1]:.9f}   worst 1-F = "
           f"{np.max(1 - fmin):.3e}")
-    print(f"worst <n> = {np.max(nmax):.3e}   halving diff = "
+    print(f"worst <n> = {np.max(trace.n_mean_max):.3e}   halving diff = "
           f"{trace.halving_diff:.2e}   unitarity drift = "
           f"{trace.unitarity_drift:.2e}")
     return 0
@@ -297,19 +259,18 @@ def cmd_ordercheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_model_args(p: argparse.ArgumentParser, with_defaults: bool = True):
+def _add_model_args(p: argparse.ArgumentParser):
     dflt = ExperimentConfig()
-    get = (lambda v: v) if with_defaults else (lambda v: None)
-    p.add_argument("--omega-r", type=float, default=get(dflt.omega_r),
+    p.add_argument("--omega-r", type=float, default=dflt.omega_r,
                    help="oscillator frequency bias (2*pi/taup units)")
-    p.add_argument("--omega-0", type=float, default=get(dflt.omega_0),
+    p.add_argument("--omega-0", type=float, default=dflt.omega_0,
                    help="qubit frequency bias (2*pi/taup units)")
-    p.add_argument("--g", type=float, default=get(dflt.g),
+    p.add_argument("--g", type=float, default=dflt.g,
                    help="qubit-oscillator coupling (2*pi/taup units)")
-    p.add_argument("--n-max", type=int, default=get(dflt.n_max),
+    p.add_argument("--n-max", type=int, default=dflt.n_max,
                    help="oscillator truncation level")
     p.add_argument("--steps-per-pulse", type=int,
-                   default=get(dflt.steps_per_pulse))
+                   default=dflt.steps_per_pulse)
 
 
 def build_parser() -> argparse.ArgumentParser:

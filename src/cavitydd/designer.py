@@ -270,11 +270,15 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     ------
     ConvergenceError
         If no Newton start converges, or the converged residuals exceed tol.
+    ValueError
+        If tol is not finite or lies outside [1e-12, 1e-6].
     """
     if not np.isfinite(tol):
         raise ValueError("tol must be finite")
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
+    if tol > 1e-6:
+        raise ValueError("tol must be <= 1e-6")
     tail = np.zeros(spec.extra_terms)
     coarse = max(1024, n_quad // 4)
     found = _solve_branches(spec, tail, taup, coarse, max(tol, 1e-11))

@@ -1,11 +1,13 @@
-"""Figure observables: worst-case qubit fidelity and oscillator heating over
-a grid of initial qubit states, plus the CSV emission used by the CLI.
+"""The grid of initial qubit states for the figure observables, and the CSV
+emission of a trace's worst-case columns used by the CLI.
 
 The ideal sequence action is the identity, so the fidelity of initial state
 |psi> at sample time t_k is F = <psi| rho_q(t_k) |psi> with rho_q the
-oscillator-traced state.  Worst case over a finite grid approximates the true
-extremum; the six cardinal states are always included and capture the exact
-extremum for Pauli-axis-aligned error channels.
+oscillator-traced state; ``propagate.run_trace`` reduces it, the oscillator
+occupation and the truncation leakage to their worst case over the grid.
+Worst case over a finite grid approximates the true extremum; the six
+cardinal states are always included and capture the exact extremum for
+Pauli-axis-aligned error channels.
 """
 
 from __future__ import annotations
@@ -55,60 +57,22 @@ class BlochGrid:
         return len(self.states)
 
 
-def default_grid() -> BlochGrid:
-    return BlochGrid.build(50)
-
-
-def _check(trace: EvolutionTrace, grid: BlochGrid) -> np.ndarray:
-    if trace.rho_q is None or trace.rho_q.size == 0:
-        raise ValueError("trace carries no reduced qubit states")
-    qs = grid.as_array()
-    if qs.shape != trace.initial_states.shape or \
-            not np.allclose(qs, trace.initial_states, atol=1e-12):
-        raise ValueError("grid does not match the trace's initial states")
-    return qs
-
-
-def fidelity_min(trace: EvolutionTrace, grid: BlochGrid) -> np.ndarray:
-    """min over the grid of <psi| rho_q(t_k) |psi>, one value per sample."""
-    qs = _check(trace, grid)
-    f = np.einsum("si,ksij,sj->ks", qs.conj(), trace.rho_q, qs).real
-    return f.min(axis=1)
-
-
-def quanta_max(trace: EvolutionTrace, grid: BlochGrid) -> np.ndarray:
-    """max over the grid of the oscillator occupation <b'b>(t_k)."""
-    _check(trace, grid)
-    if trace.n_exp is None or trace.n_exp.size == 0:
-        raise ValueError("trace carries no oscillator occupations")
-    return trace.n_exp.max(axis=1)
-
-
-def leakage_max(trace: EvolutionTrace, grid: BlochGrid) -> np.ndarray:
-    """max over the grid of the top-two-level population."""
-    _check(trace, grid)
-    return trace.leakage.max(axis=1)
-
-
 CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
 
 
-def csv_lines(trace: EvolutionTrace, grid: BlochGrid, taup: float = 1.0):
+def csv_lines(trace: EvolutionTrace, taup: float = 1.0):
     """CSV rows of the stroboscopic worst-case observables."""
-    fmin = fidelity_min(trace, grid)
-    nmax = quanta_max(trace, grid)
-    lmax = leakage_max(trace, grid)
     lines = [CSV_HEADER]
-    for k in range(len(trace.times)):
-        lines.append(f"{k},{trace.times[k] / taup:.12g},{fmin[k]:.12g},"
-                     f"{nmax[k]:.12g},{lmax[k]:.12g}")
+    for k, (t, f, n, leak) in enumerate(zip(trace.times, trace.fidelity_min,
+                                            trace.n_mean_max,
+                                            trace.leakage_max)):
+        lines.append(f"{k},{t / taup:.12g},{f:.12g},{n:.12g},{leak:.12g}")
     return lines
 
 
-def write_csv(path: str, trace: EvolutionTrace, grid: BlochGrid,
-              taup: float = 1.0) -> None:
+def write_csv(path: str, trace: EvolutionTrace, taup: float = 1.0) -> None:
     """Atomically write the trace CSV (temp file + rename)."""
-    lines = csv_lines(trace, grid, taup)
+    lines = csv_lines(trace, taup)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -23,6 +23,12 @@ so it is an independent oracle for them.
 
 Delta pulses are applied as exact -i sigma rotations between integration
 segments; free-evolution delays are exact exponentials of Hs.
+
+``run_trace`` is the one place the stroboscopic observables are computed:
+it applies U(T) period by period, buffers the states of _BLOCK periods and
+reduces each block to the worst case over the initial qubit states
+(fidelity, oscillator occupation, truncation leakage), so it keeps no
+propagator power or state per period.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ _CF4_W2 = 0.25 - np.sqrt(3) / 6
 MIN_STEPS_PER_PULSE = 16
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
-# CF4 exponentials per stacked eigendecomposition: deep enough to amortise
-# the Python overhead, shallow enough to keep peak memory flat
+# CF4 exponentials per stacked eigendecomposition, and periods per reduced
+# block of a trace: deep enough to amortise the Python overhead, shallow
+# enough to keep peak memory flat
 _BLOCK = 32
 
 
@@ -68,26 +75,12 @@ class DelaySegment:
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise control layout of one sequence period.
-
-    Within each pulse only one axis is active; ``field`` evaluates the
-    per-axis drive V_axis(t) (zero outside that axis's pulses).
-    """
+    """Piecewise control layout of one sequence period: pulse segments, each
+    driving a single axis, and free-evolution delays."""
 
     shape: PulseShape
     segments: tuple
     period: float
-
-    def field(self, axis: str, t: float) -> float:
-        if axis not in PAULI:
-            raise ValueError(f"bad axis {axis!r}")
-        if self.shape.is_delta:
-            raise ValueError("delta-pulse schedule has no pointwise field")
-        for seg in self.segments:
-            if (isinstance(seg, PulseSegment) and seg.axis == axis
-                    and seg.t0 <= t <= seg.t0 + seg.duration):
-                return seg.sign * amplitude(self.shape, t - seg.t0)
-        return 0.0
 
 
 def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
@@ -214,20 +207,18 @@ def step_halving_difference(couplings: CouplingSet, schedule: ControlSchedule,
 
 @dataclass
 class EvolutionTrace:
-    """Stroboscopic record over n periods.
+    """Stroboscopic record over n periods, reduced over the initial states.
 
-    times[k] = k * period; propagators[k] = U(times[k]); rho_q[k, i] is the
-    reduced qubit state of initial state i at sample k; n_exp and leakage
-    hold the oscillator occupation and top-two-level population.
+    times[k] = k * period; fidelity_min[k] is the smallest <psi| rho_q |psi>
+    over the initial qubit states psi (rho_q the oscillator-traced state at
+    times[k]), n_mean_max[k] the largest oscillator occupation <b'b> and
+    leakage_max[k] the largest population of the top two oscillator levels.
     """
 
     times: np.ndarray
-    period: float
-    propagators: list
-    initial_states: np.ndarray
-    rho_q: np.ndarray
-    n_exp: np.ndarray
-    leakage: np.ndarray
+    fidelity_min: np.ndarray
+    n_mean_max: np.ndarray
+    leakage_max: np.ndarray
     halving_diff: float
     unitarity_drift: float
 
@@ -243,8 +234,11 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     """Propagate initial product states |psi_q> (x) |k_osc> stroboscopically.
 
     The one-period propagator is computed once and reused (the schedule is
-    periodic, so U(nT) = [U(T)]^n).  Emits a warning when the top two
-    oscillator levels accumulate more than ``leak_threshold`` population.
+    periodic, so U(nT) = [U(T)]^n).  The states of _BLOCK consecutive
+    periods are buffered and reduced together to the worst case over the
+    initial states, so memory does not grow with n_periods beyond the three
+    output columns.  Emits a warning when the top two oscillator levels
+    accumulate more than ``leak_threshold`` population.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
@@ -254,6 +248,8 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     qs = np.asarray(initial_states, dtype=complex)
     if qs.ndim != 2 or qs.shape[1] != 2:
         raise ValueError("initial_states must be a list of qubit 2-vectors")
+    if len(qs) == 0:
+        raise ValueError("initial_states is empty")
     norms = np.linalg.norm(qs, axis=1)
     if np.any(np.abs(norms - 1) > 1e-10):
         raise ValueError("initial qubit states must be normalized")
@@ -268,37 +264,41 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     psi = np.einsum("si,n->sin", qs, osc0).reshape(ns, dim)
 
     times = np.arange(n_periods + 1) * schedule.period
-    propagators = [np.eye(dim, dtype=complex)]
-    rho_q = np.empty((n_periods + 1, ns, 2, 2), dtype=complex)
-    n_exp = np.empty((n_periods + 1, ns))
-    leak = np.empty((n_periods + 1, ns))
+    fmin = np.empty(n_periods + 1)
+    nmax = np.empty(n_periods + 1)
+    lmax = np.empty(n_periods + 1)
     nvec = np.arange(d, dtype=float)
+    buf = np.empty((_BLOCK, ns, dim), dtype=complex)
 
-    def record(k, states):
-        m = states.reshape(ns, 2, d)
-        rho_q[k] = np.einsum("sin,sjn->sij", m, m.conj())
-        w = np.abs(m) ** 2
-        n_exp[k] = np.einsum("sin,n->s", w, nvec)
-        leak[k] = w[:, :, max(0, d - 2):].sum(axis=(1, 2))
-
-    record(0, psi)
     cur = psi
     u_power = np.eye(dim, dtype=complex)
-    for k in range(1, n_periods + 1):
-        cur = cur @ u.T
-        u_power = u @ u_power
-        propagators.append(u_power)
-        record(k, cur)
+    for k in range(n_periods + 1):
+        if k:
+            cur = cur @ u.T
+            u_power = u @ u_power
+        j = k % _BLOCK
+        buf[j] = cur
+        if j < _BLOCK - 1 and k < n_periods:
+            continue
+        # periods k - j .. k: rho_q, <psi|rho_q|psi>, <n> and the top-two
+        # population of every initial state, then the worst case over them
+        block = slice(k - j, k + 1)
+        m = buf[:j + 1].reshape(j + 1, ns, 2, d)
+        rho_q = np.einsum("ksin,ksjn->ksij", m, m.conj())
+        f = np.einsum("si,ksij,sj->ks", qs.conj(), rho_q, qs).real
+        fmin[block] = f.min(axis=1)
+        w = np.abs(m) ** 2
+        nmax[block] = np.einsum("ksin,n->ks", w, nvec).max(axis=1)
+        lmax[block] = w[..., max(0, d - 2):].sum(axis=(2, 3)).max(axis=1)
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
-    max_leak = float(leak.max()) if leak.size else 0.0
+    max_leak = float(lmax.max())
     if max_leak > leak_threshold:
         warnings.warn(
             f"oscillator truncation leakage {max_leak:.2e} exceeds "
             f"{leak_threshold:g}; rerun with n_max >= {d + 3}",
             RuntimeWarning, stacklevel=2)
 
-    return EvolutionTrace(times=times, period=schedule.period,
-                          propagators=propagators, initial_states=qs,
-                          rho_q=rho_q, n_exp=n_exp, leakage=leak,
-                          halving_diff=halving, unitarity_drift=drift)
+    return EvolutionTrace(times=times, fidelity_min=fmin, n_mean_max=nmax,
+                          leakage_max=lmax, halving_diff=halving,
+                          unitarity_drift=drift)

@@ -93,6 +93,12 @@ def _p(axis: str, sign: int = 1) -> PulseSpec:
     return PulseSpec(axis=axis, sign=sign)
 
 
+def _on(axis_or_none, m):
+    """sigma_axis (x) m, or 1 (x) m for axis None."""
+    q = PAULI[axis_or_none] if axis_or_none else IDENTITY_2
+    return kron(q, m)
+
+
 # Named sequences in time order (products reversed): e.g. 8a is the product
 # Ybar Xbar Y Xbar X Ybar X Y, so Y acts first.
 BUILTIN_SEQUENCES = {
@@ -188,20 +194,16 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
     d = couplings.dim
     idd = np.eye(d, dtype=complex)
 
-    def on(axis_or_none, m):
-        q = PAULI[axis_or_none] if axis_or_none else IDENTITY_2
-        return kron(q, m)
-
     x0 = kron(-1j * PAULI[mu], idd)
-    x1 = (-on(None, am) - on(mu, a0)
-          + 1j * s * (on(nu, an) + on(rho, ar)))
-    x2 = (0.5j * (on(None, anticomm(a0, am)) + on(mu, a0 @ a0 + am @ am))
-          + zeta * (comm(on(None, a0), on(nu, ar) - on(rho, an))
-                    + 1j * anticomm(on(None, am), on(nu, an) + on(rho, ar)))
-          + (s / 2) * (anticomm(on(None, a0), on(nu, an) + on(rho, ar))
-                       - 1j * comm(on(None, am), on(nu, ar) - on(rho, an)))
-          + alpha * (on(None, an @ an + ar @ ar) + 1j * on(mu, comm(an, ar)))
-          + (s ** 2 / 2) * (on(None, comm(ar, an)) + 1j * on(mu, an @ an + ar @ ar)))
+    x1 = (-_on(None, am) - _on(mu, a0)
+          + 1j * s * (_on(nu, an) + _on(rho, ar)))
+    x2 = (0.5j * (_on(None, anticomm(a0, am)) + _on(mu, a0 @ a0 + am @ am))
+          + zeta * (comm(_on(None, a0), _on(nu, ar) - _on(rho, an))
+                    + 1j * anticomm(_on(None, am), _on(nu, an) + _on(rho, ar)))
+          + (s / 2) * (anticomm(_on(None, a0), _on(nu, an) + _on(rho, ar))
+                       - 1j * comm(_on(None, am), _on(nu, ar) - _on(rho, an)))
+          + alpha * (_on(None, an @ an + ar @ ar) + 1j * _on(mu, comm(an, ar)))
+          + (s ** 2 / 2) * (_on(None, comm(ar, an)) + 1j * _on(mu, an @ an + ar @ ar)))
     return x0, x1, x2
 
 
@@ -253,48 +255,38 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
     a0, ax, ay, az = couplings.a0, couplings.ax, couplings.ay, couplings.az
     d = couplings.dim
 
-    def on(axis_or_none, m):
-        q = PAULI[axis_or_none] if axis_or_none else IDENTITY_2
-        return kron(q, m)
-
     name = seq.name
     if name == "xbarx":
-        h = (on(None, a0) + on("x", ax)
-             - s * (on("y", az) - on("z", ay)))
+        h = (_on(None, a0) + _on("x", ax)
+             - s * (_on("y", az) - _on("z", ay)))
     elif name == "x4":
-        h = (on(None, a0) + on("x", ax)
-             - s * taup * anticomm(on(None, ax), on("y", ay) + on("z", az))
-             + 1j * s * taup * comm(on(None, a0), on("y", az) - on("z", ay)))
+        h = (_on(None, a0) + _on("x", ax)
+             - s * taup * anticomm(_on(None, ax), _on("y", ay) + _on("z", az))
+             + 1j * s * taup * comm(_on(None, a0), _on("y", az) - _on("z", ay)))
     elif name == "4p":
-        h = (on(None, a0) + (s / 2) * (on("x", az) - on("z", ay))
-             + comm_sign * (-0.5j * taup) * comm(on(None, a0),
-                                                 on("x", ax) - on("y", ay))
-             - taup * (alpha / 2) * on("y", ax @ ax + az @ az)
-             + taup * (0.5j * alpha) * on(None, comm(az, ay))
-             - taup * ((1 + 4 * zeta) / 4) * on("z", anticomm(ax, ay)))
+        h = (_on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
+             + comm_sign * (-0.5j * taup) * comm(_on(None, a0),
+                                                 _on("x", ax) - _on("y", ay))
+             - taup * (alpha / 2) * _on("y", ax @ ax + az @ az)
+             + taup * (0.5j * alpha) * _on(None, comm(az, ay))
+             - taup * ((1 + 4 * zeta) / 4) * _on("z", anticomm(ax, ay)))
     elif name == "8s":
-        blk = (0.25j * on(None, comm(az, ax + ay))
-               + 0.5 * (on("x", ay @ ay) - on("y", ax @ ax))
-               + 0.25 * on("y", anticomm(ax, ay))
-               + 0.25 * on("z", anticomm(ay, az))
-               + 0.5j * comm(on(None, a0),
-                             on("y", az) + on("z", ax)
-                             + 1.5 * on("z", ay) - 2.5 * on("x", az)))
-        h = (on(None, a0) + s * taup * blk
-             - (alpha * taup / 2) * (on("y", ax @ ax + az @ az)
-                                     + 1j * on(None, comm(ay, az))))
+        blk = (0.25j * _on(None, comm(az, ax + ay))
+               + 0.5 * (_on("x", ay @ ay) - _on("y", ax @ ax))
+               + 0.25 * _on("y", anticomm(ax, ay))
+               + 0.25 * _on("z", anticomm(ay, az))
+               + 0.5j * comm(_on(None, a0),
+                             _on("y", az) + _on("z", ax)
+                             + 1.5 * _on("z", ay) - 2.5 * _on("x", az)))
+        h = (_on(None, a0) + s * taup * blk
+             - (alpha * taup / 2) * (_on("y", ax @ ax + az @ az)
+                                     + 1j * _on(None, comm(ay, az))))
     else:  # 8a
-        h = on(None, a0) + (s / 2) * (on("x", az) - on("z", ay))
+        h = _on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
 
     if not is_hermitian(h):
         raise AssertionError("effective Hamiltonian lost hermiticity")
     return h, _ANNOTATIONS[name]
-
-
-def period_taups(seq: Sequence, shape: PulseShape) -> float:
-    """Sequence period in tau_p units (delta pulses have zero duration)."""
-    per_pulse = 0.0 if shape.is_delta else 1.0
-    return seq.pulse_count * per_pulse + seq.delay_total
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,9 @@ class PulseShape:
         if self.kind in ("gaussian", "hermitian"):
             if self.width_ratio is None or not (0 < self.width_ratio < 1):
                 raise ValueError("width_ratio must be in (0, 1)")
+        if self.kind == "hermitian" and self.gamma == 2:
+            raise ValueError("hermitian gamma must not be 2 (the envelope "
+                             "is divided by 1 - gamma/2)")
         if self.kind == "fourier":
             if not self.coeffs or abs(self.coeffs[0]) < 1e-15:
                 raise ValueError("fourier shape needs coefficients with A0 != 0")
@@ -125,18 +128,21 @@ def fourier(coeffs, taup: float = 1.0) -> PulseShape:
     return PulseShape(kind="fourier", coeffs=tuple(c.tolist()), taup=taup)
 
 
-# built-in soft shapes from the reference table
-def named_builtin(name: str) -> PulseShape:
-    table = {
-        "delta": lambda: delta(),
-        "G05": lambda: gaussian(0.05),
-        "G10": lambda: gaussian(0.10),
-        "H05": lambda: hermitian(0.05),
-        "H10": lambda: hermitian(0.10),
-    }
-    if name not in table:
+# built-in shapes from the reference table
+_BUILTIN = {
+    "delta": delta,
+    "G05": lambda taup: gaussian(0.05, taup),
+    "G10": lambda taup: gaussian(0.10, taup),
+    "H05": lambda taup: hermitian(0.05, taup=taup),
+    "H10": lambda taup: hermitian(0.10, taup=taup),
+}
+_DESIGNED = ("S1", "S2", "Q1", "Q2")
+
+
+def named_builtin(name: str, taup: float = 1.0) -> PulseShape:
+    if name not in _BUILTIN:
         raise ValueError(f"unknown built-in shape {name!r}")
-    return table[name]()
+    return _BUILTIN[name](taup)
 
 
 def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
@@ -343,7 +349,7 @@ def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization:  kind=gaussian width=0.10
+# plain-text serialization (kind=gaussian width=0.10) and shape lookup
 # ---------------------------------------------------------------------------
 
 def shape_to_text(shape: PulseShape) -> str:
@@ -358,26 +364,50 @@ def shape_to_text(shape: PulseShape) -> str:
     return f"kind=fourier coeffs={coeffs}"
 
 
-def shape_from_text(text: str, taup: float = 1.0) -> PulseShape:
-    """Parse the ``kind=... key=value`` serialization."""
-    fields = {}
-    for tok in text.split():
-        if "=" not in tok:
-            raise ValueError(f"malformed shape token {tok!r}")
-        k, v = tok.split("=", 1)
-        fields[k] = v
-    kind = fields.get("kind")
-    if kind == "delta":
-        return delta(taup)
-    if kind == "gaussian":
-        return gaussian(float(fields["width"]), taup)
-    if kind == "hermitian":
-        return hermitian(float(fields["width"]),
-                         float(fields.get("gamma", HERMITIAN_GAMMA)), taup)
-    if kind == "fourier":
-        coeffs = [float(c) for c in fields["coeffs"].split(",")]
-        return fourier(coeffs, taup)
-    raise ValueError(f"unknown shape kind {kind!r}")
+def resolve_shape(text: str, taup: float = 1.0) -> PulseShape:
+    """Shape from a name (delta, G05, G10, H05, H10, S1, S2, Q1, Q2), a colon
+    spec (gaussian:0.10, hermitian:0.05[:gamma], fourier:c0,c1,...), or the
+    ``kind=...`` serialization."""
+    spec = text.strip()
+    if spec.startswith("kind="):
+        fields = {}
+        for tok in spec.split():
+            if "=" not in tok:
+                raise ValueError(f"malformed shape token {tok!r}")
+            k, v = tok.split("=", 1)
+            fields[k] = v
+        kind = fields.get("kind")
+        if kind == "delta":
+            return delta(taup)
+        if kind == "gaussian":
+            return gaussian(float(fields["width"]), taup)
+        if kind == "hermitian":
+            return hermitian(float(fields["width"]),
+                             float(fields.get("gamma", HERMITIAN_GAMMA)), taup)
+        if kind == "fourier":
+            return fourier([float(c) for c in fields["coeffs"].split(",")],
+                           taup)
+        raise ValueError(f"unknown shape kind {kind!r}")
+    lowered = spec.lower()
+    for name in _BUILTIN:
+        if lowered == name.lower():
+            return named_builtin(name, taup)
+    if lowered.upper() in _DESIGNED:
+        from . import designer  # lazy: designer depends on this module
+        # designed coefficients are dimensionless (2*pi/taup units)
+        return fourier(designer.design_named(lowered.upper()).coeffs, taup)
+    if ":" in spec:
+        kind, _, rest = spec.partition(":")
+        kind = kind.lower()
+        if kind == "gaussian":
+            return gaussian(float(rest), taup)
+        if kind == "hermitian":
+            parts = rest.split(":")
+            gamma = float(parts[1]) if len(parts) > 1 else HERMITIAN_GAMMA
+            return hermitian(float(parts[0]), gamma, taup)
+        if kind == "fourier":
+            return fourier([float(c) for c in rest.split(",")], taup)
+    raise ValueError(f"unknown shape spec {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +419,10 @@ def table_rows(n_quad: int = DEFAULT_N_QUAD):
     from . import designer  # lazy: designer depends on this module
 
     rows = []
-    for name in ("delta", "G05", "G10", "H05", "H10"):
+    for name in _BUILTIN:
         p = compute_params(named_builtin(name), n_quad)
         rows.append((name, p.s, p.alpha / 2, p.zeta))
-    for name in ("S1", "S2", "Q1", "Q2"):
+    for name in _DESIGNED:
         result = designer.design_named(name)
         p = compute_params(result.shape, n_quad)
         rows.append((name, p.s, p.alpha / 2, p.zeta))

@@ -11,7 +11,6 @@ from cavitydd import designer, metrics, propagate, sequences, shapes
 from cavitydd.algebra import (CouplingSet, ModelParams, chemical_shift,
                               jaynes_cummings)
 from cavitydd.cli import main
-from cavitydd.metrics import fidelity_min, quanta_max
 from cavitydd.propagate import build_schedule, propagate_period, run_trace
 from cavitydd.sequences import PulseSpec, expansion_sum, order_check, parse_sequence
 from cavitydd.shapes import compute_params, delta, gaussian, named_builtin
@@ -31,7 +30,7 @@ def q1():
 
 @pytest.fixture(scope="module")
 def grid():
-    return metrics.default_grid()
+    return metrics.BlochGrid.build(50)
 
 
 def test_criterion_01_parameter_table_regression():
@@ -168,22 +167,22 @@ def test_criterion_08_figure_protocol_properties(q1, grid):
     # (a) resonant 4p + G10 heats the oscillator; 8s + Q1 does not
     tr_4p = trace("4p", g10, 0.0)
     tr_8s0 = trace("8s", q1.shape, 0.0)
-    n_4p = quanta_max(tr_4p, grid).max()
-    n_8s0 = quanta_max(tr_8s0, grid).max()
+    n_4p = tr_4p.n_mean_max.max()
+    n_8s0 = tr_8s0.n_mean_max.max()
     ratio = n_4p / n_8s0
     assert ratio > 10
 
     # (b) off-resonant 8s + Q1 keeps the qubit and the oscillator clean
     tr_off = trace("8s", q1.shape, 0.117)
-    worst_infidelity = np.max(1 - fidelity_min(tr_off, grid))
-    worst_quanta = quanta_max(tr_off, grid).max()
+    worst_infidelity = np.max(1 - tr_off.fidelity_min)
+    worst_quanta = tr_off.n_mean_max.max()
     assert worst_infidelity < 1e-3
     assert worst_quanta < 1e-2
 
     # (c) the n_max = 8 truncation is converged
     tr_12 = trace("8s", q1.shape, 0.117, n_max=12)
-    df = np.max(np.abs(fidelity_min(tr_off, grid) - fidelity_min(tr_12, grid)))
-    dn = np.max(np.abs(quanta_max(tr_off, grid) - quanta_max(tr_12, grid)))
+    df = np.max(np.abs(tr_off.fidelity_min - tr_12.fidelity_min))
+    dn = np.max(np.abs(tr_off.n_mean_max - tr_12.n_mean_max))
     assert df < 1e-6 and dn < 1e-6
     _report(8, f"heating ratio {ratio:.0f} (> 10); off-resonance worst "
                f"1-F = {worst_infidelity:.2e}, <n> = {worst_quanta:.2e}; "

@@ -3,8 +3,7 @@ import pytest
 
 from cavitydd.algebra import (CouplingSet, ModelParams, SIGMA_X, anticomm,
                               assemble, chemical_shift, comm, expm_herm,
-                              jaynes_cummings, kron, lowering, op_norm,
-                              partial_trace_qubit, partial_trace_rest)
+                              jaynes_cummings, kron, lowering, op_norm)
 from conftest import random_couplings
 
 
@@ -118,27 +117,6 @@ class TestExpmHerm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             expm_herm(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestPartialTrace:
-    def test_product_state_reduces_pure(self):
-        q = np.array([1, 1j]) / np.sqrt(2)
-        osc = np.zeros(4)
-        osc[2] = 1.0
-        psi = np.kron(q, osc)
-        rho = np.outer(psi, psi.conj())
-        rq = partial_trace_rest(rho, 4)
-        assert np.allclose(rq, np.outer(q, q.conj()), atol=1e-14)
-        ro = partial_trace_qubit(rho, 4)
-        assert np.allclose(ro, np.outer(osc, osc), atol=1e-14)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        assert abs(np.trace(partial_trace_rest(rho, 4)) - 1) < 1e-13
-        assert abs(np.trace(partial_trace_qubit(rho, 4)) - 1) < 1e-13
 
 
 def test_comm_anticomm_properties():

@@ -107,6 +107,23 @@ class TestCommands:
         assert main(["design", "--family", "Q", "-L", "1", "--tol", tol]) == 2
         assert "tol must be finite" in capsys.readouterr().err
 
+    def test_design_rejects_loose_tol(self, capsys):
+        assert main(["design", "--family", "Q", "-L", "1", "--tol", "1"]) == 2
+        assert "tol must be <= 1e-6" in capsys.readouterr().err
+        assert main(["design", "--family", "Q", "-L", "1",
+                     "--tol", "1e-6"]) == 0
+        assert "reference zeta" in capsys.readouterr().out
+
+    def test_params_rejects_singular_hermitian_gamma(self, capsys):
+        assert main(["params", "--shape", "hermitian:0.05:2"]) == 2
+        assert "gamma" in capsys.readouterr().err
+        # neighbouring gammas are valid input: 2.5 converges, 1.99 (area
+        # nearly cancelled) fails the quadrature doubling check as before
+        assert main(["params", "--shape", "hermitian:0.05:2.5"]) == 0
+        assert "zeta" in capsys.readouterr().out
+        assert main(["params", "--shape", "hermitian:0.05:1.99"]) == 3
+        assert "not converged" in capsys.readouterr().err
+
     def test_design_q1(self, capsys):
         assert main(["design", "--family", "Q", "--order", "1"]) == 0
         out = capsys.readouterr().out

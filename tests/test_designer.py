@@ -25,6 +25,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="tol must be finite"):
             design(DesignSpec("S", 1), tol=tol)
 
+    def test_tol_ceiling(self):
+        # a tolerance this loose accepts the seed-grid start point unsolved
+        with pytest.raises(ValueError, match="tol must be <= 1e-6"):
+            design(DesignSpec("Q", 1), tol=1.0)
+        with pytest.raises(ValueError, match="tol must be <= 1e-6"):
+            design(DesignSpec("S", 1), tol=1.01e-6)
+        r = design(DesignSpec("S", 1), tol=1e-6)
+        assert max(r.residuals.values()) < 1e-5
+
     def test_named_lookup(self):
         with pytest.raises(ValueError):
             design_named("R1")

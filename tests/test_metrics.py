@@ -3,8 +3,7 @@ import pytest
 
 from cavitydd.algebra import ModelParams, jaynes_cummings
 from cavitydd.metrics import (BlochGrid, CARDINAL_STATES, CSV_HEADER,
-                              csv_lines, fidelity_min, leakage_max,
-                              quanta_max, write_csv)
+                              csv_lines, write_csv)
 from cavitydd.propagate import build_schedule, run_trace
 from cavitydd.sequences import parse_sequence
 
@@ -39,19 +38,19 @@ class TestGrid:
 class TestObservables:
     def test_initial_sample(self, small_grid):
         tr = make_trace(small_grid, periods=0)
-        assert fidelity_min(tr, small_grid)[0] == pytest.approx(1.0, abs=1e-12)
-        assert quanta_max(tr, small_grid)[0] == pytest.approx(0.0, abs=1e-14)
+        assert tr.fidelity_min[0] == pytest.approx(1.0, abs=1e-12)
+        assert tr.n_mean_max[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_decoupled_qubit_stays_perfect(self, small_grid):
         tr = make_trace(small_grid, g=0.0, periods=20)
-        assert np.allclose(fidelity_min(tr, small_grid), 1, atol=1e-10)
-        assert np.allclose(quanta_max(tr, small_grid), 0, atol=1e-12)
+        assert np.allclose(tr.fidelity_min, 1, atol=1e-10)
+        assert np.allclose(tr.n_mean_max, 0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bounds(self, small_grid):
         tr = make_trace(small_grid, g=0.05, periods=40, self_check=False)
-        f = fidelity_min(tr, small_grid)
-        n = quanta_max(tr, small_grid)
+        f = tr.fidelity_min
+        n = tr.n_mean_max
         assert np.all((0 <= f) & (f <= 1 + 1e-12))
         assert np.all((0 <= n) & (n <= 3 + 1e-10))
 
@@ -59,7 +58,7 @@ class TestObservables:
     def test_two_level_oscillator_bound(self, small_grid):
         tr = make_trace(small_grid, g=0.05, n_max=1, periods=40,
                         self_check=False)
-        assert np.all(quanta_max(tr, small_grid) <= 1 + 1e-10)
+        assert np.all(tr.n_mean_max <= 1 + 1e-10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_grid_refinement_monotone(self):
@@ -70,23 +69,18 @@ class TestObservables:
         big = BlochGrid(states=small.states + extra)
         tr_small = make_trace(small, g=0.04, periods=25, self_check=False)
         tr_big = make_trace(big, g=0.04, periods=25, self_check=False)
-        assert np.all(fidelity_min(tr_big, big)
-                      <= fidelity_min(tr_small, small) + 1e-14)
-        assert np.all(quanta_max(tr_big, big)
-                      >= quanta_max(tr_small, small) - 1e-14)
-
-    def test_grid_mismatch_rejected(self, small_grid):
-        tr = make_trace(small_grid, periods=2)
-        with pytest.raises(ValueError):
-            fidelity_min(tr, BlochGrid.build(9))
+        assert np.all(tr_big.fidelity_min
+                      <= tr_small.fidelity_min + 1e-14)
+        assert np.all(tr_big.n_mean_max
+                      >= tr_small.n_mean_max - 1e-14)
 
     def test_resonant_4p_heats_and_decays(self, small_grid):
         # first-order error of 4p with a Gaussian pulse pumps the resonant
         # oscillator and degrades the qubit, visibly by 60 periods
         tr = make_trace(small_grid, omega_r=0.0, g=0.002, n_max=6,
                         periods=60, seq="4p")
-        n = quanta_max(tr, small_grid)
-        f = fidelity_min(tr, small_grid)
+        n = tr.n_mean_max
+        f = tr.fidelity_min
         assert n[-1] > 100 * max(n[1], 1e-12)
         assert n[-1] > 1e-4
         assert f[-1] < 1 - 1e-4
@@ -95,7 +89,7 @@ class TestObservables:
 class TestCsv:
     def test_schema_and_rows(self, small_grid):
         tr = make_trace(small_grid, periods=5, n_max=4)
-        lines = csv_lines(tr, small_grid)
+        lines = csv_lines(tr)
         assert lines[0] == CSV_HEADER
         assert len(lines) == 7
         first = lines[1].split(",")
@@ -106,13 +100,13 @@ class TestCsv:
         tr = make_trace(small_grid, periods=5, n_max=4)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_csv(str(p1), tr, small_grid)
-        write_csv(str(p2), tr, small_grid)
+        write_csv(str(p1), tr)
+        write_csv(str(p2), tr)
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_leakage_column(self, small_grid):
         tr = make_trace(small_grid, periods=3)
-        lk = leakage_max(tr, small_grid)
+        lk = tr.leakage_max
         assert lk.shape == (4,)
         assert np.all(lk >= 0)

@@ -8,8 +8,8 @@ from cavitydd.sequences import (BUILTIN_SEQUENCES, Delay, PulseSpec, Sequence,
                                 control_unitary, effective_hamiltonian,
                                 expand_pulse, expansion_sum,
                                 jc_cavity_hamiltonian, order_check,
-                                parse_sequence, period_taups)
-from cavitydd.shapes import ShapeParams, compute_params, delta, gaussian
+                                parse_sequence)
+from cavitydd.shapes import ShapeParams, compute_params, gaussian
 from conftest import random_couplings
 
 
@@ -53,10 +53,6 @@ class TestParser:
         u = control_unitary(parse_sequence(name))
         # identity up to global phase
         assert abs(abs(np.trace(u)) - 2) < 1e-12
-
-    def test_period(self):
-        assert period_taups(parse_sequence("8a"), gaussian(0.1)) == 8.0
-        assert period_taups(parse_sequence("X d(1.0) -X d(1.0)"), delta()) == 2.0
 
 
 class TestExpandPulse:

@@ -5,7 +5,7 @@ from cavitydd import shapes
 from cavitydd.errors import ConvergenceError
 from cavitydd.shapes import (PulseShape, amplitude, compute_params,
                              cosine_average, delta, fourier, gaussian,
-                             hermitian, phase_integral, shape_from_text,
+                             hermitian, phase_integral, resolve_shape,
                              shape_to_text, solve_hermitian_gamma)
 
 
@@ -51,11 +51,24 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             make()
 
+    def test_singular_hermitian_gamma_rejected(self):
+        # gamma = 2 zeroes the envelope's 1 - gamma/2 normalization
+        with pytest.raises(ValueError, match="gamma"):
+            hermitian(0.05, gamma=2.0)
+        with pytest.raises(ValueError, match="gamma"):
+            PulseShape(kind="hermitian", width_ratio=0.05, gamma=2.0)
+        p = compute_params(hermitian(0.05, gamma=2.5))
+        assert np.isfinite([p.s, p.alpha, p.zeta]).all()
+        assert p.area == pytest.approx(np.pi, abs=1e-10)
+        with pytest.raises(ConvergenceError):
+            compute_params(hermitian(0.05, gamma=1.99))
+
     def test_nan_residual_fails_the_doubling_check(self):
-        # gamma = 2 zeroes the hermitian normalization: every sample is NaN
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(ConvergenceError):
-            compute_params(hermitian(0.05, gamma=2.0))
+        # a finite but huge cosine coefficient overflows the envelope to
+        # +-inf, so the phase samples and every residual are NaN
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="nan"):
+            compute_params(fourier([1.0, 1e308]))
 
 
 class TestAmplitude:
@@ -202,7 +215,7 @@ class TestSerialization:
         fourier([0.5, 1.1873, 0.6873]),
     ])
     def test_roundtrip(self, sh):
-        back = shape_from_text(shape_to_text(sh))
+        back = resolve_shape(shape_to_text(sh))
         assert back.kind == sh.kind
         if sh.kind != "delta":
             t = np.linspace(0, 1, 37)
@@ -211,9 +224,11 @@ class TestSerialization:
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            shape_from_text("kind=warp width=0.1")
+            resolve_shape("kind=warp width=0.1")
         with pytest.raises(ValueError):
-            shape_from_text("gaussian 0.1")
+            resolve_shape("kind=gaussian 0.1")
+        with pytest.raises(ValueError):
+            resolve_shape("gaussian 0.1")
 
 
 def test_table_report_includes_designed_rows():
