@@ -9,7 +9,8 @@ from cavitydd.sequences import (BUILTIN_SEQUENCES, Delay, PulseSpec, Sequence,
                                 expand_pulse, expansion_sum,
                                 jc_cavity_hamiltonian, order_check,
                                 parse_sequence)
-from cavitydd.shapes import ShapeParams, compute_params, gaussian
+from cavitydd.propagate import build_schedule
+from cavitydd.shapes import ShapeParams, compute_params, delta, gaussian
 from conftest import random_couplings
 
 
@@ -53,6 +54,11 @@ class TestParser:
         u = control_unitary(parse_sequence(name))
         # identity up to global phase
         assert abs(abs(np.trace(u)) - 2) < 1e-12
+
+    def test_period(self):
+        assert build_schedule(parse_sequence("8a"), gaussian(0.1)).period == 8.0
+        assert build_schedule(parse_sequence("X d(1.0) -X d(1.0)"),
+                              delta()).period == 2.0
 
 
 class TestExpandPulse:
