@@ -66,10 +66,6 @@ def lowering(dim: int) -> np.ndarray:
     return b
 
 
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 @dataclass(frozen=True)
 class CouplingSet:
     """Operator quadruple (A0, Ax, Ay, Az) acting on the non-qubit factor.
@@ -125,12 +121,11 @@ class ModelParams:
     omega_0: float = 0.0
     g: float = 0.0002
     n_max: int = 8
-    delta_shift: float = 0.0
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        for name in ("omega_r", "omega_0", "g", "delta_shift"):
+        for name in ("omega_r", "omega_0", "g"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -170,6 +165,5 @@ def chemical_shift(delta: float) -> CouplingSet:
 
 def assemble(couplings: CouplingSet) -> np.ndarray:
     """Full system Hamiltonian sigma_x Ax + sigma_y Ay + sigma_z Az + A0."""
-    d = couplings.dim
     return (kron(SIGMA_X, couplings.ax) + kron(SIGMA_Y, couplings.ay)
             + kron(SIGMA_Z, couplings.az) + kron(IDENTITY_2, couplings.a0))

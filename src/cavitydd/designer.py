@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -41,10 +42,9 @@ from . import shapes
 from .errors import ConvergenceError
 
 ZETA_FLAG_THRESHOLD = 0.01
-# Newton seed grids for the free (raw-unit) coefficients; the winning
+# Newton seed grid for each free (raw-unit) coefficient; the winning
 # low-power branches sit within a few units of the raised-cosine profile
-_SEEDS_1D = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
-_SEEDS_2D = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
+_SEEDS = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,7 @@ def _solve_branches(spec: DesignSpec, tail: np.ndarray, taup: float,
                     n_quad: int, tol: float):
     """Newton from the whole deterministic seed grid at once; return
     (key, root, peak) for each distinct converged root, in seed order."""
-    if spec.n_nonlinear == 1:
-        seeds = [(s,) for s in _SEEDS_1D]
-    else:
-        seeds = [(s1, s2) for s1 in _SEEDS_2D for s2 in _SEEDS_2D]
+    seeds = product(_SEEDS, repeat=spec.n_nonlinear)
     x0 = np.array([np.concatenate([np.array(seed) / taup, tail])
                    for seed in seeds])
     roots, _, ok = _newton(spec, x0, taup, n_quad, tol)
@@ -361,7 +358,10 @@ def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, taup: float,
 
 @lru_cache(maxsize=16)
 def design_named(name: str) -> DesignResult:
-    """Designed shape by conventional name: S1, S2, Q1 or Q2."""
+    """Designed shape by conventional name: S1, S2, Q1 or Q2.
+
+    Re-derives the coefficients that shapes.DESIGNED_COEFFS ships as data.
+    """
     name = name.upper()
     if len(name) != 2 or name[0] not in "SQ" or not name[1].isdigit():
         raise ValueError(f"unknown designed shape {name!r}")

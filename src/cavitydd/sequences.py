@@ -74,15 +74,6 @@ class Sequence:
     def pulses(self) -> list[PulseSpec]:
         return [e for e in self.elements if isinstance(e, PulseSpec)]
 
-    @property
-    def pulse_count(self) -> int:
-        return len(self.pulses)
-
-    @property
-    def delay_total(self) -> float:
-        """Total free evolution in tau_p units."""
-        return float(sum(e.duration for e in self.elements if isinstance(e, Delay)))
-
     def label(self) -> str:
         toks = [e.label() if isinstance(e, PulseSpec) else f"d({e.duration:g})"
                 for e in self.elements]
@@ -253,7 +244,6 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
         s, alpha = -s, -alpha
         comm_sign = -1.0
     a0, ax, ay, az = couplings.a0, couplings.ax, couplings.ay, couplings.az
-    d = couplings.dim
 
     name = seq.name
     if name == "xbarx":

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from cavitydd import designer, metrics, propagate, sequences, shapes
+from cavitydd import designer, metrics, shapes
 from cavitydd.algebra import (CouplingSet, ModelParams, chemical_shift,
                               jaynes_cummings)
 from cavitydd.cli import main

@@ -3,7 +3,7 @@ import pytest
 
 from cavitydd.algebra import (CouplingSet, ModelParams, SIGMA_X, anticomm,
                               assemble, chemical_shift, comm, expm_herm,
-                              jaynes_cummings, kron, lowering, op_norm)
+                              jaynes_cummings, lowering, op_norm)
 from conftest import random_couplings
 
 
@@ -90,6 +90,11 @@ class TestValidation:
             ModelParams(n_max=0)
         with pytest.raises(ValueError):
             ModelParams(g=float("inf"))
+
+    def test_model_params_has_no_delta_shift(self):
+        # the builder never read a chemical-shift offset, so none is taken
+        with pytest.raises(TypeError):
+            ModelParams(delta_shift=0.5)
 
 
 class TestExpmHerm:

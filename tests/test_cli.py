@@ -3,7 +3,6 @@ import os
 
 import pytest
 
-from cavitydd import cli
 from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

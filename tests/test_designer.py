@@ -115,15 +115,9 @@ def test_extra_terms_do_not_increase_peak():
     assert wide.peak_amplitude <= base.peak_amplitude + 1e-6
 
 
-# minimal-peak branches recorded before the designer was batched
+# minimal-peak branch recorded before the designer was batched; the named
+# designs are pinned by the literals in shapes.DESIGNED_COEFFS
 PINNED_COEFFS = {
-    DesignSpec("S", 1): (0.5, 1.1873023243373562, 0.6873023243373563),
-    DesignSpec("S", 2): (0.5, 1.1624544759615039, 0.9599271615384061,
-                         0.29747268557690226),
-    DesignSpec("Q", 1): (0.5, 1.11172556678374, 1.5247603955731066,
-                         0.9130348287893664),
-    DesignSpec("Q", 2): (0.5, 1.0703073761480668, 1.4346767408852668,
-                         1.308787178343171, 0.44441781360597127),
     DesignSpec("S", 2, extra_terms=1): (0.5, 1.2126376836994888,
                                         0.681675372044182,
                                         -0.28706582728030683,
@@ -131,12 +125,17 @@ PINNED_COEFFS = {
 }
 
 
+@pytest.mark.parametrize("name", list(shapes.DESIGNED_COEFFS))
+def test_designer_rederives_shipped_literals(name):
+    result = design_named(name)
+    expected = shapes.DESIGNED_COEFFS[name]
+    assert len(result.coeffs) == len(expected)
+    assert np.max(np.abs(np.subtract(result.coeffs, expected))) <= 1e-10
+
+
 @pytest.mark.parametrize("spec", list(PINNED_COEFFS), ids=str)
 def test_designed_coefficients_pinned(spec):
-    if spec.extra_terms:
-        result = design(spec)
-    else:
-        result = design_named(f"{spec.family}{spec.order}")
+    result = design(spec)
     expected = PINNED_COEFFS[spec]
     assert len(result.coeffs) == len(expected)
     assert np.max(np.abs(np.subtract(result.coeffs, expected))) <= 1e-10

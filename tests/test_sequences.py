@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitydd import propagate, sequences
 from cavitydd.algebra import (CouplingSet, ModelParams, chemical_shift,
@@ -31,9 +32,26 @@ class TestParser:
 
     def test_echo_layout(self):
         seq = parse_sequence("X d(1.0) -X d(1.0)")
-        assert isinstance(seq.elements[1], Delay)
-        assert seq.delay_total == pytest.approx(2.0)
-        assert seq.pulse_count == 2
+        assert seq.elements == (PulseSpec("x"), Delay(1.0),
+                                PulseSpec("x", -1), Delay(1.0))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds(PulseSpec, axis=st.sampled_from("xyz"),
+                  sign=st.sampled_from((1, -1))),
+        st.builds(Delay, st.floats(0.0, 1e6, allow_subnormal=False))),
+        min_size=1, max_size=12))
+    def test_label_roundtrip(self, elements):
+        seq = Sequence(elements=tuple(elements))
+        back = parse_sequence(seq.label())
+        assert back.name is None
+        assert back.pulses == seq.pulses
+        assert len(back.elements) == len(seq.elements)
+        for got, want in zip(back.elements, seq.elements):
+            assert type(got) is type(want)
+            if isinstance(want, Delay):
+                # label() prints delays with :g, 6 significant digits
+                assert got.duration == pytest.approx(want.duration, rel=5e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

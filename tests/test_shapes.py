@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavitydd import shapes
+from cavitydd import designer, shapes
 from cavitydd.errors import ConvergenceError
 from cavitydd.shapes import (PulseShape, amplitude, compute_params,
                              cosine_average, delta, fourier, gaussian,
@@ -62,6 +62,12 @@ class TestNonFiniteInput:
         assert p.area == pytest.approx(np.pi, abs=1e-10)
         with pytest.raises(ConvergenceError):
             compute_params(hermitian(0.05, gamma=1.99))
+
+    def test_hermitian_without_gamma_rejected(self):
+        # the envelope multiplies by gamma, so a missing one is refused
+        # before any quadrature runs
+        with pytest.raises(ValueError, match="gamma"):
+            PulseShape(kind="hermitian", width_ratio=0.05)
 
     def test_nan_residual_fails_the_doubling_check(self):
         # a finite but huge cosine coefficient overflows the envelope to
@@ -229,6 +235,23 @@ class TestSerialization:
             resolve_shape("kind=gaussian 0.1")
         with pytest.raises(ValueError):
             resolve_shape("gaussian 0.1")
+
+
+def test_named_designs_are_data(monkeypatch):
+    # S1/S2/Q1/Q2 come from the literal coefficient table; neither shape
+    # lookup nor the parameter table may run the designer
+    def refuse(*args, **kwargs):
+        raise AssertionError("the designer ran")
+
+    monkeypatch.setattr(designer, "design", refuse)
+    monkeypatch.setattr(designer, "design_named", refuse)
+    for name in ("S1", "S2", "Q1", "Q2"):
+        for taup in (1.0, 2.5):
+            sh = resolve_shape(name, taup)
+            assert sh.kind == "fourier" and sh.taup == taup
+            assert sh.coeffs == shapes.DESIGNED_COEFFS[name]
+    assert [row[0] for row in shapes.table_rows()][-4:] == [
+        "S1", "S2", "Q1", "Q2"]
 
 
 def test_table_report_includes_designed_rows():
