@@ -250,10 +250,15 @@ def cmd_ordercheck(args) -> int:
           f"{result.reference}")
     for lam, d in zip(result.scales, result.defects):
         print(f"  lambda = {lam:<8g} defect = {d:.6e}")
+    floor = f"{sequences.DEFECT_FLOOR:g}"
     if result.floor_limited:
-        print("  note: some defects at the numerical floor (1e-12), "
+        print(f"  note: some defects at the numerical floor ({floor}), "
               "excluded from the fit")
-    print(f"fitted exponent p = {result.exponent:.3f}")
+    if np.isnan(result.exponent):
+        print("fitted exponent p: not fitted (fewer than two defects above "
+              f"the {floor} floor)")
+    else:
+        print(f"fitted exponent p = {result.exponent:.3f}")
     return 0
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import shapes
 from .errors import ConvergenceError
 
-ZETA_FLAG_THRESHOLD = 0.01
+ZETA_FLAG_THRESHOLD = shapes.ZETA_FLAG_THRESHOLD
 # Newton seed grid for each free (raw-unit) coefficient; the winning
 # low-power branches sit within a few units of the raised-cosine profile
 _SEEDS = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
@@ -260,8 +260,8 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     Returns the minimal-peak-amplitude branch.  Residuals are re-verified at
     2*n_quad nodes; the achieved zeta is compared with the reference table
     value (when one exists for this family/order) and flagged when it
-    deviates by more than ZETA_FLAG_THRESHOLD -- branch identity is reported,
-    not asserted.
+    deviates by more than shapes.ZETA_FLAG_THRESHOLD -- branch identity is
+    reported, not asserted.
 
     Raises
     ------
@@ -323,7 +323,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         peak_amplitude=_peak(raw, taup),
         zeta_reference=zeta_ref,
         zeta_deviation=dz,
-        flagged=(dz is not None and dz > ZETA_FLAG_THRESHOLD),
+        flagged=(dz is not None and dz > shapes.ZETA_FLAG_THRESHOLD),
     )
 
 

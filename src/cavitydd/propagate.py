@@ -9,17 +9,45 @@ evaluated at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h,
     w1 = 1/4 + sqrt(3)/6,  w2 = 1/4 - sqrt(3)/6,
 
 each factor an exact Hermitian exponential.  Within a pulse H = Hs + V(t) K
-with K = sigma_axis/2 (x) 1, and w1 + w2 = 1/2, so every factor's generator
-is Hs/2 + c K with a real coefficient c.  A pulse unitary is therefore
-batched: one vectorised envelope evaluation at all 2*steps nodes, then
-blocks of _BLOCK generators, each with one stacked eigendecomposition and a
-pairwise tree product, multiplied into the running unitary.  Hermiticity of
-Hs is validated once per pulse unitary; K is Hermitian by construction, so
-each generator is too.  The step count is validated, and the step-halving
-self-check made, in one place (``_checked_period_unitary``) for every entry
-point.  The expansion parameters tested elsewhere in this package never
-enter here: the propagator integrates the lab-frame Hamiltonian directly,
-so it is an independent oracle for them.
+with K = sign * sigma_axis/2 (x) 1, and w1 + w2 = 1/2, so every factor's
+generator is Hs/2 + c K with a real coefficient c.  A pulse unitary is
+therefore batched: one vectorised envelope evaluation at all 2*steps nodes,
+then blocks of _BLOCK generators, each with one stacked eigendecomposition
+and a pairwise tree product, multiplied into the running unitary.
+Hermiticity of Hs is validated once per integrated pulse; K is Hermitian by
+construction, so each generator is too.
+
+Exact symmetries cut the pulses that are integrated at all:
+
+* Symmetry tests.  Once per period unitary, two diagonal candidates are
+  tested against the assembled Hs and kept when |S Hs S^dagger - Hs| <=
+  1e-12 max(1, |Hs|): the parity R = sigma_z (x) (-1)^n and the excitation
+  rotation V = exp(-i pi N/2), N = sigma_z/2 (x) 1 + 1 (x) n, with V^dagger.
+  The Jaynes-Cummings Hs keeps all three; a counter-rotating term keeps R
+  alone; generic couplings keep none.
+* Pulse reuse.  A pulse K' takes S U S^dagger from an integrated pulse
+  (K, U) when a kept S gives S K S^dagger = K' to 1e-12.  Nothing is
+  assumed per axis: R K_x R = -K_x and V K_x V^dagger = K_y, but
+  R K_z R = +K_z, so -z is no partner of +z.
+* Which pulse to integrate.  Otherwise the orbit member S^dagger K' S with
+  real generators is integrated (x before y), so on the Jaynes-Cummings
+  model all of +-x and +-y come from one +x pulse per step count.
+* Real half-product.  When Hs and K are real and the CF4 coefficient list
+  is a palindrome (every package envelope is symmetric about tau_p/2), each
+  factor is a complex symmetric matrix and the second half of the product
+  is the transpose of the first half W: U = W^T W, with W built from the
+  first ``steps`` coefficients by real eigendecompositions (time-symmetric
+  splitting; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Odd
+  step counts need nothing special, because the middle step is itself
+  symmetric.
+* Fallback.  Every other pulse (complex Hs or K, an asymmetric envelope)
+  takes the general complex product of all 2*steps factors.
+
+The step count is validated, and the step-halving self-check made, in one
+place (``_checked_period_unitary``) for every entry point.  The expansion
+parameters tested elsewhere in this package never enter here: the propagator
+integrates the lab-frame Hamiltonian directly, so it is an independent
+oracle for them.
 
 Delta pulses are applied as exact -i sigma rotations between integration
 segments; free-evolution delays are exact exponentials of Hs.
@@ -57,6 +85,8 @@ LEAK_THRESHOLD = 1e-6
 # block of a trace: deep enough to amortise the Python overhead, shallow
 # enough to keep peak memory flat
 _BLOCK = 32
+# relative tolerance of the symmetry and palindrome tests
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,17 +135,33 @@ def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
     return ControlSchedule(shape=shape, segments=tuple(segments), period=t)
 
 
-def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
-                   sign: int, steps: int) -> np.ndarray:
-    if not is_hermitian(hs):
-        raise ValueError("pulse propagation requires a Hermitian system "
-                         "Hamiltonian")
-    h = shape.taup / steps
-    t0 = np.arange(steps)[:, None] * h
-    amp = sign * amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
-    # CF4 factor coefficients in time order: step k applies
-    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
-    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
+def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S a S^dagger for the diagonal unitary S = diag(s)."""
+    return s[:, None] * a * s.conj()
+
+
+def _symmetries(hs: np.ndarray) -> list:
+    """Diagonals of the identity and of every candidate S that is a symmetry
+    of hs, |S hs S^dagger - hs| <= _SYMMETRY_TOL max(1, |hs|).
+
+    The candidates are the parity R = sigma_z (x) (-1)^n and the excitation
+    rotation V = exp(-i pi N / 2), N = sigma_z/2 (x) 1 + 1 (x) n, and
+    V^dagger.  V is taken with the global phase that makes its entries
+    powers of -i (N + 1/2 is an integer), so conjugating by it is exact; the
+    phase cancels in S a S^dagger.
+    """
+    n = np.arange(hs.shape[0] // 2)
+    parity = np.concatenate([(-1.0) ** n, -(-1.0) ** n])
+    rot = np.array([1, -1j, -1, 1j])[np.concatenate([n + 1, n]) % 4]
+    tol = _SYMMETRY_TOL * max(1.0, op_norm(hs))
+    return [np.ones(hs.shape[0])] + [
+        s for s in (parity, rot, rot.conj())
+        if op_norm(_diag_conj(s, hs) - hs) <= tol]
+
+
+def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
+                 h: float) -> np.ndarray:
+    """Time-ordered product of exp(-i h (Hs/2 + c K)) over ``coef``."""
     u = np.eye(hs.shape[0], dtype=complex)
     for b in range(0, coef.size, _BLOCK):
         c = coef[b:b + _BLOCK, None, None]
@@ -129,11 +175,57 @@ def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
     return u
 
 
+def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
+                   steps: int) -> np.ndarray:
+    if not is_hermitian(hs):
+        raise ValueError("pulse propagation requires a Hermitian system "
+                         "Hamiltonian")
+    h = shape.taup / steps
+    t0 = np.arange(steps)[:, None] * h
+    amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
+    # CF4 factor coefficients in time order: step k applies
+    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
+    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
+    if (not hs.imag.any() and not k_op.imag.any()
+            and np.abs(coef - coef[::-1]).max()
+            <= _SYMMETRY_TOL * np.abs(coef).max()):
+        # real symmetric generators make every factor a complex symmetric
+        # matrix, and the palindromic coefficients make the second half of
+        # the product the transpose of the first half W
+        w = _cf4_product(hs.real, k_op.real, coef[:steps], h)
+        return w.T @ w
+    return _cf4_product(hs, k_op, coef, h)
+
+
+def _symmetric_pulse(hs: np.ndarray, k_op: np.ndarray, syms: list,
+                     pulses: list, shape: PulseShape,
+                     steps: int) -> np.ndarray:
+    """Pulse unitary of the control operator K'.
+
+    It is S U S^dagger of an integrated pulse (K, U) when a symmetry S in
+    ``syms`` (diagonals, the identity first) maps K to K'.  Otherwise the
+    first orbit member S^dagger K' S with real generators, or K' itself if
+    there is none, is integrated and appended to ``pulses``.
+    """
+    for k, u in pulses:
+        for s in syms:
+            if op_norm(_diag_conj(s, k) - k_op) <= _SYMMETRY_TOL:
+                return _diag_conj(s, u)
+    members = [(s, _diag_conj(s.conj(), k_op)) for s in syms]
+    real = [m for m in members if not (hs.imag.any() or m[1].imag.any())]
+    s, k = (real or members)[0]
+    u = _pulse_unitary(hs, k, shape, steps)
+    pulses.append((k, u))
+    return _diag_conj(s, u)
+
+
 def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
                     steps: int) -> np.ndarray:
     hs = assemble(couplings)
     d = couplings.dim
     dim = 2 * d
+    syms = _symmetries(hs)
+    pulses = []     # (K, U) of every pulse unitary integrated so far
     u = np.eye(dim, dtype=complex)
     cache: dict = {}
     for seg in schedule.segments:
@@ -149,9 +241,10 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
                 cache[key] = kron(-1j * seg.sign * PAULI[seg.axis],
                                   np.eye(d, dtype=complex))
             else:
-                k_op = kron(PAULI[seg.axis] / 2, np.eye(d, dtype=complex))
-                cache[key] = _pulse_unitary(hs, k_op, schedule.shape,
-                                            seg.sign, steps)
+                k_op = kron(seg.sign * PAULI[seg.axis] / 2,
+                            np.eye(d, dtype=complex))
+                cache[key] = _symmetric_pulse(hs, k_op, syms, pulses,
+                                              schedule.shape, steps)
         u = cache[key] @ u
     return u
 

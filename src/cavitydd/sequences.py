@@ -320,6 +320,10 @@ def jc_cavity_hamiltonian(name: str, model: ModelParams, params: ShapeParams,
 # refocusing-order check against the exact propagator
 # ---------------------------------------------------------------------------
 
+# defects at or below this are numerical floor, excluded from the order fit
+DEFECT_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class OrderCheckResult:
     scales: tuple[float, ...]
@@ -343,12 +347,15 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
     is recorded; the fitted slope of log delta vs log lam is returned.
     ``reference`` is "zero" (H_ref = 0, i.e. the identity target) or
     "effective" (the analytic effective Hamiltonian of a named sequence).
-    Defects below 1e-12 are floor-limited and excluded from the fit.
+    Defects at or below DEFECT_FLOOR are floor-limited and excluded from the
+    fit; with fewer than two left the exponent is NaN.
     """
     from . import propagate  # deferred: propagate builds on this module
     from . import shapes as shapes_mod
 
     scales = tuple(float(x) for x in scales)
+    if not all(np.isfinite(x) and x > 0 for x in scales):
+        raise ValueError("scale factors must be finite and positive")
     if len(scales) < 2:
         raise ValueError("need at least two scale points")
     if max(scales) / min(scales) < 10 - 1e-9:
@@ -373,8 +380,7 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
             target = expm_herm(h, period)
         defects.append(float(np.linalg.norm(u - target, 2)))
 
-    floor = 1e-12
-    pts = [(lam, d) for lam, d in zip(scales, defects) if d > floor]
+    pts = [(lam, d) for lam, d in zip(scales, defects) if d > DEFECT_FLOOR]
     floor_limited = len(pts) < len(scales)
     if len(pts) < 2:
         return OrderCheckResult(scales, tuple(defects), float("nan"),

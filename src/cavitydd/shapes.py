@@ -40,7 +40,9 @@ PARAM_CONVERGENCE_TOL = 1e-9
 # the designed first/second-order self-refocusing families.  The designed
 # shapes of DESIGNED_COEFFS meet s = 0 (and alpha = 0 for Q) but their zeta
 # sits 0.0028-0.0038 above these rows (a known deviation, see README.md), so
-# the designed rows are compared loosely (see designer.ZETA_FLAG_THRESHOLD).
+# the designed rows are compared loosely: the parameter table and
+# designer.design flag a designed zeta more than ZETA_FLAG_THRESHOLD away.
+ZETA_FLAG_THRESHOLD = 0.01
 REFERENCE_PARAMS = {
     "delta": (0.0, 0.0, 0.25),
     "G05": (0.0744895, 0.0349708, 0.249476),
@@ -441,7 +443,9 @@ def table_report(n_quad: int = DEFAULT_N_QUAD) -> str:
         note = ""
         if name in DESIGNED_COEFFS:
             dz = abs(z - ref[2])
-            note = f"designed; |dzeta|={dz:.4f}" + (" FLAG" if dz > 0.01 else "")
+            note = f"designed; |dzeta|={dz:.4f}"
+            if dz > ZETA_FLAG_THRESHOLD:
+                note += " FLAG"
         lines.append(f"{name:>6s} {s:>12.7f} {ah:>12.7f} {z:>10.6f}"
                      f"   {ref[2]:>10.6f}  {note}")
     return "\n".join(lines)

@@ -207,3 +207,28 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "fitted exponent" in out
+
+    # each of these once ended in a traceback, an SVD failure or the
+    # "span at least one decade" message
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", ("0,0.4", "0.4,inf", "0.4,nan,0.1",
+                                        "0.04,-0.4"))
+    def test_ordercheck_rejects_bad_scales(self, capsys, scales):
+        rc = main(["ordercheck", "--sequence", "xbarx", "--shape", "G10",
+                   "--n-max", "2", "--scales", scales])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scale factors must be finite and "
+                                "positive\n")
+
+    def test_ordercheck_all_defects_at_floor(self, capsys):
+        # no coupling: xbarx refocuses exactly, so no defect is fitted
+        rc = main(["ordercheck", "--sequence", "xbarx", "--shape", "G10",
+                   "--g", "0", "--omega-r", "0", "--n-max", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert out.splitlines()[-1] == (
+            "fitted exponent p: not fitted (fewer than two defects above "
+            "the 1e-12 floor)")

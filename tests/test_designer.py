@@ -100,6 +100,17 @@ class TestDesignedShapeInvariants:
         assert r.zeta_deviation < designer.ZETA_FLAG_THRESHOLD
         assert not r.flagged
 
+    def test_one_zeta_flag_threshold(self, monkeypatch):
+        # shapes owns the threshold: the parameter table and the designer
+        # both follow it, and designer's name refers to the same value
+        assert designer.ZETA_FLAG_THRESHOLD == shapes.ZETA_FLAG_THRESHOLD
+        monkeypatch.setattr(shapes, "ZETA_FLAG_THRESHOLD", 0.0)
+        rows = [line for line in shapes.table_report().splitlines()
+                if "designed" in line]
+        assert len(rows) == 4
+        assert all(line.endswith(" FLAG") for line in rows)
+        assert design(DesignSpec("S", 1)).flagged
+
     def test_node_doubling_coefficient_stability(self):
         a = design(DesignSpec("S", 1), n_quad=4096)
         b = design(DesignSpec("S", 1), n_quad=8192)

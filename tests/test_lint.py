@@ -10,6 +10,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/cavitydd", "tests")
                  for p in (REPO_ROOT / d).glob("*.py")
                  if p.name != "__init__.py")
+PACKAGE_MODULES = sorted((REPO_ROOT / "src/cavitydd").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +41,31 @@ def test_scanner_finds_unused_names():
                          ids=lambda p: str(p.relative_to(REPO_ROOT)))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_defs(source: str) -> list[str]:
+    """Private module-level functions and classes the module never names
+    again: helpers left behind once their last caller is gone."""
+    tree = ast.parse(source)
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in defined.items()
+            if name not in used]
+
+
+def test_scanner_finds_orphaned_private_defs():
+    src = ("def _used():\n    return 1\n"
+           "def _orphan():\n    return 2\n"
+           "class _Orphan:\n    def _method(self):\n        pass\n"
+           "def __getattr__(name):\n    pass\n"
+           "def public():\n    return _used()\n")
+    assert orphaned_private_defs(src) == ["line 3: _orphan", "line 5: _Orphan"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES,
+                         ids=lambda p: str(p.relative_to(REPO_ROOT)))
+def test_no_orphaned_private_defs(path):
+    assert orphaned_private_defs(path.read_text()) == []

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from cavitydd import propagate
 from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
                               chemical_shift, expm_herm, jaynes_cummings,
-                              kron, op_norm)
+                              kron, lowering, op_norm)
 from cavitydd.errors import ConvergenceError
 from cavitydd.metrics import BlochGrid
 from cavitydd.propagate import (build_schedule, propagate_period,
                                 run_trace, step_halving_difference)
 from cavitydd.sequences import parse_sequence
-from cavitydd.shapes import amplitude, delta, fourier, gaussian, hermitian
+from cavitydd.shapes import (amplitude, delta, fourier, gaussian, hermitian,
+                             resolve_shape)
 from conftest import random_couplings
 
 PROPERTY_SHAPES = {"G10": gaussian(0.10), "H05": hermitian(0.05),
@@ -78,7 +79,7 @@ class TestPulseUnitary:
         hs = assemble(random_couplings(np.random.default_rng(seed), dim))
         k_op = kron(PAULI[axis] / 2, np.eye(dim, dtype=complex))
         sh = PROPERTY_SHAPES[shape]
-        batched = propagate._pulse_unitary(hs, k_op, sh, sign, steps)
+        batched = propagate._pulse_unitary(hs, sign * k_op, sh, steps)
         looped = step_loop_pulse_unitary(hs, k_op, sh, sign, steps)
         assert op_norm(batched - looped) <= 1e-12
 
@@ -94,6 +95,113 @@ class TestPulseUnitary:
             propagate_period(bad, sched)
         with pytest.raises(ValueError, match="Hermitian"):
             run_trace(bad, sched, 1, grid6.as_array())
+
+
+def drawn_couplings(model, seed, n_max):
+    """Couplings of one of three symmetry classes: "jc" (the Jaynes-Cummings
+    model, keeping R, V and V^dagger), "parity" (JC plus a real
+    counter-rotating sigma_x (b + b') term, keeping R alone) or "generic"
+    (random complex couplings, keeping none)."""
+    rng = np.random.default_rng(seed)
+    if model == "generic":
+        return random_couplings(rng, n_max + 1)
+    omega_r, omega_0, g = rng.uniform(-0.3, 0.3, size=3)
+    cs = jaynes_cummings(ModelParams(omega_r, omega_0, g, n_max))
+    if model == "jc":
+        return cs
+    b = lowering(n_max + 1)
+    lam = rng.uniform(0.1, 1.0)
+    return CouplingSet(cs.a0, cs.ax + lam * (b + b.T), cs.ay, cs.az)
+
+
+def general_period_unitary(cs, schedule, steps):
+    """Reference U(T): every distinct pulse of the schedule by the step
+    loop, with no symmetry and no half-product."""
+    hs = assemble(cs)
+    eye = np.eye(cs.dim, dtype=complex)
+    u = np.eye(2 * cs.dim, dtype=complex)
+    pulses = {}
+    for seg in schedule.segments:
+        key = (seg.axis, seg.sign)
+        if key not in pulses:
+            pulses[key] = step_loop_pulse_unitary(
+                hs, kron(PAULI[seg.axis] / 2, eye), schedule.shape, seg.sign,
+                steps)
+        u = pulses[key] @ u
+    return u
+
+
+def pulse_tokens(max_size):
+    return st.lists(st.sampled_from(("X", "-X", "Y", "-Y", "Z", "-Z")),
+                    min_size=1, max_size=max_size).map(" ".join)
+
+
+SEQUENCES = st.one_of(st.sampled_from(("4p", "8s", "8a")), pulse_tokens(5))
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("model, kept", (("jc", 4), ("parity", 2),
+                                             ("generic", 1)))
+    def test_symmetries_kept(self, model, kept):
+        syms = propagate._symmetries(assemble(drawn_couplings(model, 3, 4)))
+        assert len(syms) == kept
+        assert np.all(syms[0] == 1)
+
+    # odd step counts put the middle step in the first half-product.  The
+    # batched and step-loop products differ by roundoff that grows with the
+    # number of factors, up to about 3e-13 per H05 pulse at 257 steps, so
+    # the 257-step draws keep to two pulses
+    @pytest.mark.parametrize("steps, seqs", ((17, SEQUENCES), (27, SEQUENCES),
+                                             (257, pulse_tokens(2))),
+                             ids=("17", "27", "257"))
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 4),
+           model=st.sampled_from(("jc", "parity", "generic")),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)), data=st.data())
+    def test_matches_general_step_loop(self, steps, seqs, seed, n_max, model,
+                                       shape, data):
+        cs = drawn_couplings(model, seed, n_max)
+        sched = build_schedule(parse_sequence(data.draw(seqs)),
+                               PROPERTY_SHAPES[shape])
+        reduced = propagate._period_unitary(cs, sched, steps)
+        assert op_norm(reduced - general_period_unitary(cs, sched, steps)) \
+            <= 1e-12
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 3),
+           model=st.sampled_from(("jc", "generic")),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)), seq=SEQUENCES)
+    def test_doubled_schedule_is_period_squared(self, seed, n_max, model,
+                                                shape, seq):
+        cs = drawn_couplings(model, seed, n_max)
+        once = parse_sequence(seq).label()
+        sh = PROPERTY_SHAPES[shape]
+        u1 = propagate_period(cs, build_schedule(parse_sequence(once), sh),
+                              32, self_check=False)
+        u2 = propagate_period(
+            cs, build_schedule(parse_sequence(f"{once} {once}"), sh), 32,
+            self_check=False)
+        assert op_norm(u2 - u1 @ u1) <= 1e-12
+
+    @pytest.mark.parametrize("seq", ("4p", "8a", "8s"))
+    @pytest.mark.parametrize("shape", ("G10", "S1"))
+    def test_one_real_half_pulse_per_step_count(self, monkeypatch, seq,
+                                                shape):
+        # the figure model: every pulse of the period comes from one +x
+        # pulse per step count, integrated as a real half-product
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
+                                         n_max=8))
+        sched = build_schedule(parse_sequence(seq), resolve_shape(shape))
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append((a.dtype, a.ndim))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        propagate_period(cs, sched, 256)
+        assert calls == [(np.float64, 3)] * ((256 + 128) // propagate._BLOCK)
 
 
 class TestPropagatePeriod:

@@ -288,6 +288,13 @@ class TestOrderCheck:
         with pytest.raises(ValueError):
             order_check(parse_sequence("4p"), cs, g10, (0.4,))
 
+    @pytest.mark.parametrize("scales", ((0.0, 0.4), (0.4, np.inf),
+                                        (0.4, np.nan, 0.1), (0.04, -0.4)))
+    def test_scales_finite_and_positive(self, g10, scales):
+        cs = random_couplings(np.random.default_rng(5), 2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            order_check(parse_sequence("4p"), cs, g10, scales)
+
     def test_reference_validation(self, g10):
         rng = np.random.default_rng(91)
         cs = random_couplings(rng, 2)
