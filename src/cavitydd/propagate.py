@@ -52,11 +52,16 @@ oracle for them.
 Delta pulses are applied as exact -i sigma rotations between integration
 segments; free-evolution delays are exact exponentials of Hs.
 
-``run_trace`` is the one place the stroboscopic observables are computed:
-it applies U(T) period by period, buffers the states of _BLOCK periods and
-reduces each block to the worst case over the initial qubit states
-(fidelity, oscillator occupation, truncation leakage), so it keeps no
-propagator power or state per period.
+``run_trace`` is the one place the stroboscopic observables are computed.
+Every initial state is q (x) |level>, so U^k psi = q_0 U^k e_0 + q_1 U^k e_1
+with e_a = |a> (x) |level>: only these two columns are evolved.  The powers
+U^0 .. U^(_BLOCK-1) are built once, and each block of _BLOCK periods is one
+stacked product with U^k0 e_a, after which U^k0 advances by U^_BLOCK.  Per
+period three Gram tensors of the two evolved columns, summed over the
+oscillator levels with weights 1, n and the top two levels, are contracted
+with state tensors built once, giving the fidelity, <n> and leakage of every
+initial state, then the worst case over them.  The cost per period does not
+grow with the number of states, and no power or state is kept per period.
 """
 
 from __future__ import annotations
@@ -327,11 +332,15 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     """Propagate initial product states |psi_q> (x) |k_osc> stroboscopically.
 
     The one-period propagator is computed once and reused (the schedule is
-    periodic, so U(nT) = [U(T)]^n).  The states of _BLOCK consecutive
-    periods are buffered and reduced together to the worst case over the
-    initial states, so memory does not grow with n_periods beyond the three
-    output columns.  Emits a warning when the top two oscillator levels
-    accumulate more than ``leak_threshold`` population.
+    periodic, so U(nT) = [U(T)]^n).  Only the two columns U^k e_a,
+    e_a = |a> (x) |k_osc>, are evolved: a block of _BLOCK periods is the
+    stacked product of the precomputed U^0 .. U^(_BLOCK-1) with U^k0 e_a.
+    Their Gram tensors, contracted with per-state tensors built once, give
+    every initial state's fidelity, occupation and top-two-level population,
+    reduced to the worst case over the states; memory does not grow with
+    n_periods beyond the output columns, which are allocated before U(T) is
+    built.  Emits a warning when the top two oscillator levels accumulate
+    more than ``leak_threshold`` population.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
@@ -347,42 +356,53 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     if np.any(np.abs(norms - 1) > 1e-10):
         raise ValueError("initial qubit states must be normalized")
 
-    u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse,
-                                         self_check)
-
-    ns = qs.shape[0]
-    dim = 2 * d
-    osc0 = np.zeros(d, dtype=complex)
-    osc0[oscillator_level] = 1.0
-    psi = np.einsum("si,n->sin", qs, osc0).reshape(ns, dim)
-
-    times = np.arange(n_periods + 1) * schedule.period
+    # allocated before U(T) is built, so that an n_periods too large for
+    # memory fails at once
     fmin = np.empty(n_periods + 1)
     nmax = np.empty(n_periods + 1)
     lmax = np.empty(n_periods + 1)
-    nvec = np.arange(d, dtype=float)
-    buf = np.empty((_BLOCK, ns, dim), dtype=complex)
+    times = np.arange(n_periods + 1) * schedule.period
 
-    cur = psi
-    u_power = np.eye(dim, dtype=complex)
-    for k in range(n_periods + 1):
-        if k:
-            cur = cur @ u.T
-            u_power = u @ u_power
-        j = k % _BLOCK
-        buf[j] = cur
-        if j < _BLOCK - 1 and k < n_periods:
-            continue
-        # periods k - j .. k: rho_q, <psi|rho_q|psi>, <n> and the top-two
-        # population of every initial state, then the worst case over them
-        block = slice(k - j, k + 1)
-        m = buf[:j + 1].reshape(j + 1, ns, 2, d)
-        rho_q = np.einsum("ksin,ksjn->ksij", m, m.conj())
-        f = np.einsum("si,ksij,sj->ks", qs.conj(), rho_q, qs).real
-        fmin[block] = f.min(axis=1)
-        w = np.abs(m) ** 2
-        nmax[block] = np.einsum("ksin,n->ks", w, nvec).max(axis=1)
-        lmax[block] = w[..., max(0, d - 2):].sum(axis=(2, 3)).max(axis=1)
+    u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse,
+                                         self_check)
+
+    dim = 2 * d
+    # U^0 .. U^(_BLOCK-1), and U^_BLOCK to advance a block
+    powers = np.empty((_BLOCK, dim, dim), dtype=complex)
+    powers[0] = np.eye(dim)
+    for j in range(1, _BLOCK):
+        powers[j] = u @ powers[j - 1]
+    u_block = u @ powers[-1]
+
+    # the columns e_0, e_1, and the state tensors on the Gram index
+    # ((i, a), (j, b)): q4[s] = q_si* q_sa q_sb* q_sj for the fidelity and
+    # q2[s] = delta_ij q_sa q_sb* for the occupation and leakage
+    cols = [oscillator_level, d + oscillator_level]
+    q4 = np.einsum("si,sa,sb,sj->siajb", qs.conj(), qs, qs.conj(),
+                   qs).reshape(len(qs), 16)
+    q2 = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
+                   qs.conj()).reshape(len(qs), 16)
+    # level weights of the three Gram tensors: 1, n, and the top two levels
+    weights = np.stack([np.ones(d), np.arange(d),
+                        np.arange(d) >= max(0, d - 2)])
+
+    u_power = np.eye(dim, dtype=complex)    # U^k0 at the block start k0
+    for k0 in range(0, n_periods + 1, _BLOCK):
+        nb = min(_BLOCK, n_periods + 1 - k0)
+        # phi[m, (i, a), n] = <i, n| U^(k0+m) |e_a>
+        phi = (powers[:nb].reshape(nb * dim, dim) @ u_power[:, cols]
+               ).reshape(nb, 2, d, 2)
+        phi = phi.transpose(0, 1, 3, 2).reshape(nb, 4, d)
+        # g[m, w, (i, a), (j, b)] = sum_n weights[w, n] phi[m, (i, a), n]
+        #                                  phi[m, (j, b), n]*
+        g = ((phi[:, None] * weights[:, None]).reshape(nb, 12, d)
+             @ phi.conj().transpose(0, 2, 1)).reshape(nb, 3, 16)
+        block = slice(k0, k0 + nb)
+        fmin[block] = (g[:, 0] @ q4.T).real.min(axis=1)
+        nl = (g[:, 1:].reshape(2 * nb, 16) @ q2.T).real.reshape(nb, 2, -1)
+        nmax[block], lmax[block] = nl.max(axis=2).T
+        last = k0 + nb > n_periods
+        u_power = (powers[nb - 1] if last else u_block) @ u_power
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
     max_leak = float(lmax.max())

@@ -140,18 +140,6 @@ def parse_sequence(text: str) -> Sequence:
     return Sequence(elements=tuple(elements), name=None)
 
 
-def control_unitary(seq: Sequence) -> np.ndarray:
-    """Zeroth-order (control-only) propagator over one period, a 2x2 unitary.
-
-    Every built-in sequence gives the identity up to global phase.
-    """
-    u = np.eye(2, dtype=complex)
-    for e in seq.elements:
-        if isinstance(e, PulseSpec):
-            u = (-1j * e.sign * PAULI[e.axis]) @ u
-    return u
-
-
 # ---------------------------------------------------------------------------
 # single-pulse expansion  X = X0 + taup X1 + taup^2 X2 + O((J taup)^3)
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
+from cavitydd import propagate
 from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -189,6 +192,22 @@ class TestCommands:
         assert rc == 2
         assert "steps_per_pulse" in capsys.readouterr().err
 
+    def test_simulate_out_of_memory_exit_code(self, tmp_path, monkeypatch,
+                                              capsys):
+        # a --periods too large for memory: one error line, no traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(propagate, "run_trace", no_memory)
+        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
+                   "--periods", "10000000000000", "--n-max", "2",
+                   "--grid", "4", "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: Unable to allocate "
+                                "72.8 TiB for an array\n")
+
     def test_effham_report(self, capsys):
         rc = main(["effham", "--sequence", "8a", "--shape", "G10",
                    "--omega-r", "0.02", "--omega-0", "0.03", "--g", "0.02",
@@ -232,3 +251,15 @@ class TestCommands:
         assert out.splitlines()[-1] == (
             "fitted exponent p: not fitted (fewer than two defects above "
             "the 1e-12 floor)")
+
+
+def test_python_m_cavitydd():
+    env = dict(os.environ)
+    src = os.path.join(REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "cavitydd", "params",
+                           "--shape", "G10"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "s       =" in proc.stdout

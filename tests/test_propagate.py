@@ -341,6 +341,81 @@ class TestRunTrace:
         assert got.shape == ref.shape == (3, n_periods + 1)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+    def test_matches_per_period_reference_at_figure_scale(self, g10):
+        # the fig-1 model: n_max 8, the 56-state grid, 100 periods, and a
+        # pulse unitary from the real half-product
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
+                                         n_max=8))
+        sched = build_schedule(parse_sequence("4p"), g10)
+        qs = BlochGrid.build(50).as_array()
+        tr = run_trace(cs, sched, 100, qs, self_check=False)
+        u = propagate_period(cs, sched, self_check=False)
+        ref = per_period_columns(u, qs, 9, 0, 100)
+        got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_matches_per_period_reference_over_blocks(self):
+        # random complex couplings and states, an excited start, and a
+        # partial fourth block
+        rng = np.random.default_rng(20)
+        cs = random_couplings(rng, 5)
+        qs = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+        n_periods = 3 * propagate._BLOCK + 5
+        sched = build_schedule(parse_sequence("xbarx"), gaussian(0.10))
+        with pytest.warns(RuntimeWarning, match="n_max"):
+            tr = run_trace(cs, sched, n_periods, qs, oscillator_level=3,
+                           steps_per_pulse=16, self_check=False)
+        u = propagate_period(cs, sched, 16, self_check=False)
+        ref = per_period_columns(u, qs, 5, 3, n_periods)
+        got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    # the drift is |U^n U^n' - I| of the scaled (1 + eps) U, which is
+    # (1 + eps)^(2n) - 1 only if U^n is accumulated exactly to n, across
+    # block edges and in the last partial block
+    @pytest.mark.parametrize("n_periods", (0, 1, propagate._BLOCK - 1,
+                                           propagate._BLOCK,
+                                           propagate._BLOCK + 1,
+                                           2 * propagate._BLOCK + 3))
+    def test_drift_accumulates_the_nth_power(self, monkeypatch, grid6,
+                                             n_periods):
+        eps = 1e-9
+        checked = propagate._checked_period_unitary
+
+        def scaled(*args, **kwargs):
+            u, halving = checked(*args, **kwargs)
+            return (1 + eps) * u, halving
+
+        monkeypatch.setattr(propagate, "_checked_period_unitary", scaled)
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
+                                         n_max=3))
+        sched = build_schedule(parse_sequence("X d(0.5) -X d(0.5)"), delta())
+        drift = run_trace(cs, sched, n_periods, grid6.as_array()
+                          ).unitarity_drift
+        expected = (1 + eps) ** (2 * n_periods) - 1
+        if n_periods == 0:
+            assert drift < 1e-14
+        else:
+            assert abs(drift - expected) <= 1e-5 * expected
+
+    def test_output_columns_allocated_before_period_unitary(
+            self, monkeypatch, g10, grid6):
+        # an n_periods too large for memory fails before U(T) is built
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("U(T) built before the output columns")
+
+        monkeypatch.setattr(propagate, "_checked_period_unitary", unreachable)
+        monkeypatch.setattr(propagate.np, "empty", no_memory)
+        cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
+                                         n_max=2))
+        sched = build_schedule(parse_sequence("4p"), g10)
+        with pytest.raises(MemoryError):
+            run_trace(cs, sched, 10 ** 13, grid6.as_array())
+
     def test_peak_memory_flat_in_n_periods(self, grid6):
         # the loop keeps O(1) storage per period (the times and three
         # columns, 32 B); a stored 18x18 U^k would add 5184 B per period
