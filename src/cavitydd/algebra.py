@@ -87,7 +87,8 @@ class CouplingSet:
         d = self.a0.shape
         if len(d) != 2 or d[0] != d[1]:
             raise ValueError("coupling operators must be square matrices")
-        for name, m in self.items():
+        for name, m in (("A0", self.a0), ("Ax", self.ax), ("Ay", self.ay),
+                        ("Az", self.az)):
             if not is_hermitian(m, tol=1e-10):
                 raise ValueError(f"coupling operator {name} is not Hermitian")
 
@@ -95,17 +96,10 @@ class CouplingSet:
     def dim(self) -> int:
         return self.a0.shape[0]
 
-    def items(self):
-        return [("A0", self.a0), ("Ax", self.ax), ("Ay", self.ay), ("Az", self.az)]
-
     def scaled(self, factor: float) -> "CouplingSet":
         """Uniformly rescaled couplings (used by order checks)."""
         return CouplingSet(factor * self.a0, factor * self.ax,
                            factor * self.ay, factor * self.az)
-
-    def norm(self) -> float:
-        """J = ||Hs||, spectral norm of the assembled Hamiltonian."""
-        return op_norm(assemble(self))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import designer, metrics, propagate, sequences, shapes
-from .algebra import ModelParams, jaynes_cummings
+from .algebra import IDENTITY_2, PAULI, ModelParams, expm_herm, jaynes_cummings
 from .errors import ConvergenceError
 from .shapes import resolve_shape
 
@@ -39,31 +39,15 @@ class ExperimentConfig:
     taup: float = 1.0
     output: str = "trace.csv"
 
-    def validate(self):
-        if self.periods < 0:
-            raise ValueError("periods must be >= 0")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.grid < 0:
-            raise ValueError("grid must be >= 0")
-        if self.steps_per_pulse < propagate.MIN_STEPS_PER_PULSE:
-            raise ValueError("steps_per_pulse must be >= "
-                             f"{propagate.MIN_STEPS_PER_PULSE}")
-        if self.taup <= 0:
-            raise ValueError("taup must be positive")
-        resolve_shape(self.shape, self.taup)
-        sequences.parse_sequence(self.sequence)
 
-
-_INT_KEYS = {"n_max", "periods", "steps_per_pulse", "grid", "oscillator_level"}
-_FLOAT_KEYS = {"omega_r", "omega_0", "g", "taup"}
+# each key's value type, taken from its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a flat key = value config file."""
     values = {}
     seen = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -74,18 +58,16 @@ def load_config(path: str) -> ExperimentConfig:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in valid:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
                                  f"(first set on line {seen[key]})")
             seen[key] = lineno
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            else:
-                values[key] = val
+            try:
+                values[key] = _KEY_TYPES[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -144,16 +126,12 @@ def _model_from_args(args) -> ModelParams:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = _apply_overrides(cfg, args)
-    cfg.validate()
     shape = resolve_shape(cfg.shape, cfg.taup)
     seq = sequences.parse_sequence(cfg.sequence)
-    model = ModelParams(omega_r=cfg.omega_r, omega_0=cfg.omega_0, g=cfg.g,
-                        n_max=cfg.n_max)
-    couplings = jaynes_cummings(model, cfg.taup)
+    couplings = jaynes_cummings(_model_from_args(cfg), cfg.taup)
     schedule = propagate.build_schedule(seq, shape)
-    grid = metrics.BlochGrid.build(cfg.grid)
     trace = propagate.run_trace(couplings, schedule, cfg.periods,
-                                grid.as_array(),
+                                metrics.bloch_grid(cfg.grid),
                                 oscillator_level=cfg.oscillator_level,
                                 steps_per_pulse=cfg.steps_per_pulse)
     metrics.write_csv(cfg.output, trace, cfg.taup)
@@ -168,9 +146,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-12) -> str:
+def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-10) -> str:
     """Coefficients of H over sigma_mu (x) |n><m| oscillator matrix units."""
-    from .algebra import IDENTITY_2, PAULI
     labels = [("1", IDENTITY_2)] + [(f"sigma_{a}", PAULI[a]) for a in "xyz"]
     lines = []
     for name, q in labels:
@@ -209,15 +186,13 @@ def cmd_effham(args) -> int:
         with np.printoptions(precision=4, suppress=True, linewidth=120):
             print(h_m)
         print("operator-basis coefficients:")
-        print(_format_operator(h_m, couplings.dim, tol=1e-10))
+        print(_format_operator(h_m, couplings.dim))
         candidates.append(("generic, matched convention", h_m))
         candidates.append(("generic, printed convention", h_p))
-    cavity_names = {"4p": ["4p"], "8a": ["8a"], "8s": ["8s"], "4pxz": ["4pxz"]}
-    if seq.name in cavity_names:
-        which = cavity_names[seq.name][0]
+    if seq.name in ("4p", "8a", "8s", "4pxz"):
         candidates.append(
             ("cavity equation, printed",
-             sequences.jc_cavity_hamiltonian(which, model, params)))
+             sequences.jc_cavity_hamiltonian(seq.name, model, params)))
         if seq.name == "4p" and abs(params.s) < 1e-6:
             candidates.append(
                 ("cavity equation (s=0 form), printed",
@@ -227,7 +202,6 @@ def cmd_effham(args) -> int:
 
     print("defect |U(T) - exp(-i T H)| per variant:")
     defects = []
-    from .algebra import expm_herm
     for label, h in candidates:
         d = float(np.linalg.norm(u - expm_herm(h, period), 2))
         defects.append((d, label))
@@ -299,14 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stroboscopic trace -> CSV")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--sequence", default=None)
-    p.add_argument("--shape", default=None)
-    for name, typ in [("omega-r", float), ("omega-0", float), ("g", float),
-                      ("n-max", int), ("periods", int),
-                      ("steps-per-pulse", int), ("grid", int),
-                      ("oscillator-level", int), ("taup", float)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--output", default=None, help="CSV path")
+    for key, typ in _KEY_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("effham", help="analytic effective Hamiltonian report")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,53 +30,35 @@ CARDINAL_STATES = (
 )
 
 
-@dataclass(frozen=True)
-class BlochGrid:
-    """Pure qubit states: the 6 cardinal states plus a quasi-uniform
-    (Fibonacci) sphere sampling."""
-
-    states: tuple
-
-    @classmethod
-    def build(cls, n_sphere: int = 50) -> "BlochGrid":
-        pts = [np.array(v, dtype=complex) for v in CARDINAL_STATES]
-        golden = np.pi * (3 - np.sqrt(5))
-        for i in range(n_sphere):
-            cos_th = 1 - 2 * (i + 0.5) / n_sphere
-            th = np.arccos(cos_th)
-            ph = golden * i
-            pts.append(np.array([np.cos(th / 2),
-                                 np.exp(1j * ph) * np.sin(th / 2)]))
-        return cls(states=tuple(tuple(p) for p in pts))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.states, dtype=complex)
-
-    def __len__(self) -> int:
-        return len(self.states)
+def bloch_grid(n_sphere: int = 50) -> np.ndarray:
+    """(6 + n_sphere, 2) array of pure qubit states: the 6 cardinal states,
+    then a quasi-uniform (Fibonacci) sphere sampling of n_sphere points."""
+    if n_sphere < 0:
+        raise ValueError("grid must be >= 0")
+    i = np.arange(n_sphere)
+    th = np.arccos(1 - 2 * (i + 0.5) / n_sphere)
+    ph = np.pi * (3 - np.sqrt(5)) * i
+    sphere = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)],
+                      axis=1)
+    return np.concatenate([np.array(CARDINAL_STATES, dtype=complex), sphere])
 
 
 CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
 
 
-def csv_lines(trace: EvolutionTrace, taup: float = 1.0):
-    """CSV rows of the stroboscopic worst-case observables."""
-    lines = [CSV_HEADER]
-    for k, (t, f, n, leak) in enumerate(zip(trace.times, trace.fidelity_min,
-                                            trace.n_mean_max,
-                                            trace.leakage_max)):
-        lines.append(f"{k},{t / taup:.12g},{f:.12g},{n:.12g},{leak:.12g}")
-    return lines
-
-
 def write_csv(path: str, trace: EvolutionTrace, taup: float = 1.0) -> None:
-    """Atomically write the trace CSV (temp file + rename)."""
-    lines = csv_lines(trace, taup)
+    """Atomically write the CSV rows of the stroboscopic worst-case
+    observables (temp file + rename)."""
+    rows = map("{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
+               range(len(trace.times)), (trace.times / taup).tolist(),
+               trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
+               trace.leakage_max.tolist())
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            fh.writelines(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

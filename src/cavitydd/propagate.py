@@ -95,26 +95,13 @@ _SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PulseSegment:
-    axis: str
-    sign: int
-    t0: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class DelaySegment:
-    t0: float
-    duration: float
-
-
-@dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise control layout of one sequence period: pulse segments, each
-    driving a single axis, and free-evolution delays."""
+    """One sequence period: the sequence's time-ordered elements (PulseSpec
+    and Delay), each pulse driving a single axis with ``shape``, and the
+    period's total duration."""
 
     shape: PulseShape
-    segments: tuple
+    elements: tuple
     period: float
 
 
@@ -125,19 +112,15 @@ def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
     delays are in units of tau_p.
     """
     t = 0.0
-    segments = []
     pulse_len = 0.0 if shape.is_delta else shape.taup
     for e in seq.elements:
         if isinstance(e, PulseSpec):
-            segments.append(PulseSegment(axis=e.axis, sign=e.sign, t0=t,
-                                         duration=pulse_len))
             t += pulse_len
         elif isinstance(e, Delay):
-            segments.append(DelaySegment(t0=t, duration=e.duration * shape.taup))
             t += e.duration * shape.taup
         else:
             raise ValueError(f"unknown sequence element {e!r}")
-    return ControlSchedule(shape=shape, segments=tuple(segments), period=t)
+    return ControlSchedule(shape=shape, elements=seq.elements, period=t)
 
 
 def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -227,42 +210,34 @@ def _symmetric_pulse(hs: np.ndarray, k_op: np.ndarray, syms: list,
 def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
                     steps: int) -> np.ndarray:
     hs = assemble(couplings)
-    d = couplings.dim
-    dim = 2 * d
+    shape = schedule.shape
+    eye = np.eye(couplings.dim, dtype=complex)
     syms = _symmetries(hs)
     pulses = []     # (K, U) of every pulse unitary integrated so far
-    u = np.eye(dim, dtype=complex)
-    cache: dict = {}
-    for seg in schedule.segments:
-        if isinstance(seg, DelaySegment):
-            key = ("delay", seg.duration)
-            if key not in cache:
-                cache[key] = expm_herm(hs, seg.duration)
-            u = cache[key] @ u
-            continue
-        key = (seg.axis, seg.sign)
-        if key not in cache:
-            if schedule.shape.is_delta:
-                cache[key] = kron(-1j * seg.sign * PAULI[seg.axis],
-                                  np.eye(d, dtype=complex))
+    u = np.eye(2 * couplings.dim, dtype=complex)
+    cache: dict = {}    # one unitary per distinct element
+    for e in schedule.elements:
+        if e not in cache:
+            if isinstance(e, Delay):
+                cache[e] = expm_herm(hs, e.duration * shape.taup)
+            elif shape.is_delta:
+                cache[e] = kron(-1j * e.sign * PAULI[e.axis], eye)
             else:
-                k_op = kron(seg.sign * PAULI[seg.axis] / 2,
-                            np.eye(d, dtype=complex))
-                cache[key] = _symmetric_pulse(hs, k_op, syms, pulses,
-                                              schedule.shape, steps)
-        u = cache[key] @ u
+                k_op = kron(e.sign * PAULI[e.axis] / 2, eye)
+                cache[e] = _symmetric_pulse(hs, k_op, syms, pulses, shape,
+                                            steps)
+        u = cache[e] @ u
     return u
 
 
 def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
-                            steps_per_pulse: int, self_check: bool,
-                            tol: float = SELF_CHECK_TOL):
+                            steps_per_pulse: int, self_check: bool):
     """(U(T), |U(steps) - U(steps/2)|): the one step-count validation and
     step-halving check behind every entry point.
 
     The difference is 0.0 without ``self_check`` and for the exact
-    delta-pulse schedules; above ``tol`` a ConvergenceError asks for more
-    steps.
+    delta-pulse schedules; above SELF_CHECK_TOL a ConvergenceError asks for
+    more steps.
     """
     if steps_per_pulse < MIN_STEPS_PER_PULSE:
         raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
@@ -275,10 +250,10 @@ def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
         return u, 0.0
     halving = op_norm(u - _period_unitary(couplings, schedule,
                                           steps_per_pulse // 2))
-    if halving > tol:
+    if halving > SELF_CHECK_TOL:
         raise ConvergenceError(
             f"step-halving check failed: |U - U_half| = {halving:.3e} > "
-            f"{tol:g}; increase steps_per_pulse")
+            f"{SELF_CHECK_TOL:g}; increase steps_per_pulse")
     return u, halving
 
 
@@ -294,13 +269,6 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
     """
     return _checked_period_unitary(couplings, schedule, steps_per_pulse,
                                    self_check)[0]
-
-
-def step_halving_difference(couplings: CouplingSet, schedule: ControlSchedule,
-                            steps_per_pulse: int = 256) -> float:
-    """|U(steps) - U(steps/2)|, the Richardson self-consistency measure."""
-    return _checked_period_unitary(couplings, schedule, steps_per_pulse,
-                                   True, tol=np.inf)[1]
 
 
 @dataclass
@@ -320,15 +288,11 @@ class EvolutionTrace:
     halving_diff: float
     unitarity_drift: float
 
-    @property
-    def n_periods(self) -> int:
-        return len(self.times) - 1
-
 
 def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
               n_periods: int, initial_states, oscillator_level: int = 0,
-              steps_per_pulse: int = 256, self_check: bool = True,
-              leak_threshold: float = LEAK_THRESHOLD) -> EvolutionTrace:
+              steps_per_pulse: int = 256,
+              self_check: bool = True) -> EvolutionTrace:
     """Propagate initial product states |psi_q> (x) |k_osc> stroboscopically.
 
     The one-period propagator is computed once and reused (the schedule is
@@ -340,7 +304,7 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     reduced to the worst case over the states; memory does not grow with
     n_periods beyond the output columns, which are allocated before U(T) is
     built.  Emits a warning when the top two oscillator levels accumulate
-    more than ``leak_threshold`` population.
+    more than LEAK_THRESHOLD population.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
@@ -406,10 +370,10 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
     max_leak = float(lmax.max())
-    if max_leak > leak_threshold:
+    if max_leak > LEAK_THRESHOLD:
         warnings.warn(
             f"oscillator truncation leakage {max_leak:.2e} exceeds "
-            f"{leak_threshold:g}; rerun with n_max >= {d + 3}",
+            f"{LEAK_THRESHOLD:g}; rerun with n_max >= {d + 3}",
             RuntimeWarning, stacklevel=2)
 
     return EvolutionTrace(times=times, fidelity_min=fmin, n_mean_max=nmax,

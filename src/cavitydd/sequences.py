@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import (CouplingSet, ModelParams, IDENTITY_2, PAULI, anticomm,
                       comm, expm_herm, is_hermitian, kron, lowering)
-from .shapes import PulseShape, ShapeParams
+from .shapes import PulseShape, ShapeParams, compute_params
 
 _CYCLIC = {"x": ("x", "y", "z"), "y": ("y", "z", "x"), "z": ("z", "x", "y")}
 _CONVENTIONS = ("matched", "printed")
@@ -69,10 +69,6 @@ class Sequence:
 
     elements: tuple
     name: str | None = None
-
-    @property
-    def pulses(self) -> list[PulseSpec]:
-        return [e for e in self.elements if isinstance(e, PulseSpec)]
 
     def label(self) -> str:
         toks = [e.label() if isinstance(e, PulseSpec) else f"d({e.duration:g})"
@@ -145,7 +141,7 @@ def parse_sequence(text: str) -> Sequence:
 # ---------------------------------------------------------------------------
 
 def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
-                 taup: float = 1.0, convention: str = "matched"):
+                 convention: str = "matched"):
     """Operator triple (X0, X1, X2) of the pulse propagator expansion.
 
     Matrices act on the joint qubit (x) rest space.  ``params`` must describe
@@ -161,7 +157,7 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
     if pulse.sign < 0:
         flipped = ShapeParams(s=-params.s, alpha=-params.alpha,
                               zeta=params.zeta, area=-params.area)
-        pos = expand_pulse(couplings, flipped, _p(pulse.axis), taup, convention)
+        pos = expand_pulse(couplings, flipped, _p(pulse.axis), convention)
         return tuple(-m for m in pos)
 
     s, alpha, zeta = params.s, params.alpha, params.zeta
@@ -188,7 +184,7 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
 
 def expansion_sum(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
                   taup: float = 1.0, convention: str = "matched") -> np.ndarray:
-    x0, x1, x2 = expand_pulse(couplings, params, pulse, taup, convention)
+    x0, x1, x2 = expand_pulse(couplings, params, pulse, convention)
     return x0 + taup * x1 + taup ** 2 * x2
 
 
@@ -322,8 +318,7 @@ class OrderCheckResult:
 
 
 def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
-                scales, taup: float = 1.0, steps_per_pulse: int = 256,
-                reference: str = "zero", params: ShapeParams | None = None,
+                scales, steps_per_pulse: int = 256, reference: str = "zero",
                 convention: str = "matched") -> OrderCheckResult:
     """Fit the scaling exponent of the one-period refocusing defect.
 
@@ -334,12 +329,12 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
 
     is recorded; the fitted slope of log delta vs log lam is returned.
     ``reference`` is "zero" (H_ref = 0, i.e. the identity target) or
-    "effective" (the analytic effective Hamiltonian of a named sequence).
+    "effective" (the analytic effective Hamiltonian of a named sequence, at
+    the shape's tau_p and parameters).
     Defects at or below DEFECT_FLOOR are floor-limited and excluded from the
     fit; with fewer than two left the exponent is NaN.
     """
     from . import propagate  # deferred: propagate builds on this module
-    from . import shapes as shapes_mod
 
     scales = tuple(float(x) for x in scales)
     if not all(np.isfinite(x) and x > 0 for x in scales):
@@ -350,8 +345,8 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         raise ValueError("scale factors must span at least one decade")
     if reference not in ("zero", "effective"):
         raise ValueError("reference must be 'zero' or 'effective'")
-    if reference == "effective" and params is None:
-        params = shapes_mod.compute_params(shape)
+    if reference == "effective":
+        params = compute_params(shape)
 
     schedule = propagate.build_schedule(seq, shape)
     period = schedule.period
@@ -364,7 +359,8 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         if reference == "zero":
             target = np.eye(dim, dtype=complex)
         else:
-            h, _ = effective_hamiltonian(seq, scaled, params, taup, convention)
+            h, _ = effective_hamiltonian(seq, scaled, params, shape.taup,
+                                         convention)
             target = expm_herm(h, period)
         defects.append(float(np.linalg.norm(u - target, 2)))
 

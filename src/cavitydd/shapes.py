@@ -245,24 +245,6 @@ def amplitude(shape: PulseShape, t):
     return float(out) if np.isscalar(t) else out
 
 
-def phase_integral(shape: PulseShape, t: float) -> float:
-    """Accumulated rotation angle phi(t) = int_0^t V; phi(tau_p) = pi."""
-    if t < 0 or t > shape.taup:
-        raise ValueError("t outside [0, taup]")
-    if shape.is_delta:
-        if t < shape.taup / 2:
-            return 0.0
-        if t > shape.taup / 2:
-            return np.pi
-        return np.pi / 2
-    if t == 0:
-        return 0.0
-    n = max(64, 2 * int(np.ceil(DEFAULT_N_QUAD * t / shape.taup / 2)))
-    grid = np.linspace(0.0, t, n + 1)
-    v = _norm_scale(shape) * _raw_envelope(shape, grid)
-    return float(_simpson(v, t / n))
-
-
 @dataclass(frozen=True)
 class ShapeParams:
     """Second-order characterization of an inversion shape."""
@@ -286,22 +268,19 @@ def _phase_params(phi: np.ndarray, h: float, taup: float):
     return s, alpha, zeta
 
 
-def _params_at(shape: PulseShape, n_quad: int, negate: bool) -> ShapeParams:
+def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     t, v, phi = _sampled(shape, n_quad)
-    if negate:
-        phi = -phi
     s, alpha, zeta = _phase_params(phi, shape.taup / n_quad, shape.taup)
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 
-def compute_params(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD,
-                   negate: bool = False) -> ShapeParams:
+def compute_params(shape: PulseShape,
+                   n_quad: int = DEFAULT_N_QUAD) -> ShapeParams:
     """Shape parameters (s, alpha, zeta) by quadrature.
 
     Evaluates at n_quad and 2*n_quad panels and requires the two answers to
     agree to PARAM_CONVERGENCE_TOL; the converged (finer) values are
-    returned.  ``negate=True`` computes the parameters of the sign-flipped
-    pulse V -> -V (s and alpha change sign, zeta is even in V).
+    returned.
 
     Raises
     ------
@@ -312,10 +291,9 @@ def compute_params(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD,
     if n_quad < 64:
         raise ValueError("n_quad must be >= 64")
     if shape.is_delta:
-        area = -np.pi if negate else np.pi
-        return ShapeParams(s=0.0, alpha=0.0, zeta=0.25, area=area)
-    coarse = _params_at(shape, n_quad, negate)
-    fine = _params_at(shape, 2 * n_quad, negate)
+        return ShapeParams(s=0.0, alpha=0.0, zeta=0.25, area=np.pi)
+    coarse = _params_at(shape, n_quad)
+    fine = _params_at(shape, 2 * n_quad)
     resid = {
         "s": abs(fine.s - coarse.s),
         "alpha": abs(fine.alpha - coarse.alpha),
@@ -329,14 +307,6 @@ def compute_params(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD,
     return fine
 
 
-def cosine_average(shape: PulseShape, n_quad: int = DEFAULT_N_QUAD) -> float:
-    """<cos phi(t)> over the pulse; vanishes for symmetric pi shapes."""
-    if shape.is_delta:
-        return 0.0
-    t, v, phi = _sampled(shape, n_quad)
-    return _simpson(np.cos(phi), shape.taup / n_quad) / shape.taup
-
-
 def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
                           bracket: tuple[float, float] = (0.5, 1.3),
                           tol: float = 1e-11, n_quad: int = 8192) -> float:
@@ -346,7 +316,7 @@ def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
     """
     def s_of(gam: float) -> float:
         shp = hermitian(width_ratio, gamma=gam, taup=taup)
-        return _params_at(shp, n_quad, negate=False).s
+        return _params_at(shp, n_quad).s
 
     lo, hi = bracket
     f_lo, f_hi = s_of(lo), s_of(hi)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavitydd import CouplingSet, designer, gaussian, hermitian
+from cavitydd import CouplingSet, designer, gaussian, hermitian, shapes
 
 
 def random_couplings(rng, dim, scale=0.35):
@@ -12,6 +12,14 @@ def random_couplings(rng, dim, scale=0.35):
         m = (m + m.conj().T) / 2
         mats.append(scale * m / max(1.0, np.linalg.norm(m, 2)))
     return CouplingSet(*mats)
+
+
+def cosine_average(shape):
+    """<cos phi(t)> over the pulse from the quadrature phase samples; it
+    vanishes for symmetric pi shapes."""
+    n = shapes.DEFAULT_N_QUAD
+    phi = shapes._sampled(shape, n)[2]
+    return shapes._simpson(np.cos(phi), shape.taup / n) / shape.taup
 
 
 @pytest.fixture(scope="session")

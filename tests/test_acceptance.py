@@ -30,7 +30,7 @@ def q1():
 
 @pytest.fixture(scope="module")
 def grid():
-    return metrics.BlochGrid.build(50)
+    return metrics.bloch_grid(50)
 
 
 def test_criterion_01_parameter_table_regression():
@@ -159,7 +159,7 @@ def test_criterion_08_figure_protocol_properties(q1, grid):
         cs = jaynes_cummings(ModelParams(omega_r=omega_r, omega_0=0.0,
                                          g=0.0002, n_max=n_max))
         sched = build_schedule(parse_sequence(seq_name), shape)
-        tr = run_trace(cs, sched, 100, grid.as_array())
+        tr = run_trace(cs, sched, 100, grid)
         HALVING_LOG.append((f"{seq_name} omr={omega_r} n_max={n_max}",
                             tr.halving_diff))
         return tr
@@ -193,7 +193,7 @@ def test_criterion_09_propagator_health(q1, grid):
     cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0.0, g=0.0002,
                                      n_max=8))
     sched = build_schedule(parse_sequence("8s"), q1.shape)
-    tr = run_trace(cs, sched, 1000, grid.as_array()[:6])
+    tr = run_trace(cs, sched, 1000, grid[:6])
     HALVING_LOG.append(("8s 1000 periods", tr.halving_diff))
     assert tr.unitarity_drift < 1e-8
     worst_halving = max(d for _, d in HALVING_LOG)

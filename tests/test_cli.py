@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cavitydd import propagate
+from cavitydd import propagate, sequences
 from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,10 +70,16 @@ class TestConfig:
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "duplicate key" in capsys.readouterr().err
 
-    def test_validate(self):
-        cfg = ExperimentConfig(periods=-1)
-        with pytest.raises(ValueError):
-            cfg.validate()
+    @pytest.mark.parametrize("line", ["periods = 1e3", "g = fast"])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"sequence = 4p\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: {key}: "):
+            load_config(str(bad))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: {key}: ")
 
     def test_shipped_figure_configs(self):
         paths = sorted(glob.glob(os.path.join(REPO_ROOT, "figs", "fig*.cfg")))
@@ -82,7 +88,8 @@ class TestConfig:
         assert len(paths) == 6
         for p in paths:
             cfg = load_config(p)
-            cfg.validate()
+            resolve_shape(cfg.shape, cfg.taup)
+            sequences.parse_sequence(cfg.sequence)
             assert cfg.omega_r == pytest.approx(0.117)
             assert cfg.periods == 100
 
@@ -166,6 +173,22 @@ class TestCommands:
     def test_simulate_validation_exit_code(self, capsys):
         assert main(["simulate", "--sequence", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    # each is refused by the library before U(T) is built
+    @pytest.mark.parametrize("flag,value", [
+        ("--periods", "-1"), ("--n-max", "0"), ("--grid", "-1"),
+        ("--steps-per-pulse", "8"), ("--taup", "0"), ("--shape", "nope"),
+        ("--sequence", "nope")])
+    def test_simulate_rejects_invalid_value(self, tmp_path, monkeypatch,
+                                            capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--n-max", "2", "--grid", "4", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_rejects_non_finite_taup(self, tmp_path, capsys):
         rc = main(["simulate", "--sequence", "4p", "--shape", "G10",

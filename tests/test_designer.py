@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from cavitydd import designer, shapes
 from cavitydd.designer import DesignSpec, design, design_named
-from cavitydd.shapes import amplitude, compute_params, cosine_average
+from cavitydd.shapes import amplitude, compute_params
+from conftest import cosine_average
 
 
 class TestSpecValidation:
@@ -169,8 +170,7 @@ class TestStackedConstraints:
         assert got.shape == (rows, spec.n_nonlinear)
         for x, row in zip(xs, got):
             raw = designer._coeffs_from_free(spec, x, taup)
-            p = shapes._params_at(designer._fourier_shape(raw, taup), n_quad,
-                                  negate=False)
+            p = shapes._params_at(designer._fourier_shape(raw, taup), n_quad)
             want = np.array([p.s, p.alpha])[:spec.n_nonlinear]
             assert np.max(np.abs(row - want)) <= 1e-13
         # a row's value does not depend on the rows sharing its chunk

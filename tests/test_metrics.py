@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from cavitydd.algebra import ModelParams, jaynes_cummings
-from cavitydd.metrics import (BlochGrid, CARDINAL_STATES, CSV_HEADER,
-                              csv_lines, write_csv)
+from cavitydd.metrics import (CARDINAL_STATES, CSV_HEADER, bloch_grid,
+                              write_csv)
 from cavitydd.propagate import build_schedule, run_trace
 from cavitydd.sequences import parse_sequence
 
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return BlochGrid.build(8)
+    return bloch_grid(8)
 
 
 def make_trace(grid, omega_r=0.0, g=0.002, n_max=3, periods=30, seq="4p",
@@ -19,19 +19,18 @@ def make_trace(grid, omega_r=0.0, g=0.002, n_max=3, periods=30, seq="4p",
     cs = jaynes_cummings(ModelParams(omega_r=omega_r, omega_0=0, g=g,
                                      n_max=n_max))
     sched = build_schedule(parse_sequence(seq), shape or gaussian(0.10))
-    return run_trace(cs, sched, periods, grid.as_array(), **kw)
+    return run_trace(cs, sched, periods, grid, **kw)
 
 
 class TestGrid:
     def test_cardinals_always_included(self):
-        grid = BlochGrid.build(17)
-        arr = grid.as_array()
-        assert len(grid) == 6 + 17
+        arr = bloch_grid(17)
+        assert arr.shape == (6 + 17, 2)
         for v in CARDINAL_STATES:
             assert any(np.allclose(arr[i], v, atol=1e-12) for i in range(6))
 
     def test_states_normalized(self):
-        arr = BlochGrid.build(50).as_array()
+        arr = bloch_grid(50)
         assert np.allclose(np.linalg.norm(arr, axis=1), 1, atol=1e-12)
 
 
@@ -64,9 +63,8 @@ class TestObservables:
     def test_grid_refinement_monotone(self):
         # a strict superset of states can only lower the minimum fidelity
         # and raise the maximum occupation
-        small = BlochGrid.build(6)
-        extra = BlochGrid.build(13).states[6:]
-        big = BlochGrid(states=small.states + extra)
+        small = bloch_grid(6)
+        big = np.concatenate([small, bloch_grid(13)[6:]])
         tr_small = make_trace(small, g=0.04, periods=25, self_check=False)
         tr_big = make_trace(big, g=0.04, periods=25, self_check=False)
         assert np.all(tr_big.fidelity_min
@@ -87,9 +85,11 @@ class TestObservables:
 
 
 class TestCsv:
-    def test_schema_and_rows(self, small_grid):
+    def test_schema_and_rows(self, small_grid, tmp_path):
         tr = make_trace(small_grid, periods=5, n_max=4)
-        lines = csv_lines(tr)
+        path = tmp_path / "trace.csv"
+        write_csv(str(path), tr)
+        lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 7
         first = lines[1].split(",")

@@ -9,10 +9,9 @@ from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
                               chemical_shift, expm_herm, jaynes_cummings,
                               kron, lowering, op_norm)
 from cavitydd.errors import ConvergenceError
-from cavitydd.metrics import BlochGrid
-from cavitydd.propagate import (build_schedule, propagate_period,
-                                run_trace, step_halving_difference)
-from cavitydd.sequences import parse_sequence
+from cavitydd.metrics import bloch_grid
+from cavitydd.propagate import build_schedule, propagate_period, run_trace
+from cavitydd.sequences import PulseSpec, parse_sequence
 from cavitydd.shapes import (amplitude, delta, fourier, gaussian, hermitian,
                              resolve_shape)
 from conftest import random_couplings
@@ -23,27 +22,25 @@ PROPERTY_SHAPES = {"G10": gaussian(0.10), "H05": hermitian(0.05),
 
 @pytest.fixture(scope="module")
 def grid6():
-    return BlochGrid.build(0)
+    return bloch_grid(0)
 
 
 class TestSchedule:
     def test_layout(self, g10):
         sched = build_schedule(parse_sequence("4p"), g10)
-        assert sched.period == pytest.approx(4.0)
-        starts = [s.t0 for s in sched.segments]
-        assert starts == [0.0, 1.0, 2.0, 3.0]
+        assert sched.period == 4.0
+        assert sched.elements == parse_sequence("4p").elements
         assert build_schedule(parse_sequence("8a"), g10).period == 8.0
 
     def test_single_axis_active(self, g10):
         sched = build_schedule(parse_sequence("4p"), g10)
-        # second pulse is X on [1, 2): one segment, driving x alone
-        seg = sched.segments[1]
-        assert (seg.axis, seg.sign, seg.t0, seg.duration) == ("x", 1, 1.0, 1.0)
-        assert [s.axis for s in sched.segments] == ["y", "x", "y", "x"]
+        # second pulse is X on [1, 2), driving x alone
+        assert sched.elements[1] == PulseSpec("x", 1)
+        assert [e.axis for e in sched.elements] == ["y", "x", "y", "x"]
 
     def test_negative_pulse_field_sign(self, g10):
         sched = build_schedule(parse_sequence("-X"), g10)
-        assert [(s.axis, s.sign) for s in sched.segments] == [("x", -1)]
+        assert sched.elements == (PulseSpec("x", -1),)
 
     def test_delay_layout(self):
         sched = build_schedule(parse_sequence("X d(1.0) -X d(1.0)"), delta())
@@ -94,7 +91,7 @@ class TestPulseUnitary:
         with pytest.raises(ValueError, match="Hermitian"):
             propagate_period(bad, sched)
         with pytest.raises(ValueError, match="Hermitian"):
-            run_trace(bad, sched, 1, grid6.as_array())
+            run_trace(bad, sched, 1, grid6)
 
 
 def drawn_couplings(model, seed, n_max):
@@ -121,13 +118,12 @@ def general_period_unitary(cs, schedule, steps):
     eye = np.eye(cs.dim, dtype=complex)
     u = np.eye(2 * cs.dim, dtype=complex)
     pulses = {}
-    for seg in schedule.segments:
-        key = (seg.axis, seg.sign)
-        if key not in pulses:
-            pulses[key] = step_loop_pulse_unitary(
-                hs, kron(PAULI[seg.axis] / 2, eye), schedule.shape, seg.sign,
+    for e in schedule.elements:
+        if e not in pulses:
+            pulses[e] = step_loop_pulse_unitary(
+                hs, kron(PAULI[e.axis] / 2, eye), schedule.shape, e.sign,
                 steps)
-        u = pulses[key] @ u
+        u = pulses[e] @ u
     return u
 
 
@@ -225,8 +221,10 @@ class TestPropagatePeriod:
         rng = np.random.default_rng(17)
         cs = random_couplings(rng, 3, scale=0.5)
         sched = build_schedule(parse_sequence("X"), g10)
-        d1 = step_halving_difference(cs, sched, 128)   # |U64 - U128|
-        d2 = step_halving_difference(cs, sched, 256)   # |U128 - U256|
+        u64, u128, u256 = (propagate_period(cs, sched, n, self_check=False)
+                           for n in (64, 128, 256))
+        d1 = op_norm(u128 - u64)
+        d2 = op_norm(u256 - u128)
         assert 10 < d1 / d2 < 24
 
     def test_commuting_control_factorizes(self, g10):
@@ -268,8 +266,6 @@ class TestPropagatePeriod:
             propagate_period(cs, sched, steps_per_pulse=8)
         with pytest.raises(ValueError, match="self_check"):
             propagate_period(cs, sched, steps_per_pulse=16)
-        with pytest.raises(ValueError, match="self_check"):
-            step_halving_difference(cs, sched, 16)
         propagate_period(cs, sched, steps_per_pulse=16, self_check=False)
 
 
@@ -305,8 +301,8 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
-        tr = run_trace(cs, sched, 0, grid6.as_array())
-        assert tr.n_periods == 0
+        tr = run_trace(cs, sched, 0, grid6)
+        assert len(tr.times) == 1
         assert tr.unitarity_drift < 1e-14
         assert np.allclose(tr.n_mean_max, 0)
         assert np.allclose(tr.leakage_max, 0)
@@ -347,7 +343,7 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
                                          n_max=8))
         sched = build_schedule(parse_sequence("4p"), g10)
-        qs = BlochGrid.build(50).as_array()
+        qs = bloch_grid(50)
         tr = run_trace(cs, sched, 100, qs, self_check=False)
         u = propagate_period(cs, sched, self_check=False)
         ref = per_period_columns(u, qs, 9, 0, 100)
@@ -391,7 +387,7 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
                                          n_max=3))
         sched = build_schedule(parse_sequence("X d(0.5) -X d(0.5)"), delta())
-        drift = run_trace(cs, sched, n_periods, grid6.as_array()
+        drift = run_trace(cs, sched, n_periods, grid6
                           ).unitarity_drift
         expected = (1 + eps) ** (2 * n_periods) - 1
         if n_periods == 0:
@@ -414,7 +410,7 @@ class TestRunTrace:
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
         with pytest.raises(MemoryError):
-            run_trace(cs, sched, 10 ** 13, grid6.as_array())
+            run_trace(cs, sched, 10 ** 13, grid6)
 
     def test_peak_memory_flat_in_n_periods(self, grid6):
         # the loop keeps O(1) storage per period (the times and three
@@ -422,12 +418,12 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
                                          n_max=8))
         sched = build_schedule(parse_sequence("X d(1.0) -X d(1.0)"), delta())
-        run_trace(cs, sched, 1, grid6.as_array())
+        run_trace(cs, sched, 1, grid6)
         peaks = {}
         for n in (200, 4000):
             tracemalloc.start()
             try:
-                run_trace(cs, sched, n, grid6.as_array())
+                run_trace(cs, sched, n, grid6)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -437,12 +433,12 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.01,
                                          n_max=4))
         sched = build_schedule(parse_sequence("4p"), g10)
-        tr = run_trace(cs, sched, 50, grid6.as_array())
+        tr = run_trace(cs, sched, 50, grid6)
         assert tr.unitarity_drift < 1e-10
         assert tr.halving_diff < 1e-8
         # norm conservation: |U(T)^k psi| = 1 per state and sample
         u = propagate_period(cs, sched)
-        psi = np.kron(grid6.as_array(), np.eye(5)[0])
+        psi = np.kron(grid6, np.eye(5)[0])
         for k in range(51):
             norms = np.linalg.norm(psi @ np.linalg.matrix_power(u, k).T,
                                    axis=1)
@@ -454,7 +450,7 @@ class TestRunTrace:
         sched = build_schedule(parse_sequence("d(1.0)"), delta())
         u = propagate_period(cs, sched)
         hs = assemble(cs)
-        q0 = grid6.as_array()[2]
+        q0 = grid6[2]
         psi0 = np.kron(q0, np.eye(4)[:, 0])
         energies = []
         for k in range(31):
@@ -467,9 +463,9 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.002,
                                          n_max=3))
         sched = build_schedule(parse_sequence("xbarx"), g10)
-        tr = run_trace(cs, sched, 12, grid6.as_array())
+        tr = run_trace(cs, sched, 12, grid6)
         u1 = propagate_period(cs, sched)
-        qs = grid6.as_array()
+        qs = grid6
         for n in (3, 7, 12):
             m = (np.kron(qs, np.eye(4)[0])
                  @ np.linalg.matrix_power(u1, n).T).reshape(len(qs), 2, 4)
@@ -485,18 +481,18 @@ class TestRunTrace:
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
         with pytest.warns(RuntimeWarning, match="n_max"):
-            run_trace(cs, sched, 60, grid6.as_array(), self_check=False)
+            run_trace(cs, sched, 60, grid6, self_check=False)
 
     def test_validation(self, g10, grid6):
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
         with pytest.raises(ValueError):
-            run_trace(cs, sched, -1, grid6.as_array())
+            run_trace(cs, sched, -1, grid6)
         with pytest.raises(ValueError):
-            run_trace(cs, sched, 1, 2 * grid6.as_array())
+            run_trace(cs, sched, 1, 2 * grid6)
         with pytest.raises(ValueError):
-            run_trace(cs, sched, 1, grid6.as_array(), oscillator_level=7)
+            run_trace(cs, sched, 1, grid6, oscillator_level=7)
         with pytest.raises(ValueError, match="empty"):
             run_trace(cs, sched, 1, np.empty((0, 2)))
 
@@ -505,10 +501,10 @@ class TestRunTrace:
                                          n_max=4))
         sched = build_schedule(parse_sequence("4p"), g10)
         with pytest.raises(ValueError, match="steps_per_pulse"):
-            run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=4)
+            run_trace(cs, sched, 1, grid6, steps_per_pulse=4)
         with pytest.raises(ValueError, match="self_check"):
-            run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=16)
-        tr = run_trace(cs, sched, 1, grid6.as_array(), steps_per_pulse=16,
+            run_trace(cs, sched, 1, grid6, steps_per_pulse=16)
+        tr = run_trace(cs, sched, 1, grid6, steps_per_pulse=16,
                        self_check=False)
         assert tr.halving_diff == 0.0
 
@@ -516,5 +512,5 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.0,
                                          n_max=5))
         sched = build_schedule(parse_sequence("4p"), g10)
-        tr = run_trace(cs, sched, 2, grid6.as_array(), oscillator_level=2)
+        tr = run_trace(cs, sched, 2, grid6, oscillator_level=2)
         assert np.allclose(tr.n_mean_max, 2.0, atol=1e-10)

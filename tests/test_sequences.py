@@ -18,12 +18,12 @@ class TestParser:
     def test_token_string_is_time_ordered(self):
         seq = parse_sequence("X -Y X Y")
         assert seq.name is None
-        assert [p.label() for p in seq.pulses] == ["X", "-Y", "X", "Y"]
+        assert [p.label() for p in seq.elements] == ["X", "-Y", "X", "Y"]
 
     def test_named_4p_reverses_the_product(self):
         # the library entry 4p is the product X Ybar X Y: Y acts first
         seq = parse_sequence("4p")
-        assert [p.label() for p in seq.pulses] == ["Y", "X", "-Y", "X"]
+        assert [p.label() for p in seq.elements] == ["Y", "X", "-Y", "X"]
 
     def test_alias(self):
         assert parse_sequence("4pxy").name == "4p"
@@ -44,10 +44,11 @@ class TestParser:
         seq = Sequence(elements=tuple(elements))
         back = parse_sequence(seq.label())
         assert back.name is None
-        assert back.pulses == seq.pulses
         assert len(back.elements) == len(seq.elements)
         for got, want in zip(back.elements, seq.elements):
             assert type(got) is type(want)
+            if isinstance(want, PulseSpec):
+                assert got == want
             if isinstance(want, Delay):
                 # label() prints delays with :g, 6 significant digits
                 assert got.duration == pytest.approx(want.duration, rel=5e-6)
@@ -225,6 +226,15 @@ class TestEffectiveHamiltonian:
         r = order_check(parse_sequence(name), cs, g10, scales,
                         reference="effective")
         assert r.exponent > 2.7
+
+    @pytest.mark.parametrize("name", ["x4", "8s"])
+    def test_defect_scaling_at_the_shape_taup(self, name):
+        # the effective reference is taken at the shape's own tau_p, where
+        # the taup-proportional terms of x4 and 8s are twice as large
+        cs = random_couplings(np.random.default_rng(42), 3)
+        r = order_check(parse_sequence(name), cs, gaussian(0.10, taup=2.0),
+                        (0.2, 0.1, 0.05, 0.02), reference="effective")
+        assert r.exponent >= 2.7
 
     def test_4p_defect_scaling_with_s0_pulse(self, s1_shape):
         # the printed 4p drops s*taup terms, so validate with an s = 0 shape

@@ -3,10 +3,11 @@ import pytest
 
 from cavitydd import designer, shapes
 from cavitydd.errors import ConvergenceError
-from cavitydd.shapes import (PulseShape, amplitude, compute_params,
-                             cosine_average, delta, fourier, gaussian,
-                             hermitian, phase_integral, resolve_shape,
-                             shape_to_text, solve_hermitian_gamma)
+from cavitydd.shapes import (DEFAULT_N_QUAD, PulseShape, amplitude,
+                             compute_params, delta, fourier, gaussian,
+                             hermitian, resolve_shape, shape_to_text,
+                             solve_hermitian_gamma)
+from conftest import cosine_average
 
 
 class TestConstruction:
@@ -109,26 +110,21 @@ class TestAmplitude:
             assert np.allclose(v, v[::-1], atol=1e-9)
 
 
+def phase(shape):
+    """phi(t) = int_0^t V on the DEFAULT_N_QUAD + 1 quadrature nodes."""
+    return shapes._sampled(shape, DEFAULT_N_QUAD)[2]
+
+
 class TestPhaseIntegral:
     def test_total_area_is_pi(self):
         for sh in (gaussian(0.05), gaussian(0.10), hermitian(0.05),
                    fourier([0.5, 1.0])):
-            assert phase_integral(sh, sh.taup) == pytest.approx(np.pi,
-                                                                abs=1e-10)
+            assert phase(sh)[-1] == pytest.approx(np.pi, abs=1e-10)
+            assert compute_params(sh).area == pytest.approx(np.pi, abs=1e-10)
 
     def test_half_way_is_half_pi(self):
-        assert phase_integral(gaussian(0.05), 0.5) == pytest.approx(
+        assert phase(gaussian(0.05))[DEFAULT_N_QUAD // 2] == pytest.approx(
             np.pi / 2, abs=1e-10)
-
-    def test_delta_step(self):
-        d = delta()
-        assert phase_integral(d, 0.2) == 0.0
-        assert phase_integral(d, 0.8) == np.pi
-        assert phase_integral(d, 0.5) == np.pi / 2
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            phase_integral(gaussian(0.1), 1.0001)
 
 
 class TestComputeParams:
@@ -153,15 +149,6 @@ class TestComputeParams:
         for sh in (gaussian(0.05), gaussian(0.10), hermitian(0.10),
                    fourier([0.5, 1.0, 0.3])):
             assert abs(cosine_average(sh)) < 1e-9
-
-    def test_sign_flip(self):
-        sh = gaussian(0.10)
-        p = compute_params(sh)
-        m = compute_params(sh, negate=True)
-        assert m.s == pytest.approx(-p.s, abs=1e-12)
-        assert m.alpha == pytest.approx(-p.alpha, abs=1e-12)
-        assert m.zeta == pytest.approx(p.zeta, abs=1e-12)
-        assert m.area == pytest.approx(-np.pi, abs=1e-10)
 
     @pytest.mark.parametrize("name, expected", [
         ("G10", (0.14897897047460365, 0.13078752125713428,
