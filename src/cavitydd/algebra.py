@@ -131,6 +131,10 @@ def jaynes_cummings(params: ModelParams, taup: float = 1.0) -> CouplingSet:
     Az = (omega_0/2) 1, all truncated to n_max + 1 levels, with frequencies
     converted from 2*pi/tau_p units to absolute angular frequency.
     """
+    if not np.isfinite(taup):
+        raise ValueError("taup must be finite")
+    if taup <= 0:
+        raise ValueError("taup must be positive")
     unit = 2 * np.pi / taup
     dim = params.n_max + 1
     b = lowering(dim)

@@ -16,18 +16,23 @@ The pulse phase is then affine in the free coefficients x, phi = phi0 + x P,
 with phi0 and P tabulated once per (spec, n_quad, taup) on the quadrature
 nodes, so the constraints of a whole stack of free vectors come from one
 array evaluation of the shared quadrature in shapes (in chunks of _CHUNK
-rows, which bounds its temporaries).  The solver is a damped Newton
-iteration with a forward-difference Jacobian, run in lockstep over the
-stack: every iteration evaluates all Jacobian probe rows in one stacked
-call and every line-search halving in another, and a start leaves the stack
-as soon as it converges or fails.
+rows, which bounds its temporaries).  The same pass gives the exact
+Jacobian: ds/dx_j and dalpha/dx_j are single integrals of P_j against
+weights built from cos phi, sin phi and their cumulative integrals, which
+the quadrature forms for alpha anyway.  The solver is a damped Newton
+iteration run in lockstep over the stack: every line-search halving is one
+stacked call, each accepted row keeps the Jacobian evaluated with it, and a
+start leaves the stack as soon as it converges or fails.
 
 The system has many roots; Newton is run from a small deterministic seed
-grid, all seeds at once, and the root with the smallest peak amplitude
-max|V| is kept (the low-power branch).  Surplus coefficients
-(extra_terms > 0) are tuned by a deterministic compass search that
-minimizes max|V| subject to the same constraints; it and the final polish
-run the same solver on a one-row stack.
+grid, all seeds at once, at an eighth of the polish resolution (at least
+512 panels), which only has to bring each start into its branch's basin;
+the root with the smallest peak amplitude max|V| is kept (the low-power
+branch).  Surplus coefficients (extra_terms > 0) are tuned at the same
+coarse resolution by a deterministic compass search that minimizes max|V|
+subject to the same constraints.  The winner is polished at the full
+resolution on a one-row stack, which, with the compute_params check at
+twice that, sets the precision.
 """
 
 from __future__ import annotations
@@ -151,20 +156,41 @@ def _phase_basis(spec: DesignSpec, n_quad: int, taup: float):
 
 
 def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
-                 n_quad: int) -> np.ndarray:
-    """Constraint values (s[, alpha]), one row per row of the stack xs."""
+                 n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint values f = (s[, alpha]) and their exact Jacobian, one row
+    per row of the stack xs.
+
+    jac[r, i, j] = d f_i / d x_j for the moving coordinates j < n_nl.  With
+    phi = phi0 + x P and C, S the cumulative integrals of cos phi, sin phi,
+
+        ds/dx_j     = (1/tau_p)   int cos phi P_j
+        dalpha/dx_j = (1/tau_p^2) int P_j [2 (cos phi C + sin phi S)
+                                  - cos phi C(tau_p) - sin phi S(tau_p)]
+
+    (the alpha row exchanges the order of its ordered double integral).
+    """
     phi0, p = _phase_basis(spec, n_quad, taup)
-    out = np.empty((len(xs), spec.n_nonlinear))
+    n_nl = spec.n_nonlinear
+    h = taup / n_quad
+    f = np.empty((len(xs), n_nl))
+    jac = np.empty((len(xs), n_nl, n_nl))
     for i in range(0, len(xs), _CHUNK):
         chunk = xs[i:i + _CHUNK]
-        # summed term by term, not by matmul, so that a row's phase does not
-        # depend on how many rows share its chunk
+        rows = slice(i, i + _CHUNK)
+        # summed term by term and reduced row by row, not by matmul, so that
+        # a row's values do not depend on how many rows share its chunk
         phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
-        s, alpha, _ = shapes._phase_params(phi, taup / n_quad, taup)
-        out[i:i + _CHUNK, 0] = s
+        (s, alpha, _), (cos_sin, cum) = shapes._phase_params(phi, h, taup)
+        f[rows, 0] = s
+        # weights w_i with df_i/dx_j = int w_i P_j, one axis per constraint
+        w = cos_sin[:1] / taup
         if spec.family == "Q":
-            out[i:i + _CHUNK, 1] = alpha
-    return out
+            f[rows, 1] = alpha
+            cos_g, sin_g = cos_sin * (2 * cum - cum[..., -1:])
+            w = np.stack([w[0], (cos_g + sin_g) / taup ** 2])
+        jac[rows] = shapes._simpson(w[..., None, :] * p[:n_nl],
+                                    h).transpose(1, 0, 2)
+    return f, jac
 
 
 def _peak(raw: np.ndarray, taup: float) -> float:
@@ -180,16 +206,16 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
 
     Each row is one start: its first n_nl free coefficients move and the
     rest are held fixed.  Per iteration a row is tested for convergence,
-    gets a forward-difference Jacobian, fails on a singular Jacobian or a
-    non-finite or > 1e4 step, and takes the step halved (at most 40 times)
-    until the residual norm strictly drops, failing if it never does.  A
-    row leaves the stack when it converges or fails.  Returns the rows,
-    their constraint values and a per-row convergence flag.
+    fails on a singular exact Jacobian or a non-finite or > 1e4 step, and
+    takes the step halved (at most 40 times) until the residual norm
+    strictly drops, failing if it never does; the accepted point brings
+    its Jacobian from the same evaluation.  A row leaves the stack when it
+    converges or fails.  Returns the rows, their constraint values and a
+    per-row convergence flag.
     """
     n_nl = spec.n_nonlinear
-    eps = 1e-7
     x = np.array(x0, dtype=float)
-    f = _constraints(spec, x, taup, n_quad)
+    f, jac = _constraints(spec, x, taup, n_quad)
     ok = np.zeros(len(x), dtype=bool)
     live = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
@@ -199,18 +225,11 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        # one probe row per (start, coordinate); probe k moves k % n_nl
-        probes = np.repeat(x[rows], n_nl, axis=0)
-        k = np.arange(len(probes))
-        probes[k, k % n_nl] += eps
-        f_probe = _constraints(spec, probes, taup, n_quad)
-        jac = (f_probe.reshape(rows.size, n_nl, n_nl)
-               - f[rows, None, :]).transpose(0, 2, 1) / eps
         # a singular Jacobian leaves its row NaN, which ends that start below
         dx = np.full((rows.size, n_nl), np.nan)
         for i, r in enumerate(rows):
             try:
-                dx[i] = np.linalg.solve(jac[i], -f[r])
+                dx[i] = np.linalg.solve(jac[r], -f[r])
             except np.linalg.LinAlgError:
                 pass
         usable = (np.all(np.isfinite(dx), axis=1)
@@ -224,10 +243,11 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
                 break
             x_try = x[rows]
             x_try[:, :n_nl] += lam * dx
-            f_try = _constraints(spec, x_try, taup, n_quad)
+            f_try, jac_try = _constraints(spec, x_try, taup, n_quad)
             better = np.linalg.norm(f_try, axis=1) < norm_f
             x[rows[better]] = x_try[better]
             f[rows[better]] = f_try[better]
+            jac[rows[better]] = jac_try[better]
             rows, dx, norm_f = rows[~better], dx[~better], norm_f[~better]
             lam /= 2
         live[rows] = False  # no strict decrease within 40 halvings
@@ -277,7 +297,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     if tol > 1e-6:
         raise ValueError("tol must be <= 1e-6")
     tail = np.zeros(spec.extra_terms)
-    coarse = max(1024, n_quad // 4)
+    coarse = max(512, n_quad // 8)
     found = _solve_branches(spec, tail, taup, coarse, max(tol, 1e-11))
     if not found:
         raise ConvergenceError(

@@ -257,20 +257,27 @@ class ShapeParams:
 
 def _phase_params(phi: np.ndarray, h: float, taup: float):
     """(s, alpha, zeta) from phase samples phi on a uniform grid of spacing h
-    along the last axis; any leading axes are a stack of pulses."""
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
+    along the last axis; any leading axes are a stack of pulses.
+
+    Also returns the samples they are built from, stacked as
+    [cos phi, sin phi] and [C, S] with C and S the cumulative integrals of
+    cos phi and sin phi, which the designer's Jacobian reuses.
+    """
+    cos_sin = np.empty((2,) + phi.shape)
+    cos_phi, sin_phi = cos_sin
+    np.cos(phi, out=cos_phi)
+    np.sin(phi, out=sin_phi)
     s = _simpson(sin_phi, h) / taup
-    c_cum = _cumulative_simpson(cos_phi, h)
-    s_cum = _cumulative_simpson(sin_phi, h)
+    cum = _cumulative_simpson(cos_sin, h)
+    c_cum, s_cum = cum
     alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h) / taup ** 2
     zeta = _simpson(c_cum, h) / taup ** 2
-    return s, alpha, zeta
+    return (s, alpha, zeta), (cos_sin, cum)
 
 
 def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     t, v, phi = _sampled(shape, n_quad)
-    s, alpha, zeta = _phase_params(phi, shape.taup / n_quad, shape.taup)
+    (s, alpha, zeta), _ = _phase_params(phi, shape.taup / n_quad, shape.taup)
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 

@@ -166,13 +166,39 @@ class TestStackedConstraints:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-8.0, 8.0,
                          size=(rows, spec.n_nonlinear + extra)) / taup
-        got = designer._constraints(spec, xs, taup, n_quad)
+        got, jac = designer._constraints(spec, xs, taup, n_quad)
         assert got.shape == (rows, spec.n_nonlinear)
+        assert jac.shape == (rows, spec.n_nonlinear, spec.n_nonlinear)
         for x, row in zip(xs, got):
             raw = designer._coeffs_from_free(spec, x, taup)
             p = shapes._params_at(designer._fourier_shape(raw, taup), n_quad)
             want = np.array([p.s, p.alpha])[:spec.n_nonlinear]
             assert np.max(np.abs(row - want)) <= 1e-13
-        # a row's value does not depend on the rows sharing its chunk
-        alone = designer._constraints(spec, xs[-1:], taup, n_quad)
+        # a row's values and Jacobian do not depend on the rows sharing its
+        # chunk
+        alone, jac_alone = designer._constraints(spec, xs[-1:], taup, n_quad)
         assert np.array_equal(alone[0], got[-1])
+        assert np.array_equal(jac_alone[0], jac[-1])
+
+    @settings(derandomize=True, max_examples=32, deadline=None)
+    @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
+           extra=st.integers(0, 1), taup=st.sampled_from((1.0, 2.5)),
+           n_quad=st.sampled_from((256, 1024)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_jacobian_matches_central_differences(self, family, order, extra,
+                                                  taup, n_quad, seed):
+        spec = DesignSpec(family, order, extra_terms=extra)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-8.0, 8.0,
+                         size=(3, spec.n_nonlinear + extra)) / taup
+        _, jac = designer._constraints(spec, xs, taup, n_quad)
+        # entries are 1e-3 .. 1; central differences of the quadrature
+        # agree with the exact Jacobian to <= 1e-10 on these draws
+        eps = 1e-5
+        for j in range(spec.n_nonlinear):
+            step = np.zeros(xs.shape[1])
+            step[j] = eps
+            up, _ = designer._constraints(spec, xs + step, taup, n_quad)
+            down, _ = designer._constraints(spec, xs - step, taup, n_quad)
+            fd = (up - down) / (2 * eps)
+            assert np.max(np.abs(jac[:, :, j] - fd)) <= 1e-9

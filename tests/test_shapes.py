@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitydd import designer, shapes
 from cavitydd.errors import ConvergenceError
@@ -214,6 +215,32 @@ class TestSerialization:
             t = np.linspace(0, 1, 37)
             assert np.allclose(amplitude(back, t), amplitude(sh, t),
                                atol=1e-9)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(("gaussian", "hermitian", "fourier")),
+           width=st.floats(0.02, 0.5), gamma=st.floats(0.5, 1.5),
+           a0=st.floats(0.1, 2.0),
+           tail=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+           taup=st.sampled_from((1.0, 2.5)))
+    def test_roundtrip_random_shapes(self, kind, width, gamma, a0, tail,
+                                     taup):
+        sh = {"gaussian": lambda: gaussian(width, taup),
+              "hermitian": lambda: hermitian(width, gamma, taup),
+              "fourier": lambda: fourier([a0, *tail], taup)}[kind]()
+        text = shape_to_text(sh)
+        back = resolve_shape(text, taup)
+        assert back.kind == kind and back.taup == taup
+        assert shape_to_text(back) == text
+        # every printed number keeps 12 significant digits, a relative
+        # rounding of at most 5e-12 each; the worst such rounding of width
+        # and gamma moves a hermitian envelope by 2.1e-11 of its peak
+        t = np.linspace(0.0, taup, 257)
+        v = amplitude(sh, t)
+        if kind == "fourier":
+            scale = 2 * np.pi / taup * np.sum(np.abs(sh.coeffs))
+        else:
+            scale = np.max(np.abs(v))
+        assert np.max(np.abs(amplitude(back, t) - v)) <= 5e-11 * scale
 
     def test_malformed(self):
         with pytest.raises(ValueError):
