@@ -22,7 +22,10 @@ HERMITICITY_TOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
+    """Kronecker product of two matrices: np.kron's products without its
+    any-dimension overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,17 +151,6 @@ def jaynes_cummings(params: ModelParams, taup: float = 1.0) -> CouplingSet:
         ay=1j * g * (bd - b) / 2,
         az=(om0 / 2) * np.eye(dim, dtype=complex),
     )
-
-
-def chemical_shift(delta: float) -> CouplingSet:
-    """Scalar coupling set with Az = delta/2 (single-qubit NMR test model).
-
-    ``delta`` is an absolute angular frequency; the non-qubit factor is
-    one-dimensional.
-    """
-    one = np.eye(1, dtype=complex)
-    zero = np.zeros((1, 1), dtype=complex)
-    return CouplingSet(a0=zero, ax=zero, ay=zero, az=(delta / 2) * one)
 
 
 def assemble(couplings: CouplingSet) -> np.ndarray:

@@ -165,9 +165,15 @@ def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-10) -> str:
 def cmd_effham(args) -> int:
     seq = sequences.parse_sequence(args.sequence)
     shape = resolve_shape(args.shape)
+    if shape.is_delta:
+        raise ValueError(sequences.DELTA_REFUSAL)
     params = shapes.compute_params(shape)
     model = _model_from_args(args)
     couplings = jaynes_cummings(model)
+    h_m, note = sequences.effective_hamiltonian(seq, couplings, params,
+                                                convention="matched")
+    h_p, _ = sequences.effective_hamiltonian(seq, couplings, params,
+                                             convention="printed")
     schedule = propagate.build_schedule(seq, shape)
     period = schedule.period
     u = propagate.propagate_period(couplings, schedule,
@@ -176,19 +182,13 @@ def cmd_effham(args) -> int:
     print(f"sequence {seq.name or seq.label()}: period T = {period:g} taup")
     print(f"shape {shapes.shape_to_text(shape)}: s = {params.s:.6f}, "
           f"alpha/2 = {params.alpha / 2:.6f}, zeta = {params.zeta:.6f}")
-    candidates = []
-    if seq.name in sequences.EFFECTIVE_SEQUENCES:
-        h_m, note = sequences.effective_hamiltonian(seq, couplings, params,
-                                                    convention="matched")
-        h_p, _ = sequences.effective_hamiltonian(seq, couplings, params,
-                                                 convention="printed")
-        print(f"analytic H_eff (matched convention), remainder {note}:")
-        with np.printoptions(precision=4, suppress=True, linewidth=120):
-            print(h_m)
-        print("operator-basis coefficients:")
-        print(_format_operator(h_m, couplings.dim))
-        candidates.append(("generic, matched convention", h_m))
-        candidates.append(("generic, printed convention", h_p))
+    print(f"analytic H_eff (matched convention), remainder {note}:")
+    with np.printoptions(precision=4, suppress=True, linewidth=120):
+        print(h_m)
+    print("operator-basis coefficients:")
+    print(_format_operator(h_m, couplings.dim))
+    candidates = [("generic, matched convention", h_m),
+                  ("generic, printed convention", h_p)]
     if seq.name in ("4p", "8a", "8s", "4pxz"):
         candidates.append(
             ("cavity equation, printed",
@@ -197,17 +197,20 @@ def cmd_effham(args) -> int:
             candidates.append(
                 ("cavity equation (s=0 form), printed",
                  sequences.jc_cavity_hamiltonian("4p_s0", model, params)))
-    if not candidates:
-        raise ValueError(f"no analytic form available for {args.sequence!r}")
 
     print("defect |U(T) - exp(-i T H)| per variant:")
     defects = []
     for label, h in candidates:
         d = float(np.linalg.norm(u - expm_herm(h, period), 2))
-        defects.append((d, label))
+        defects.append(d)
         print(f"  {label:38s} {d:.6e}")
     best = min(defects)
-    print(f"verdict: best match is '{best[1]}' (defect {best[0]:.3e})")
+    tied = [f"'{label}'" for (label, _), d in zip(candidates, defects)
+            if d - best <= sequences.DEFECT_FLOOR]
+    verdict = (f"best match is {tied[0]}" if len(tied) == 1 else
+               f"tie within {sequences.DEFECT_FLOOR:g} between "
+               + ", ".join(tied))
+    print(f"verdict: {verdict} (defect {best:.3e})")
     return 0
 
 

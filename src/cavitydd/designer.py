@@ -180,7 +180,7 @@ def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
         # summed term by term and reduced row by row, not by matmul, so that
         # a row's values do not depend on how many rows share its chunk
         phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
-        (s, alpha, _), (cos_sin, cum) = shapes._phase_params(phi, h, taup)
+        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h, taup)
         f[rows, 0] = s
         # weights w_i with df_i/dx_j = int w_i P_j, one axis per constraint
         w = cos_sin[:1] / taup

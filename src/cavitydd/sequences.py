@@ -1,5 +1,5 @@
-"""Pulse sequences, the single-pulse operator expansion, and analytic
-effective Hamiltonians for the named sequences.
+"""Pulse sequences, the single-pulse operator expansion, and the effective
+Hamiltonian of a sequence composed from it.
 
 Sequence strings are written in TIME ORDER (first token acts first).  The
 named library entries are quoted in the literature as operator products
@@ -7,14 +7,23 @@ named library entries are quoted in the literature as operator products
 reversed into time order, e.g. the product X Ybar X Y executes as
 Y, X, Ybar, X.
 
+The effective Hamiltonian of a sequence is composed as in the paper: the
+second-order pulse expansions X0 + tau_p X1 + tau_p^2 X2 and each delay's
+exp(-i d tau_p Hs) are multiplied in time order and truncated at tau_p^2;
+dividing by the scalar c = prod X0 gives 1 + A1 + A2, and H_eff =
+[i (A1 + A2 - A1^2/2) - arg(c)] / T.  A sequence whose X0 do not multiply
+to a multiple of the identity does not refocus and is refused.  Only the
+name ``4p`` gives the paper's printed equation, which drops the s*tau_p
+terms; the tokens ``Y X -Y X`` give the composed form.
+
 Two sign conventions are exposed for the expansion and the effective
 Hamiltonians:
 
 * ``convention="matched"`` (default): the form validated against the exact
   numerical propagator.  Relative to the printed equations this flips the
-  sign of every s- and alpha-proportional term, and for the 4p sequence
-  additionally the [A0, .] commutator term (see the order-check tests, which
-  fit the truncation exponents).
+  sign of every s- and alpha-proportional term, and in the printed 4p
+  equation also the [A0, .] term, which the printed expansion does not
+  compose to.
 * ``convention="printed"``: the equations verbatim.  Kept so the two variants
   can be compared against the propagator without silently altering either.
 """
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CouplingSet, ModelParams, IDENTITY_2, PAULI, anticomm,
-                      comm, expm_herm, is_hermitian, kron, lowering)
+                      assemble, comm, expm_herm, kron, lowering)
 from .shapes import PulseShape, ShapeParams, compute_params
 
 _CYCLIC = {"x": ("x", "y", "z"), "y": ("y", "z", "x"), "z": ("z", "x", "y")}
@@ -189,78 +198,66 @@ def expansion_sum(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
 
 
 # ---------------------------------------------------------------------------
-# analytic effective Hamiltonians for the named sequences
+# the effective Hamiltonian composed from the single-pulse expansion
 # ---------------------------------------------------------------------------
 
-EFFECTIVE_SEQUENCES = ("xbarx", "x4", "4p", "8s", "8a")
-
-_ANNOTATIONS = {
-    "xbarx": "O(taup^2)",
-    "x4": "O(taup^2)",
-    "4p": "O(taup^2, s*taup)",
-    "8s": "O(taup^2)",
-    "8a": "O(taup^2)",
-}
+def refocusing_phase(seq: Sequence) -> complex:
+    """The scalar c with prod X0 = c 1 over the ideal pulses X0 = -i sign
+    sigma; a ValueError if the product is not a multiple of 1."""
+    q = IDENTITY_2
+    for e in seq.elements:
+        if isinstance(e, PulseSpec):
+            q = -1j * e.sign * PAULI[e.axis] @ q
+    if np.any(q != q[0, 0] * IDENTITY_2):
+        raise ValueError(f"sequence {seq.name or seq.label()!r} does not "
+                         "refocus: prod X0 is not a multiple of 1")
+    return complex(q[0, 0])
 
 
 def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
                           params: ShapeParams, taup: float = 1.0,
                           convention: str = "matched"):
-    """Analytic H_eff of a named sequence, with its remainder annotation.
-
-    The stroboscopic propagator over one period T approximates
-    exp(-i T H_eff) with the annotated remainder.  Returns (H, annotation).
-
-    Raises
-    ------
-    ValueError
-        For custom sequences (no analytic form; use the propagator), or a
-        sequence containing delays.
-    """
+    """(H_eff, remainder): one period's propagator is exp(-i T H_eff), its
+    global phase c included, up to the remainder.  A sequence that does not
+    refocus, or whose period has zero duration, raises ValueError."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    if seq.name not in EFFECTIVE_SEQUENCES:
-        raise ValueError(
-            f"no analytic effective Hamiltonian for sequence {seq.name or seq.label()!r}")
-    s, alpha, zeta = params.s, params.alpha, params.zeta
-    comm_sign = 1.0
-    if convention == "matched":
-        s, alpha = -s, -alpha
-        comm_sign = -1.0
+    c = refocusing_phase(seq)
     a0, ax, ay, az = couplings.a0, couplings.ax, couplings.ay, couplings.az
-
-    name = seq.name
-    if name == "xbarx":
-        h = (_on(None, a0) + _on("x", ax)
-             - s * (_on("y", az) - _on("z", ay)))
-    elif name == "x4":
-        h = (_on(None, a0) + _on("x", ax)
-             - s * taup * anticomm(_on(None, ax), _on("y", ay) + _on("z", az))
-             + 1j * s * taup * comm(_on(None, a0), _on("y", az) - _on("z", ay)))
-    elif name == "4p":
+    if seq.name == "4p":
+        # the paper's equation: its [A0, .] term has the sign opposite to
+        # the composed printed expansion, so matched flips it with s, alpha
+        sign = -1.0 if convention == "matched" else 1.0
+        s, alpha, zeta = sign * params.s, sign * params.alpha, params.zeta
         h = (_on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
-             + comm_sign * (-0.5j * taup) * comm(_on(None, a0),
-                                                 _on("x", ax) - _on("y", ay))
+             + sign * (-0.5j * taup) * comm(_on(None, a0),
+                                            _on("x", ax) - _on("y", ay))
              - taup * (alpha / 2) * _on("y", ax @ ax + az @ az)
              + taup * (0.5j * alpha) * _on(None, comm(az, ay))
              - taup * ((1 + 4 * zeta) / 4) * _on("z", anticomm(ax, ay)))
-    elif name == "8s":
-        blk = (0.25j * _on(None, comm(az, ax + ay))
-               + 0.5 * (_on("x", ay @ ay) - _on("y", ax @ ax))
-               + 0.25 * _on("y", anticomm(ax, ay))
-               + 0.25 * _on("z", anticomm(ay, az))
-               + 0.5j * comm(_on(None, a0),
-                             _on("y", az) + _on("z", ax)
-                             + 1.5 * _on("z", ay) - 2.5 * _on("x", az)))
-        h = (_on(None, a0) + s * taup * blk
-             - (alpha * taup / 2) * (_on("y", ax @ ax + az @ az)
-                                     + 1j * _on(None, comm(ay, az))))
-    else:  # 8a
-        h = _on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
-
-    if not is_hermitian(h):
-        raise AssertionError("effective Hamiltonian lost hermiticity")
-    return h, _ANNOTATIONS[name]
+        return h, "O(taup^2, s*taup)"
+    hs = assemble(couplings)
+    eye = np.eye(hs.shape[0], dtype=complex)
+    # X0, taup X1, taup^2 X2 of each distinct pulse
+    pulses = {e: [taup ** k * x for k, x in enumerate(
+        expand_pulse(couplings, params, e, convention))]
+        for e in set(seq.elements) if isinstance(e, PulseSpec)}
+    # the truncated product M0 + M1 + M2, order by order
+    m0, m1, m2 = eye, np.zeros_like(eye), np.zeros_like(eye)
+    for e in seq.elements:
+        if isinstance(e, Delay):
+            d = e.duration * taup
+            x0, x1, x2 = eye, -1j * d * hs, -(d ** 2 / 2) * hs @ hs
+        else:
+            x0, x1, x2 = pulses[e]
+        m0, m1, m2 = x0 @ m0, x0 @ m1 + x1 @ m0, x0 @ m2 + x1 @ m1 + x2 @ m0
+    period = taup * sum(e.duration if isinstance(e, Delay) else 1
+                        for e in seq.elements)
+    if period <= 0:
+        raise ValueError("the period has zero duration")
+    a1, a2 = m1 / c, m2 / c
+    h = (1j * (a1 + a2 - a1 @ a1 / 2) - np.angle(c) * eye) / period
+    return h, "O(taup^2)"
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +303,8 @@ def jc_cavity_hamiltonian(name: str, model: ModelParams, params: ShapeParams,
 
 # defects at or below this are numerical floor, excluded from the order fit
 DEFECT_FLOOR = 1e-12
+DELTA_REFUSAL = ("the effective Hamiltonian composes pulses of duration "
+                 "taup, which a delta shape does not have")
 
 
 @dataclass(frozen=True)
@@ -328,9 +327,10 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         delta(lam) = || U_num(lam) - exp(-i T H_ref(lam)) ||
 
     is recorded; the fitted slope of log delta vs log lam is returned.
-    ``reference`` is "zero" (H_ref = 0, i.e. the identity target) or
-    "effective" (the analytic effective Hamiltonian of a named sequence, at
-    the shape's tau_p and parameters).
+    ``reference`` is "zero" (the target c 1, c the ``refocusing_phase``) or
+    "effective" (``effective_hamiltonian`` at the shape's tau_p and
+    parameters, which carries c; not for a delta shape).  A sequence that
+    does not refocus is refused.
     Defects at or below DEFECT_FLOOR are floor-limited and excluded from the
     fit; with fewer than two left the exponent is NaN.
     """
@@ -345,7 +345,10 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         raise ValueError("scale factors must span at least one decade")
     if reference not in ("zero", "effective"):
         raise ValueError("reference must be 'zero' or 'effective'")
+    c = refocusing_phase(seq)
     if reference == "effective":
+        if shape.is_delta:
+            raise ValueError(DELTA_REFUSAL)
         params = compute_params(shape)
 
     schedule = propagate.build_schedule(seq, shape)
@@ -357,7 +360,7 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         u = propagate.propagate_period(scaled, schedule,
                                        steps_per_pulse=steps_per_pulse)
         if reference == "zero":
-            target = np.eye(dim, dtype=complex)
+            target = c * np.eye(dim, dtype=complex)
         else:
             h, _ = effective_hamiltonian(seq, scaled, params, shape.taup,
                                          convention)

@@ -256,12 +256,12 @@ class ShapeParams:
 
 
 def _phase_params(phi: np.ndarray, h: float, taup: float):
-    """(s, alpha, zeta) from phase samples phi on a uniform grid of spacing h
+    """(s, alpha) from phase samples phi on a uniform grid of spacing h
     along the last axis; any leading axes are a stack of pulses.
 
     Also returns the samples they are built from, stacked as
     [cos phi, sin phi] and [C, S] with C and S the cumulative integrals of
-    cos phi and sin phi, which the designer's Jacobian reuses.
+    cos phi and sin phi, which the designer's Jacobian and zeta reuse.
     """
     cos_sin = np.empty((2,) + phi.shape)
     cos_phi, sin_phi = cos_sin
@@ -271,13 +271,14 @@ def _phase_params(phi: np.ndarray, h: float, taup: float):
     cum = _cumulative_simpson(cos_sin, h)
     c_cum, s_cum = cum
     alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h) / taup ** 2
-    zeta = _simpson(c_cum, h) / taup ** 2
-    return (s, alpha, zeta), (cos_sin, cum)
+    return (s, alpha), (cos_sin, cum)
 
 
 def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     t, v, phi = _sampled(shape, n_quad)
-    (s, alpha, zeta), _ = _phase_params(phi, shape.taup / n_quad, shape.taup)
+    h = shape.taup / n_quad
+    (s, alpha), (_, cum) = _phase_params(phi, h, shape.taup)
+    zeta = _simpson(cum[0], h) / shape.taup ** 2
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 

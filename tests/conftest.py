@@ -14,6 +14,17 @@ def random_couplings(rng, dim, scale=0.35):
     return CouplingSet(*mats)
 
 
+def chemical_shift(delta):
+    """Scalar coupling set with Az = delta/2 (single-qubit NMR test model).
+
+    ``delta`` is an absolute angular frequency; the non-qubit factor is
+    one-dimensional.
+    """
+    one = np.eye(1, dtype=complex)
+    zero = np.zeros((1, 1), dtype=complex)
+    return CouplingSet(a0=zero, ax=zero, ay=zero, az=(delta / 2) * one)
+
+
 def cosine_average(shape):
     """<cos phi(t)> over the pulse from the quadrature phase samples; it
     vanishes for symmetric pi shapes."""

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cavitydd.algebra import (CouplingSet, ModelParams, SIGMA_X, anticomm,
-                              assemble, chemical_shift, comm, expm_herm,
-                              jaynes_cummings, lowering, op_norm)
-from conftest import random_couplings
+                              assemble, comm, expm_herm, jaynes_cummings,
+                              kron, lowering, op_norm)
+from conftest import chemical_shift, random_couplings
 
 
 class TestBuilders:
@@ -141,6 +141,21 @@ def test_comm_anticomm_properties():
         assert np.allclose(comm(a, b), -comm(b, a))
         assert np.allclose(anticomm(a, b), anticomm(b, a))
         assert np.allclose(comm(a, b) + anticomm(a, b), 2 * a @ b)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((2, 2), (1, 1)),
+                                    ((3, 1), (2, 5)), ((1, 4), (3, 2))])
+@pytest.mark.parametrize("real_b", [False, True])
+def test_kron_matches_numpy_bitwise(shapes, real_b):
+    # kron forms the same products as np.kron, without its overhead
+    rng = np.random.default_rng(17)
+    (m, n), (p, q) = shapes
+    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    b = rng.normal(size=(p, q))
+    if not real_b:
+        b = b + 1j * rng.normal(size=(p, q))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron(b, a), np.kron(b, a))
 
 
 def test_coupling_scaling():

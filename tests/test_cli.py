@@ -1,5 +1,6 @@
 import glob
 import os
+import shlex
 import subprocess
 import sys
 
@@ -242,6 +243,38 @@ class TestCommands:
         assert "cavity equation, printed" in out
         assert "verdict" in out
 
+    def test_effham_custom_sequence(self, capsys):
+        rc = main(["effham", "--sequence", "Y d(0.5) X -Y d(0.5) X",
+                   "--shape", "G10", "--omega-r", "0.02", "--g", "0.02",
+                   "--n-max", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "remainder O(taup^2):" in out
+        assert "verdict: best match is 'generic, matched convention'" in out
+
+    def test_effham_rejects_non_refocusing_sequence(self, capsys):
+        assert main(["effham", "--sequence", "X Y", "--shape", "G10",
+                     "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not refocus" in captured.err
+
+    def test_effham_rejects_delta_shape(self, capsys):
+        assert main(["effham", "--sequence", "X d(1) -X d(1)", "--shape",
+                     "delta", "--n-max", "2"]) == 2
+        assert "delta shape" in capsys.readouterr().err
+
+    def test_effham_verdict_tie(self, capsys):
+        # Q1 has s = alpha = 0, so both conventions and the cavity equation
+        # give the same defect up to roundoff: no single winner is named
+        assert main(["effham", "--sequence", "8s", "--shape", "Q1"]) == 0
+        out = capsys.readouterr().out
+        verdict = [ln for ln in out.splitlines() if ln.startswith("verdict")]
+        assert verdict == [
+            "verdict: tie within 1e-12 between 'generic, matched convention', "
+            "'generic, printed convention', 'cavity equation, printed' "
+            "(defect 9.308e-03)"]
+
     def test_ordercheck_report(self, capsys):
         rc = main(["ordercheck", "--sequence", "xbarx", "--shape", "G10",
                    "--omega-r", "0", "--omega-0", "0", "--g", "0.1",
@@ -286,3 +319,33 @@ def test_python_m_cavitydd():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "s       =" in proc.stdout
+
+
+def readme_commands():
+    """The ``cavitydd ...`` lines of the README's Command line block, with
+    continuations joined and comments dropped."""
+    path = os.path.join(REPO_ROOT, "README.md")
+    if not os.path.exists(path):
+        return []
+    text = open(path).read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line.split("#", 1)[0])
+            for line in block.splitlines() if line.startswith("cavitydd ")]
+
+
+def test_readme_lists_commands():
+    if not os.path.exists(os.path.join(REPO_ROOT, "README.md")):
+        pytest.skip("the README only ships with the repository tree")
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    figs = os.path.join(REPO_ROOT, "figs")
+    if not os.path.isdir(figs):
+        pytest.skip("figure configs only ship with the repository tree")
+    os.symlink(figs, tmp_path / "figs")
+    monkeypatch.chdir(tmp_path)
+    assert argv[0] == "cavitydd"
+    assert main(argv[1:]) == 0, capsys.readouterr().err

@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from cavitydd import propagate
 from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
-                              chemical_shift, expm_herm, jaynes_cummings,
-                              kron, lowering, op_norm)
+                              expm_herm, jaynes_cummings, kron, lowering,
+                              op_norm)
 from cavitydd.errors import ConvergenceError
 from cavitydd.metrics import bloch_grid
 from cavitydd.propagate import build_schedule, propagate_period, run_trace
 from cavitydd.sequences import PulseSpec, parse_sequence
 from cavitydd.shapes import (amplitude, delta, fourier, gaussian, hermitian,
                              resolve_shape)
-from conftest import random_couplings
+from conftest import chemical_shift, random_couplings
 
 PROPERTY_SHAPES = {"G10": gaussian(0.10), "H05": hermitian(0.05),
                    "fourier": fourier([0.5, 1.0, 0.5])}

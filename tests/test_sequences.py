@@ -1,17 +1,22 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitydd import propagate, sequences
-from cavitydd.algebra import (CouplingSet, ModelParams, chemical_shift,
+from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, anticomm,
+                              assemble, comm, expm_herm, is_hermitian,
                               jaynes_cummings, op_norm)
 from cavitydd.sequences import (BUILTIN_SEQUENCES, Delay, PulseSpec, Sequence,
                                 effective_hamiltonian, expand_pulse,
                                 expansion_sum, jc_cavity_hamiltonian,
                                 order_check, parse_sequence)
 from cavitydd.propagate import build_schedule, propagate_period
-from cavitydd.shapes import ShapeParams, compute_params, delta, gaussian
-from conftest import random_couplings
+from cavitydd.shapes import (ShapeParams, compute_params, delta, gaussian,
+                             resolve_shape)
+from conftest import chemical_shift, random_couplings
 
 
 class TestParser:
@@ -187,15 +192,111 @@ class TestExpandPulse:
             assert np.allclose(a, -b, atol=1e-14)
 
 
-class TestEffectiveHamiltonian:
-    def test_custom_sequence_rejected(self, g10):
-        rng = np.random.default_rng(51)
-        cs = random_couplings(rng, 2)
-        p = compute_params(g10)
-        with pytest.raises(ValueError):
-            effective_hamiltonian(parse_sequence("X Y Z"), cs, p)
+def _on(axis, m):
+    q = PAULI[axis] if axis else np.eye(2)
+    return np.kron(q, m)
 
-    @pytest.mark.parametrize("name", sequences.EFFECTIVE_SEQUENCES)
+
+def paper_effective_hamiltonian(name, cs, params, taup, convention):
+    """The paper's printed H_eff of xbarx, x4, 8s and 8a, with the matched
+    convention's sign flip of s and alpha: the reference the composed
+    effective Hamiltonian is held to."""
+    s, alpha = params.s, params.alpha
+    if convention == "matched":
+        s, alpha = -s, -alpha
+    a0, ax, ay, az = cs.a0, cs.ax, cs.ay, cs.az
+    if name == "xbarx":
+        return _on(None, a0) + _on("x", ax) - s * (_on("y", az) - _on("z", ay))
+    if name == "x4":
+        return (_on(None, a0) + _on("x", ax)
+                - s * taup * anticomm(_on(None, ax),
+                                      _on("y", ay) + _on("z", az))
+                + 1j * s * taup * comm(_on(None, a0),
+                                       _on("y", az) - _on("z", ay)))
+    if name == "8s":
+        blk = (0.25j * _on(None, comm(az, ax + ay))
+               + 0.5 * (_on("x", ay @ ay) - _on("y", ax @ ax))
+               + 0.25 * _on("y", anticomm(ax, ay))
+               + 0.25 * _on("z", anticomm(ay, az))
+               + 0.5j * comm(_on(None, a0),
+                             _on("y", az) + _on("z", ax)
+                             + 1.5 * _on("z", ay) - 2.5 * _on("x", az)))
+        return (_on(None, a0) + s * taup * blk
+                - (alpha * taup / 2) * (_on("y", ax @ ax + az @ az)
+                                        + 1j * _on(None, comm(ay, az))))
+    assert name == "8a"
+    return _on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
+
+
+@functools.cache
+def _shape_params(name):
+    return compute_params(resolve_shape(name))
+
+
+class TestEffectiveHamiltonian:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4),
+           shape=st.sampled_from(("G05", "G10", "H05", "S1", "Q1")),
+           taup=st.sampled_from((1.0, 2.0)),
+           convention=st.sampled_from(("matched", "printed")))
+    def test_composition_equals_paper_formulas(self, seed, dim, shape, taup,
+                                               convention):
+        cs = random_couplings(np.random.default_rng(seed), dim)
+        p = _shape_params(shape)
+        for name in ("xbarx", "x4", "8s", "8a"):
+            h, note = effective_hamiltonian(parse_sequence(name), cs, p, taup,
+                                            convention)
+            ref = paper_effective_hamiltonian(name, cs, p, taup, convention)
+            assert note == "O(taup^2)"
+            assert op_norm(h - ref) <= 1e-13 * max(1.0, op_norm(ref))
+        # at s = 0 the printed 4p equation drops nothing, and its matched
+        # form equals the composition of the same pulses
+        p0 = dataclasses.replace(p, s=0.0)
+        h, _ = effective_hamiltonian(parse_sequence("Y X -Y X"), cs, p0, taup)
+        ref, note = effective_hamiltonian(parse_sequence("4p"), cs, p0, taup)
+        assert note == "O(taup^2, s*taup)"
+        assert op_norm(h - ref) <= 1e-13 * max(1.0, op_norm(ref))
+
+    def test_printed_4p_commutator_sign(self, s1_shape):
+        # composing the printed single-pulse expansions gives the printed 4p
+        # equation with its -(i taup/2) [1 (x) A0, sx (x) Ax - sy (x) Ay]
+        # term of the opposite sign
+        cs = random_couplings(np.random.default_rng(13), 3)
+        p = dataclasses.replace(compute_params(s1_shape), s=0.0)
+        composed, _ = effective_hamiltonian(parse_sequence("Y X -Y X"), cs, p,
+                                            convention="printed")
+        printed, _ = effective_hamiltonian(parse_sequence("4p"), cs, p,
+                                           convention="printed")
+        term = -0.5j * comm(_on(None, cs.a0),
+                            _on("x", cs.ax) - _on("y", cs.ay))
+        assert op_norm(term) > 1e-2
+        assert op_norm(composed - (printed - 2 * term)) < 1e-13
+
+    def test_non_refocusing_sequence_rejected(self, g10):
+        cs = random_couplings(np.random.default_rng(51), 2)
+        p = compute_params(g10)
+        for text in ("X Y", "X Y -X", "Y X -Y", "X d(1) Y"):
+            with pytest.raises(ValueError, match="does not refocus"):
+                effective_hamiltonian(parse_sequence(text), cs, p)
+
+    def test_custom_sequence_accepted(self, g10):
+        # a custom sequence takes the path of the named one with its pulses
+        cs = random_couplings(np.random.default_rng(51), 2)
+        p = compute_params(g10)
+        h, note = effective_hamiltonian(parse_sequence("X -X"), cs, p)
+        ref, _ = effective_hamiltonian(parse_sequence("xbarx"), cs, p)
+        assert note == "O(taup^2)"
+        assert np.array_equal(h, ref)
+
+    def test_zero_length_period_rejected(self, g10):
+        cs = random_couplings(np.random.default_rng(51), 2)
+        with pytest.raises(ValueError, match="zero duration"):
+            effective_hamiltonian(parse_sequence("d(0)"), cs,
+                                  compute_params(g10))
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SEQUENCES) + [
+        "Y X -Y X", "X Y X Y", "X X", "X d(0.5) -X d(0.5)",
+        "Y d(0.5) X -Y d(0.5) X"])
     def test_hermitian(self, name, g10):
         rng = np.random.default_rng(61)
         cs = random_couplings(rng, 3)
@@ -205,6 +306,26 @@ class TestEffectiveHamiltonian:
                                             convention=convention)
             assert op_norm(h - h.conj().T) < 1e-12
             assert note.startswith("O(")
+
+    def test_delays_compose_exactly_without_pulses(self):
+        # a pulse-free sequence is free evolution: H_eff = Hs
+        cs = random_couplings(np.random.default_rng(3), 3)
+        h, _ = effective_hamiltonian(parse_sequence("d(0.5) d(1.5)"), cs,
+                                     compute_params(gaussian(0.10)))
+        assert op_norm(h - assemble(cs)) < 1e-15
+
+    def test_global_phase_folded_into_h(self, g10):
+        # X X multiplies to -1: exp(-i T H_eff) carries that sign
+        cs = random_couplings(np.random.default_rng(7), 2)
+        h, _ = effective_hamiltonian(parse_sequence("X X"), cs,
+                                     compute_params(g10))
+        assert sequences.refocusing_phase(parse_sequence("X X")) == -1
+        assert sequences.refocusing_phase(parse_sequence("8s")) == 1
+        zero = CouplingSet(*(np.zeros((2, 2), dtype=complex),) * 4)
+        h0, _ = effective_hamiltonian(parse_sequence("X X"), zero,
+                                      compute_params(g10))
+        assert op_norm(expm_herm(h0, 2.0) + np.eye(4)) < 1e-14
+        assert is_hermitian(h)
 
     def test_8a_with_selfrefocusing_pulse_is_a0_only(self, q1_shape):
         rng = np.random.default_rng(71)
@@ -235,6 +356,16 @@ class TestEffectiveHamiltonian:
         r = order_check(parse_sequence(name), cs, gaussian(0.10, taup=2.0),
                         (0.2, 0.1, 0.05, 0.02), reference="effective")
         assert r.exponent >= 2.7
+
+    @pytest.mark.parametrize("text", ["Y X -Y X", "4pxz",
+                                      "Y d(0.5) X -Y d(0.5) X"])
+    def test_composed_defect_scaling(self, text, g10):
+        # sequences with no coded form, delays included, against the
+        # composed effective Hamiltonian
+        cs = random_couplings(np.random.default_rng(42), 3)
+        r = order_check(parse_sequence(text), cs, g10, (0.4, 0.2, 0.1, 0.04),
+                        reference="effective")
+        assert r.exponent >= 2.8
 
     def test_4p_defect_scaling_with_s0_pulse(self, s1_shape):
         # the printed 4p drops s*taup terms, so validate with an s = 0 shape
@@ -305,6 +436,38 @@ class TestOrderCheck:
         cs = random_couplings(np.random.default_rng(5), 2)
         with pytest.raises(ValueError, match="finite and positive"):
             order_check(parse_sequence("4p"), cs, g10, scales)
+
+    @pytest.mark.parametrize("text", ["X Y X Y", "X X"])
+    def test_global_phase_of_the_target(self, text, g10):
+        # the ideal pulses multiply to -1; both references carry that sign,
+        # so the zero reference sees the first-order defect and the
+        # effective one the third-order remainder
+        cs = random_couplings(np.random.default_rng(42), 3)
+        scales = (0.4, 0.2, 0.1, 0.04)
+        zero = order_check(parse_sequence(text), cs, g10, scales)
+        eff = order_check(parse_sequence(text), cs, g10, scales,
+                          reference="effective")
+        assert 0.8 <= zero.exponent <= 1.5
+        assert max(zero.defects) < 1
+        assert eff.exponent >= 2.8
+
+    def test_effective_reference_refuses_delta_pulses(self):
+        # the composition gives every pulse the duration tau_p; a hard-pulse
+        # echo's period holds only its delays
+        cs = random_couplings(np.random.default_rng(42), 2)
+        with pytest.raises(ValueError, match="delta shape"):
+            order_check(parse_sequence("X d(1) -X d(1)"), cs, delta(),
+                        (0.4, 0.04), reference="effective")
+        r = order_check(parse_sequence("X d(1) -X d(1)"), cs, delta(),
+                        (0.4, 0.04))
+        assert r.reference == "zero"
+
+    @pytest.mark.parametrize("reference", ["zero", "effective"])
+    def test_non_refocusing_rejected(self, reference, g10):
+        cs = random_couplings(np.random.default_rng(42), 2)
+        with pytest.raises(ValueError, match="does not refocus"):
+            order_check(parse_sequence("X Y"), cs, g10, (0.4, 0.04),
+                        reference=reference)
 
     def test_reference_validation(self, g10):
         rng = np.random.default_rng(91)
