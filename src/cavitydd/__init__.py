@@ -8,10 +8,10 @@ from .algebra import (CouplingSet, ModelParams, assemble, expm_herm,
 from .designer import DesignSpec, design, design_named
 from .errors import ConvergenceError
 from .metrics import bloch_grid
-from .propagate import (ControlSchedule, EvolutionTrace, build_schedule,
-                        propagate_period, run_trace)
-from .sequences import (Delay, PulseSpec, Sequence, effective_hamiltonian,
-                        expand_pulse, order_check, parse_sequence)
+from .propagate import EvolutionTrace, propagate_period, run_trace
+from .sequences import (ControlSchedule, Delay, PulseSpec, Sequence,
+                        build_schedule, effective_hamiltonian, expand_pulse,
+                        order_check, parse_sequence)
 from .shapes import (PulseShape, ShapeParams, amplitude, compute_params,
                      delta, fourier, gaussian, hermitian,
                      solve_hermitian_gamma)

@@ -43,8 +43,8 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return op_norm(a - a.conj().T) < tol * max(1.0, op_norm(a))
+def is_hermitian(a: np.ndarray) -> bool:
+    return op_norm(a - a.conj().T) < HERMITICITY_TOL * max(1.0, op_norm(a))
 
 
 def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -74,8 +74,9 @@ class CouplingSet:
     """Operator quadruple (A0, Ax, Ay, Az) acting on the non-qubit factor.
 
     Each entry is a dense Hermitian matrix of the same dimension (dimension 1
-    for a bare qubit).  The joint system Hamiltonian is assembled as
-    sigma_x Ax + sigma_y Ay + sigma_z Az + A0.
+    for a bare qubit), checked here at HERMITICITY_TOL; the pulse propagator
+    relies on this check and does not repeat it.  The joint system
+    Hamiltonian is assembled as sigma_x Ax + sigma_y Ay + sigma_z Az + A0.
     """
 
     a0: np.ndarray
@@ -92,7 +93,7 @@ class CouplingSet:
             raise ValueError("coupling operators must be square matrices")
         for name, m in (("A0", self.a0), ("Ax", self.ax), ("Ay", self.ay),
                         ("Az", self.az)):
-            if not is_hermitian(m, tol=1e-10):
+            if not is_hermitian(m):
                 raise ValueError(f"coupling operator {name} is not Hermitian")
 
     @property

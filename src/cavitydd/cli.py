@@ -129,7 +129,7 @@ def cmd_simulate(args) -> int:
     shape = resolve_shape(cfg.shape, cfg.taup)
     seq = sequences.parse_sequence(cfg.sequence)
     couplings = jaynes_cummings(_model_from_args(cfg), cfg.taup)
-    schedule = propagate.build_schedule(seq, shape)
+    schedule = sequences.build_schedule(seq, shape)
     trace = propagate.run_trace(couplings, schedule, cfg.periods,
                                 metrics.bloch_grid(cfg.grid),
                                 oscillator_level=cfg.oscillator_level,
@@ -157,24 +157,23 @@ def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-10) -> str:
             for m in range(dim_rest):
                 c = block[n, m]
                 if abs(c) > tol:
-                    lines.append(f"  {name} (x) |{n}><{m}| : {c.real:+.6e}"
-                                 f"{c.imag:+.6e}j")
+                    # a part within tol of zero is roundoff, printed as zero
+                    real, imag = (x if abs(x) > tol else 0.0
+                                  for x in (c.real, c.imag))
+                    lines.append(f"  {name} (x) |{n}><{m}| : {real:+.6e}"
+                                 f"{imag:+.6e}j")
     return "\n".join(lines) if lines else "  (zero)"
 
 
 def cmd_effham(args) -> int:
     seq = sequences.parse_sequence(args.sequence)
     shape = resolve_shape(args.shape)
-    if shape.is_delta:
-        raise ValueError(sequences.DELTA_REFUSAL)
     params = shapes.compute_params(shape)
     model = _model_from_args(args)
     couplings = jaynes_cummings(model)
-    h_m, note = sequences.effective_hamiltonian(seq, couplings, params,
-                                                convention="matched")
-    h_p, _ = sequences.effective_hamiltonian(seq, couplings, params,
-                                             convention="printed")
-    schedule = propagate.build_schedule(seq, shape)
+    h_m = sequences.effective_hamiltonian(seq, couplings, shape, "matched")
+    h_p = sequences.effective_hamiltonian(seq, couplings, shape, "printed")
+    schedule = sequences.build_schedule(seq, shape)
     period = schedule.period
     u = propagate.propagate_period(couplings, schedule,
                                    steps_per_pulse=args.steps_per_pulse)
@@ -182,7 +181,7 @@ def cmd_effham(args) -> int:
     print(f"sequence {seq.name or seq.label()}: period T = {period:g} taup")
     print(f"shape {shapes.shape_to_text(shape)}: s = {params.s:.6f}, "
           f"alpha/2 = {params.alpha / 2:.6f}, zeta = {params.zeta:.6f}")
-    print(f"analytic H_eff (matched convention), remainder {note}:")
+    print("analytic H_eff (matched convention), remainder O(taup^2):")
     with np.printoptions(precision=4, suppress=True, linewidth=120):
         print(h_m)
     print("operator-basis coefficients:")

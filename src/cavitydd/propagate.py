@@ -14,8 +14,8 @@ generator is Hs/2 + c K with a real coefficient c.  A pulse unitary is
 therefore batched: one vectorised envelope evaluation at all 2*steps nodes,
 then blocks of _BLOCK generators, each with one stacked eigendecomposition
 and a pairwise tree product, multiplied into the running unitary.
-Hermiticity of Hs is validated once per integrated pulse; K is Hermitian by
-construction, so each generator is too.
+Hs is Hermitian because ``CouplingSet`` validates its operators where they
+are built; K is Hermitian by construction, so each generator is too.
 
 Exact symmetries cut the pulses that are integrated at all:
 
@@ -49,8 +49,10 @@ parameters tested elsewhere in this package never enter here: the propagator
 integrates the lab-frame Hamiltonian directly, so it is an independent
 oracle for them.
 
-Delta pulses are applied as exact -i sigma rotations between integration
-segments; free-evolution delays are exact exponentials of Hs.
+The schedule of one period (``ControlSchedule``, from
+``sequences.build_schedule``) is the sequence's elements with the shape and
+the period.  Delta pulses are applied as exact -i sigma rotations between
+integration segments; free-evolution delays are exact exponentials of Hs.
 
 ``run_trace`` is the one place the stroboscopic observables are computed.
 Every initial state is q (x) |level>, so U^k psi = q_0 U^k e_0 + q_1 U^k e_1
@@ -71,10 +73,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CouplingSet, PAULI, assemble, expm_herm, is_hermitian,
-                      kron, op_norm)
+from .algebra import CouplingSet, PAULI, assemble, expm_herm, kron, op_norm
 from .errors import ConvergenceError
-from .sequences import Delay, PulseSpec, Sequence
+from .sequences import ControlSchedule, Delay
 from .shapes import PulseShape, amplitude
 
 # Gauss-Legendre nodes (offsets in units of the step) and the CF4 weights
@@ -92,35 +93,6 @@ LEAK_THRESHOLD = 1e-6
 _BLOCK = 32
 # relative tolerance of the symmetry and palindrome tests
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """One sequence period: the sequence's time-ordered elements (PulseSpec
-    and Delay), each pulse driving a single axis with ``shape``, and the
-    period's total duration."""
-
-    shape: PulseShape
-    elements: tuple
-    period: float
-
-
-def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
-    """Assemble the control schedule of one period from a sequence and shape.
-
-    Pulses are contiguous (duration tau_p each, zero for delta pulses);
-    delays are in units of tau_p.
-    """
-    t = 0.0
-    pulse_len = 0.0 if shape.is_delta else shape.taup
-    for e in seq.elements:
-        if isinstance(e, PulseSpec):
-            t += pulse_len
-        elif isinstance(e, Delay):
-            t += e.duration * shape.taup
-        else:
-            raise ValueError(f"unknown sequence element {e!r}")
-    return ControlSchedule(shape=shape, elements=seq.elements, period=t)
 
 
 def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -165,9 +137,6 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                    steps: int) -> np.ndarray:
-    if not is_hermitian(hs):
-        raise ValueError("pulse propagation requires a Hermitian system "
-                         "Hamiltonian")
     h = shape.taup / steps
     t0 = np.arange(steps)[:, None] * h
     amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)

@@ -7,23 +7,27 @@ named library entries are quoted in the literature as operator products
 reversed into time order, e.g. the product X Ybar X Y executes as
 Y, X, Ybar, X.
 
-The effective Hamiltonian of a sequence is composed as in the paper: the
-second-order pulse expansions X0 + tau_p X1 + tau_p^2 X2 and each delay's
-exp(-i d tau_p Hs) are multiplied in time order and truncated at tau_p^2;
-dividing by the scalar c = prod X0 gives 1 + A1 + A2, and H_eff =
-[i (A1 + A2 - A1^2/2) - arg(c)] / T.  A sequence whose X0 do not multiply
-to a multiple of the identity does not refocus and is refused.  Only the
-name ``4p`` gives the paper's printed equation, which drops the s*tau_p
-terms; the tokens ``Y X -Y X`` give the composed form.
+A ``ControlSchedule`` is one period of a sequence driven with a shape;
+``build_schedule`` gives it, and its period T, to the propagator and to the
+effective Hamiltonian alike.
+
+The effective Hamiltonian of a sequence is composed as in the paper, from
+the shape alone: the second-order pulse expansions X0 + tau_p X1 +
+tau_p^2 X2, with (s, alpha, zeta) from ``compute_params(shape)`` and tau_p
+from the shape, and each delay's exp(-i d tau_p Hs) are multiplied in time
+order and truncated at tau_p^2; dividing by the scalar c = prod X0 gives
+1 + A1 + A2, and H_eff = [i (A1 + A2 - A1^2/2) - arg(c)] / T.  A delta
+pulse, the tau_p -> 0 limit, enters as its exact X0 with zero duration.  A
+sequence whose X0 do not multiply to a multiple of the identity does not
+refocus and is refused.  Every sequence takes this one path; the name
+``4p`` is its pulses ``Y X -Y X``.
 
 Two sign conventions are exposed for the expansion and the effective
 Hamiltonians:
 
 * ``convention="matched"`` (default): the form validated against the exact
   numerical propagator.  Relative to the printed equations this flips the
-  sign of every s- and alpha-proportional term, and in the printed 4p
-  equation also the [A0, .] term, which the printed expansion does not
-  compose to.
+  sign of every s- and alpha-proportional term.
 * ``convention="printed"``: the equations verbatim.  Kept so the two variants
   can be compared against the propagator without silently altering either.
 """
@@ -145,6 +149,35 @@ def parse_sequence(text: str) -> Sequence:
     return Sequence(elements=tuple(elements), name=None)
 
 
+@dataclass(frozen=True)
+class ControlSchedule:
+    """One sequence period: the sequence's time-ordered elements (PulseSpec
+    and Delay), each pulse driving a single axis with ``shape``, and the
+    period's total duration."""
+
+    shape: PulseShape
+    elements: tuple
+    period: float
+
+
+def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
+    """Assemble the control schedule of one period from a sequence and shape.
+
+    Pulses are contiguous (duration tau_p each, zero for delta pulses);
+    delays are in units of tau_p.
+    """
+    t = 0.0
+    pulse_len = 0.0 if shape.is_delta else shape.taup
+    for e in seq.elements:
+        if isinstance(e, PulseSpec):
+            t += pulse_len
+        elif isinstance(e, Delay):
+            t += e.duration * shape.taup
+        else:
+            raise ValueError(f"unknown sequence element {e!r}")
+    return ControlSchedule(shape=shape, elements=seq.elements, period=t)
+
+
 # ---------------------------------------------------------------------------
 # single-pulse expansion  X = X0 + taup X1 + taup^2 X2 + O((J taup)^3)
 # ---------------------------------------------------------------------------
@@ -215,49 +248,40 @@ def refocusing_phase(seq: Sequence) -> complex:
 
 
 def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
-                          params: ShapeParams, taup: float = 1.0,
-                          convention: str = "matched"):
-    """(H_eff, remainder): one period's propagator is exp(-i T H_eff), its
-    global phase c included, up to the remainder.  A sequence that does not
-    refocus, or whose period has zero duration, raises ValueError."""
+                          shape: PulseShape, convention: str = "matched"):
+    """H_eff with one period's propagator exp(-i T H_eff) up to O(taup^2),
+    its global phase c included.
+
+    The pulse parameters come from ``compute_params(shape)``, tau_p from
+    ``shape.taup`` and T from ``build_schedule``; a delta pulse enters as its
+    exact X0 with zero duration.  A sequence that does not refocus, or whose
+    period has zero duration, raises ValueError.
+    """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     c = refocusing_phase(seq)
-    a0, ax, ay, az = couplings.a0, couplings.ax, couplings.ay, couplings.az
-    if seq.name == "4p":
-        # the paper's equation: its [A0, .] term has the sign opposite to
-        # the composed printed expansion, so matched flips it with s, alpha
-        sign = -1.0 if convention == "matched" else 1.0
-        s, alpha, zeta = sign * params.s, sign * params.alpha, params.zeta
-        h = (_on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
-             + sign * (-0.5j * taup) * comm(_on(None, a0),
-                                            _on("x", ax) - _on("y", ay))
-             - taup * (alpha / 2) * _on("y", ax @ ax + az @ az)
-             + taup * (0.5j * alpha) * _on(None, comm(az, ay))
-             - taup * ((1 + 4 * zeta) / 4) * _on("z", anticomm(ax, ay)))
-        return h, "O(taup^2, s*taup)"
+    period = build_schedule(seq, shape).period
+    if period <= 0:
+        raise ValueError("the period has zero duration")
+    params = compute_params(shape)
+    pulse_len = 0.0 if shape.is_delta else shape.taup
     hs = assemble(couplings)
     eye = np.eye(hs.shape[0], dtype=complex)
-    # X0, taup X1, taup^2 X2 of each distinct pulse
-    pulses = {e: [taup ** k * x for k, x in enumerate(
+    # X0, l X1, l^2 X2 of each distinct pulse, l = pulse_len
+    pulses = {e: [pulse_len ** k * x for k, x in enumerate(
         expand_pulse(couplings, params, e, convention))]
         for e in set(seq.elements) if isinstance(e, PulseSpec)}
     # the truncated product M0 + M1 + M2, order by order
     m0, m1, m2 = eye, np.zeros_like(eye), np.zeros_like(eye)
     for e in seq.elements:
         if isinstance(e, Delay):
-            d = e.duration * taup
+            d = e.duration * shape.taup
             x0, x1, x2 = eye, -1j * d * hs, -(d ** 2 / 2) * hs @ hs
         else:
             x0, x1, x2 = pulses[e]
         m0, m1, m2 = x0 @ m0, x0 @ m1 + x1 @ m0, x0 @ m2 + x1 @ m1 + x2 @ m0
-    period = taup * sum(e.duration if isinstance(e, Delay) else 1
-                        for e in seq.elements)
-    if period <= 0:
-        raise ValueError("the period has zero duration")
     a1, a2 = m1 / c, m2 / c
-    h = (1j * (a1 + a2 - a1 @ a1 / 2) - np.angle(c) * eye) / period
-    return h, "O(taup^2)"
+    return (1j * (a1 + a2 - a1 @ a1 / 2) - np.angle(c) * eye) / period
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +327,6 @@ def jc_cavity_hamiltonian(name: str, model: ModelParams, params: ShapeParams,
 
 # defects at or below this are numerical floor, excluded from the order fit
 DEFECT_FLOOR = 1e-12
-DELTA_REFUSAL = ("the effective Hamiltonian composes pulses of duration "
-                 "taup, which a delta shape does not have")
 
 
 @dataclass(frozen=True)
@@ -317,8 +339,8 @@ class OrderCheckResult:
 
 
 def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
-                scales, steps_per_pulse: int = 256, reference: str = "zero",
-                convention: str = "matched") -> OrderCheckResult:
+                scales, steps_per_pulse: int = 256,
+                reference: str = "zero") -> OrderCheckResult:
     """Fit the scaling exponent of the one-period refocusing defect.
 
     For each scale factor lam the couplings are uniformly rescaled, one
@@ -328,9 +350,8 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
 
     is recorded; the fitted slope of log delta vs log lam is returned.
     ``reference`` is "zero" (the target c 1, c the ``refocusing_phase``) or
-    "effective" (``effective_hamiltonian`` at the shape's tau_p and
-    parameters, which carries c; not for a delta shape).  A sequence that
-    does not refocus is refused.
+    "effective" (``effective_hamiltonian`` of the shape, which carries c).
+    A sequence that does not refocus is refused.
     Defects at or below DEFECT_FLOOR are floor-limited and excluded from the
     fit; with fewer than two left the exponent is NaN.
     """
@@ -346,12 +367,7 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
     if reference not in ("zero", "effective"):
         raise ValueError("reference must be 'zero' or 'effective'")
     c = refocusing_phase(seq)
-    if reference == "effective":
-        if shape.is_delta:
-            raise ValueError(DELTA_REFUSAL)
-        params = compute_params(shape)
-
-    schedule = propagate.build_schedule(seq, shape)
+    schedule = build_schedule(seq, shape)
     period = schedule.period
     dim = 2 * couplings.dim
     defects = []
@@ -362,9 +378,8 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         if reference == "zero":
             target = c * np.eye(dim, dtype=complex)
         else:
-            h, _ = effective_hamiltonian(seq, scaled, params, shape.taup,
-                                         convention)
-            target = expm_herm(h, period)
+            target = expm_herm(effective_hamiltonian(seq, scaled, shape),
+                               period)
         defects.append(float(np.linalg.norm(u - target, 2)))
 
     pts = [(lam, d) for lam, d in zip(scales, defects) if d > DEFECT_FLOOR]

@@ -10,8 +10,9 @@ import pytest
 from cavitydd import designer, metrics, shapes
 from cavitydd.algebra import CouplingSet, ModelParams, jaynes_cummings
 from cavitydd.cli import main
-from cavitydd.propagate import build_schedule, propagate_period, run_trace
-from cavitydd.sequences import PulseSpec, expansion_sum, order_check, parse_sequence
+from cavitydd.propagate import propagate_period, run_trace
+from cavitydd.sequences import (PulseSpec, build_schedule, expansion_sum,
+                                order_check, parse_sequence)
 from cavitydd.shapes import compute_params, delta, gaussian, named_builtin
 from conftest import chemical_shift
 

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -259,10 +260,26 @@ class TestCommands:
         assert captured.out == ""
         assert "does not refocus" in captured.err
 
-    def test_effham_rejects_delta_shape(self, capsys):
+    def test_effham_delta_shape(self, capsys):
+        # hard pulses have zero duration: an echo with delays has a period,
+        # 8a alone has none
         assert main(["effham", "--sequence", "X d(1) -X d(1)", "--shape",
-                     "delta", "--n-max", "2"]) == 2
-        assert "delta shape" in capsys.readouterr().err
+                     "delta", "--n-max", "2"]) == 0
+        assert "verdict: " in capsys.readouterr().out
+        assert main(["effham", "--sequence", "8a", "--shape", "delta",
+                     "--n-max", "2"]) == 2
+        assert "zero duration" in capsys.readouterr().err
+
+    def test_effham_prints_roundoff_as_zero(self, capsys):
+        assert main(["effham", "--sequence", "8a", "--shape", "G10"]) == 0
+        out = capsys.readouterr().out
+        assert ("  1 (x) |1><1| : +7.351327e-01+0.000000e+00j"
+                in out.splitlines())
+        parts = re.findall(r" : ([-+][0-9.e+-]{12})([-+][0-9.e+-]{12})j$",
+                           out, re.M)
+        assert parts
+        assert all(float(x) == 0 or abs(float(x)) > 1e-10
+                   for part in parts for x in part)
 
     def test_effham_verdict_tie(self, capsys):
         # Q1 has s = alpha = 0, so both conventions and the cavity equation
@@ -349,3 +366,12 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert argv[0] == "cavitydd"
     assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    path = os.path.join(REPO_ROOT, "README.md")
+    if not os.path.exists(path):
+        pytest.skip("the README only ships with the repository tree")
+    text = open(path).read()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

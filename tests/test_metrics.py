@@ -4,8 +4,8 @@ import pytest
 from cavitydd.algebra import ModelParams, jaynes_cummings
 from cavitydd.metrics import (CARDINAL_STATES, CSV_HEADER, bloch_grid,
                               write_csv)
-from cavitydd.propagate import build_schedule, run_trace
-from cavitydd.sequences import parse_sequence
+from cavitydd.propagate import run_trace
+from cavitydd.sequences import build_schedule, parse_sequence
 
 
 @pytest.fixture(scope="module")

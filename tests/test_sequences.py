@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -10,10 +9,11 @@ from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, anticomm,
                               assemble, comm, expm_herm, is_hermitian,
                               jaynes_cummings, op_norm)
 from cavitydd.sequences import (BUILTIN_SEQUENCES, Delay, PulseSpec, Sequence,
-                                effective_hamiltonian, expand_pulse,
-                                expansion_sum, jc_cavity_hamiltonian,
-                                order_check, parse_sequence)
-from cavitydd.propagate import build_schedule, propagate_period
+                                build_schedule, effective_hamiltonian,
+                                expand_pulse, expansion_sum,
+                                jc_cavity_hamiltonian, order_check,
+                                parse_sequence)
+from cavitydd.propagate import propagate_period
 from cavitydd.shapes import (ShapeParams, compute_params, delta, gaussian,
                              resolve_shape)
 from conftest import chemical_shift, random_couplings
@@ -119,7 +119,7 @@ class TestExpandPulse:
         assert np.allclose(x2, expect2, atol=1e-14)
         # and the propagator agrees with the matched variant, not the
         # sign-flipped one
-        sched = propagate.build_schedule(parse_sequence("X"), gaussian(0.10))
+        sched = build_schedule(parse_sequence("X"), gaussian(0.10))
         u = propagate.propagate_period(cs, sched, self_check=False)
         matched = x0 + x1 + x2
         flipped = x0 - x1 + taubar ** 2 * (p.alpha * np.eye(2)
@@ -138,7 +138,7 @@ class TestExpandPulse:
         rng = np.random.default_rng(21)
         cs = random_couplings(rng, 3, scale=0.3)
         p = compute_params(g10)
-        sched = propagate.build_schedule(parse_sequence("X"), g10)
+        sched = build_schedule(parse_sequence("X"), g10)
 
         def residual(scale):
             sc = cs.scaled(scale)
@@ -157,7 +157,7 @@ class TestExpandPulse:
         cs = random_couplings(rng, 3, scale=0.3)
         p = compute_params(g10)
         seq = Sequence(elements=(PulseSpec(axis, sign),))
-        sched = propagate.build_schedule(seq, g10)
+        sched = build_schedule(seq, g10)
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
@@ -171,7 +171,7 @@ class TestExpandPulse:
         cs = random_couplings(rng, 3, scale=0.15)
         shape = gaussian(0.10, taup=2.0)
         p = compute_params(shape)
-        sched = propagate.build_schedule(parse_sequence("X"), shape)
+        sched = build_schedule(parse_sequence("X"), shape)
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
@@ -198,9 +198,11 @@ def _on(axis, m):
 
 
 def paper_effective_hamiltonian(name, cs, params, taup, convention):
-    """The paper's printed H_eff of xbarx, x4, 8s and 8a, with the matched
-    convention's sign flip of s and alpha: the reference the composed
-    effective Hamiltonian is held to."""
+    """The paper's printed H_eff of xbarx, x4, 8s, 8a and 4p, with the
+    matched convention's sign flip of s and alpha: the reference the composed
+    effective Hamiltonian is held to.  The printed 4p equation drops the
+    s*taup terms, and its [A0, .] term has the sign opposite to the composed
+    printed expansion, so the matched convention flips that term too."""
     s, alpha = params.s, params.alpha
     if convention == "matched":
         s, alpha = -s, -alpha
@@ -224,13 +226,22 @@ def paper_effective_hamiltonian(name, cs, params, taup, convention):
         return (_on(None, a0) + s * taup * blk
                 - (alpha * taup / 2) * (_on("y", ax @ ax + az @ az)
                                         + 1j * _on(None, comm(ay, az))))
+    if name == "4p":
+        sign = -1.0 if convention == "matched" else 1.0
+        return (_on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
+                + sign * (-0.5j * taup) * comm(_on(None, a0),
+                                               _on("x", ax) - _on("y", ay))
+                - taup * (alpha / 2) * _on("y", ax @ ax + az @ az)
+                + taup * (0.5j * alpha) * _on(None, comm(az, ay))
+                - taup * ((1 + 4 * params.zeta) / 4)
+                * _on("z", anticomm(ax, ay)))
     assert name == "8a"
     return _on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
 
 
 @functools.cache
-def _shape_params(name):
-    return compute_params(resolve_shape(name))
+def _shape(name, taup=1.0):
+    return resolve_shape(name, taup)
 
 
 class TestEffectiveHamiltonian:
@@ -242,31 +253,29 @@ class TestEffectiveHamiltonian:
     def test_composition_equals_paper_formulas(self, seed, dim, shape, taup,
                                                convention):
         cs = random_couplings(np.random.default_rng(seed), dim)
-        p = _shape_params(shape)
-        for name in ("xbarx", "x4", "8s", "8a"):
-            h, note = effective_hamiltonian(parse_sequence(name), cs, p, taup,
-                                            convention)
+        shp = _shape(shape, taup)
+        p = compute_params(shp)
+        names = ["xbarx", "x4", "8s", "8a"]
+        if convention == "matched" and abs(p.s) * taup <= 4e-13:
+            # the printed 4p equation drops only s*taup terms, below the
+            # tolerance here (S1 at both taup, Q1 at taup 1; Q1 at taup 2
+            # reaches 1.6e-13)
+            names.append("4p")
+        for name in names:
+            h = effective_hamiltonian(parse_sequence(name), cs, shp,
+                                      convention)
             ref = paper_effective_hamiltonian(name, cs, p, taup, convention)
-            assert note == "O(taup^2)"
             assert op_norm(h - ref) <= 1e-13 * max(1.0, op_norm(ref))
-        # at s = 0 the printed 4p equation drops nothing, and its matched
-        # form equals the composition of the same pulses
-        p0 = dataclasses.replace(p, s=0.0)
-        h, _ = effective_hamiltonian(parse_sequence("Y X -Y X"), cs, p0, taup)
-        ref, note = effective_hamiltonian(parse_sequence("4p"), cs, p0, taup)
-        assert note == "O(taup^2, s*taup)"
-        assert op_norm(h - ref) <= 1e-13 * max(1.0, op_norm(ref))
 
     def test_printed_4p_commutator_sign(self, s1_shape):
         # composing the printed single-pulse expansions gives the printed 4p
         # equation with its -(i taup/2) [1 (x) A0, sx (x) Ax - sy (x) Ay]
         # term of the opposite sign
         cs = random_couplings(np.random.default_rng(13), 3)
-        p = dataclasses.replace(compute_params(s1_shape), s=0.0)
-        composed, _ = effective_hamiltonian(parse_sequence("Y X -Y X"), cs, p,
-                                            convention="printed")
-        printed, _ = effective_hamiltonian(parse_sequence("4p"), cs, p,
-                                           convention="printed")
+        composed = effective_hamiltonian(parse_sequence("Y X -Y X"), cs,
+                                         s1_shape, "printed")
+        printed = paper_effective_hamiltonian(
+            "4p", cs, compute_params(s1_shape), 1.0, "printed")
         term = -0.5j * comm(_on(None, cs.a0),
                             _on("x", cs.ax) - _on("y", cs.ay))
         assert op_norm(term) > 1e-2
@@ -274,25 +283,24 @@ class TestEffectiveHamiltonian:
 
     def test_non_refocusing_sequence_rejected(self, g10):
         cs = random_couplings(np.random.default_rng(51), 2)
-        p = compute_params(g10)
         for text in ("X Y", "X Y -X", "Y X -Y", "X d(1) Y"):
             with pytest.raises(ValueError, match="does not refocus"):
-                effective_hamiltonian(parse_sequence(text), cs, p)
+                effective_hamiltonian(parse_sequence(text), cs, g10)
 
     def test_custom_sequence_accepted(self, g10):
         # a custom sequence takes the path of the named one with its pulses
         cs = random_couplings(np.random.default_rng(51), 2)
-        p = compute_params(g10)
-        h, note = effective_hamiltonian(parse_sequence("X -X"), cs, p)
-        ref, _ = effective_hamiltonian(parse_sequence("xbarx"), cs, p)
-        assert note == "O(taup^2)"
-        assert np.array_equal(h, ref)
+        for text, name in (("X -X", "xbarx"), ("Y X -Y X", "4p")):
+            h = effective_hamiltonian(parse_sequence(text), cs, g10)
+            ref = effective_hamiltonian(parse_sequence(name), cs, g10)
+            assert np.array_equal(h, ref)
 
     def test_zero_length_period_rejected(self, g10):
+        # hard pulses take no time, so 8a of delta pulses has no period
         cs = random_couplings(np.random.default_rng(51), 2)
-        with pytest.raises(ValueError, match="zero duration"):
-            effective_hamiltonian(parse_sequence("d(0)"), cs,
-                                  compute_params(g10))
+        for text, shape in (("d(0)", g10), ("8a", delta())):
+            with pytest.raises(ValueError, match="zero duration"):
+                effective_hamiltonian(parse_sequence(text), cs, shape)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SEQUENCES) + [
         "Y X -Y X", "X Y X Y", "X X", "X d(0.5) -X d(0.5)",
@@ -300,38 +308,33 @@ class TestEffectiveHamiltonian:
     def test_hermitian(self, name, g10):
         rng = np.random.default_rng(61)
         cs = random_couplings(rng, 3)
-        p = compute_params(g10)
         for convention in ("matched", "printed"):
-            h, note = effective_hamiltonian(parse_sequence(name), cs, p,
-                                            convention=convention)
+            h = effective_hamiltonian(parse_sequence(name), cs, g10,
+                                      convention)
             assert op_norm(h - h.conj().T) < 1e-12
-            assert note.startswith("O(")
 
     def test_delays_compose_exactly_without_pulses(self):
         # a pulse-free sequence is free evolution: H_eff = Hs
         cs = random_couplings(np.random.default_rng(3), 3)
-        h, _ = effective_hamiltonian(parse_sequence("d(0.5) d(1.5)"), cs,
-                                     compute_params(gaussian(0.10)))
+        h = effective_hamiltonian(parse_sequence("d(0.5) d(1.5)"), cs,
+                                  gaussian(0.10))
         assert op_norm(h - assemble(cs)) < 1e-15
 
     def test_global_phase_folded_into_h(self, g10):
         # X X multiplies to -1: exp(-i T H_eff) carries that sign
         cs = random_couplings(np.random.default_rng(7), 2)
-        h, _ = effective_hamiltonian(parse_sequence("X X"), cs,
-                                     compute_params(g10))
+        h = effective_hamiltonian(parse_sequence("X X"), cs, g10)
         assert sequences.refocusing_phase(parse_sequence("X X")) == -1
         assert sequences.refocusing_phase(parse_sequence("8s")) == 1
         zero = CouplingSet(*(np.zeros((2, 2), dtype=complex),) * 4)
-        h0, _ = effective_hamiltonian(parse_sequence("X X"), zero,
-                                      compute_params(g10))
+        h0 = effective_hamiltonian(parse_sequence("X X"), zero, g10)
         assert op_norm(expm_herm(h0, 2.0) + np.eye(4)) < 1e-14
         assert is_hermitian(h)
 
     def test_8a_with_selfrefocusing_pulse_is_a0_only(self, q1_shape):
         rng = np.random.default_rng(71)
         cs = random_couplings(rng, 3)
-        p = compute_params(q1_shape)
-        h, _ = effective_hamiltonian(parse_sequence("8a"), cs, p)
+        h = effective_hamiltonian(parse_sequence("8a"), cs, q1_shape)
         assert op_norm(h - np.kron(np.eye(2), cs.a0)) < 1e-8
 
     @pytest.mark.parametrize("name,scales", [
@@ -357,7 +360,7 @@ class TestEffectiveHamiltonian:
                         (0.2, 0.1, 0.05, 0.02), reference="effective")
         assert r.exponent >= 2.7
 
-    @pytest.mark.parametrize("text", ["Y X -Y X", "4pxz",
+    @pytest.mark.parametrize("text", ["Y X -Y X", "4p", "4pxz",
                                       "Y d(0.5) X -Y d(0.5) X"])
     def test_composed_defect_scaling(self, text, g10):
         # sequences with no coded form, delays included, against the
@@ -368,22 +371,36 @@ class TestEffectiveHamiltonian:
         assert r.exponent >= 2.8
 
     def test_4p_defect_scaling_with_s0_pulse(self, s1_shape):
-        # the printed 4p drops s*taup terms, so validate with an s = 0 shape
         rng = np.random.default_rng(42)
         cs = random_couplings(rng, 3)
         r = order_check(parse_sequence("4p"), cs, s1_shape,
                         (0.4, 0.2, 0.1, 0.04), reference="effective")
         assert r.exponent > 2.7
 
+    @pytest.mark.parametrize("taup", [1.0, 2.0])
+    def test_delta_defect_scaling(self, taup):
+        # hard pulses between delays: the remainder is cubic as for soft ones
+        cs = random_couplings(np.random.default_rng(42), 3)
+        r = order_check(parse_sequence("d(0.5) X d(1) -X d(0.5)"), cs,
+                        delta(taup), (0.4, 0.2, 0.1, 0.04),
+                        reference="effective")
+        assert r.exponent >= 2.8
+
     def test_printed_convention_fails_at_first_order(self, g10):
         # the verbatim equations have the s-terms with the opposite sign,
         # which the propagator rejects: the defect stops being cubic
-        rng = np.random.default_rng(42)
-        cs = random_couplings(rng, 3)
-        r = order_check(parse_sequence("xbarx"), cs, g10,
-                        (0.4, 0.2, 0.1, 0.04), reference="effective",
-                        convention="printed")
-        assert r.exponent < 1.5
+        cs = random_couplings(np.random.default_rng(42), 3)
+        seq = parse_sequence("xbarx")
+        sched = build_schedule(seq, g10)
+        scales = (0.4, 0.2, 0.1, 0.04)
+        defects = []
+        for lam in scales:
+            sc = cs.scaled(lam)
+            h = effective_hamiltonian(seq, sc, g10, "printed")
+            defects.append(op_norm(propagate_period(sc, sched)
+                                   - expm_herm(h, sched.period)))
+        exponent = np.polyfit(np.log(scales), np.log(defects), 1)[0]
+        assert exponent < 1.5
 
 
 class TestCavityForms:
@@ -393,11 +410,10 @@ class TestCavityForms:
         # favor); the printed generic form differs
         model = ModelParams(omega_r=0.03, omega_0=0.0, g=0.02, n_max=3)
         cs = jaynes_cummings(model)
-        p = compute_params(g10)
-        h_match, _ = effective_hamiltonian(parse_sequence("8a"), cs, p)
-        h_cav = jc_cavity_hamiltonian("8a", model, p)
-        h_printed, _ = effective_hamiltonian(parse_sequence("8a"), cs, p,
-                                             convention="printed")
+        h_match = effective_hamiltonian(parse_sequence("8a"), cs, g10)
+        h_cav = jc_cavity_hamiltonian("8a", model, compute_params(g10))
+        h_printed = effective_hamiltonian(parse_sequence("8a"), cs, g10,
+                                          "printed")
         assert op_norm(h_match - h_cav) < 1e-12
         assert op_norm(h_printed - h_cav) > 1e-3
 
@@ -450,17 +466,6 @@ class TestOrderCheck:
         assert 0.8 <= zero.exponent <= 1.5
         assert max(zero.defects) < 1
         assert eff.exponent >= 2.8
-
-    def test_effective_reference_refuses_delta_pulses(self):
-        # the composition gives every pulse the duration tau_p; a hard-pulse
-        # echo's period holds only its delays
-        cs = random_couplings(np.random.default_rng(42), 2)
-        with pytest.raises(ValueError, match="delta shape"):
-            order_check(parse_sequence("X d(1) -X d(1)"), cs, delta(),
-                        (0.4, 0.04), reference="effective")
-        r = order_check(parse_sequence("X d(1) -X d(1)"), cs, delta(),
-                        (0.4, 0.04))
-        assert r.reference == "zero"
 
     @pytest.mark.parametrize("reference", ["zero", "effective"])
     def test_non_refocusing_rejected(self, reference, g10):
