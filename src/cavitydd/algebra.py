@@ -74,9 +74,11 @@ class CouplingSet:
     """Operator quadruple (A0, Ax, Ay, Az) acting on the non-qubit factor.
 
     Each entry is a dense Hermitian matrix of the same dimension (dimension 1
-    for a bare qubit), checked here at HERMITICITY_TOL; the pulse propagator
-    relies on this check and does not repeat it.  The joint system
-    Hamiltonian is assembled as sigma_x Ax + sigma_y Ay + sigma_z Az + A0.
+    for a bare qubit).  The joint system Hamiltonian is assembled as
+    Hs = sigma_x Ax + sigma_y Ay + sigma_z Az + A0; it is Hermitian iff every
+    A_k is, and it is Hs that is checked here, with the test expm_herm
+    applies, so every set that constructs can be exponentiated.  The pulse
+    propagator relies on this check and does not repeat it.
     """
 
     a0: np.ndarray
@@ -91,10 +93,11 @@ class CouplingSet:
         d = self.a0.shape
         if len(d) != 2 or d[0] != d[1]:
             raise ValueError("coupling operators must be square matrices")
-        for name, m in (("A0", self.a0), ("Ax", self.ax), ("Ay", self.ay),
-                        ("Az", self.az)):
-            if not is_hermitian(m):
-                raise ValueError(f"coupling operator {name} is not Hermitian")
+        if not is_hermitian(assemble(self)):
+            # name the operator with the largest anti-Hermitian part
+            ops = {"A0": self.a0, "Ax": self.ax, "Ay": self.ay, "Az": self.az}
+            name = max(ops, key=lambda k: op_norm(ops[k] - ops[k].conj().T))
+            raise ValueError(f"coupling operator {name} is not Hermitian")
 
     @property
     def dim(self) -> int:

@@ -28,10 +28,20 @@ The system has many roots; Newton is run from a small deterministic seed
 grid, all seeds at once, at an eighth of the polish resolution (at least
 512 panels), which only has to bring each start into its branch's basin;
 the root with the smallest peak amplitude max|V| is kept (the low-power
-branch).  Surplus coefficients (extra_terms > 0) are tuned at the same
-coarse resolution by a deterministic compass search that minimizes max|V|
-subject to the same constraints.  The winner is polished at the full
-resolution on a one-row stack, which, with the compute_params check at
+branch).  Most starts head for a far branch or never converge, so a start
+is cut once it can no longer win: the raw coefficients are affine in x, and
+by Parseval max|V| >= RMS(V) = sqrt(A0^2 + sum_m A_m^2 / 2), so a row whose
+iterate's RMS exceeds the smallest peak among the rows converged so far (an
+upper bound of the final best) is dropped.  This is a heuristic, not a
+proof: an iterate's RMS is not that of the root it would reach, and an
+iterate could pass through a large |x| and come back.  The guards are the
+re-derivation of the shipped literals and a test that brackets every root
+of S1 and S2 with |x| <= 100 by a sign scan.  Surplus coefficients
+(extra_terms > 0) are tuned at the same coarse resolution by a
+deterministic compass search that minimizes max|V| subject to the same
+constraints; a probe's solve is cut the same way against the current best
+peak, below which alone a probe is accepted.  The winner is polished at the
+full resolution on a one-row stack, which, with the compute_params check at
 twice that, sets the precision.
 """
 
@@ -155,6 +165,24 @@ def _phase_basis(spec: DesignSpec, n_quad: int, taup: float):
     return shapes._cumulative_simpson(v0, h), shapes._cumulative_simpson(dv, h)
 
 
+@lru_cache(maxsize=8)
+def _coeff_map(spec: DesignSpec, taup: float):
+    """Raw coefficients as an affine map of the free tail x, A(x) = a + x @ m."""
+    n_free = spec.n_coeffs - 1 - spec.order
+    a = _coeffs_from_free(spec, np.zeros(n_free), taup)
+    m = np.array([_coeffs_from_free(spec, e, taup) - a
+                  for e in np.eye(n_free)])
+    return a, m
+
+
+def _rms(spec: DesignSpec, xs: np.ndarray, taup: float) -> np.ndarray:
+    """RMS of V over the pulse for each row of the stack xs, by Parseval
+    sqrt(A0^2 + sum_m A_m^2 / 2): a lower bound of the row's peak max|V|."""
+    a, m = _coeff_map(spec, taup)
+    raw = a + xs @ m
+    return np.sqrt(raw[:, 0] ** 2 + 0.5 * np.sum(raw[:, 1:] ** 2, axis=1))
+
+
 def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
                  n_quad: int) -> tuple[np.ndarray, np.ndarray]:
     """Constraint values f = (s[, alpha]) and their exact Jacobian, one row
@@ -200,7 +228,7 @@ def _peak(raw: np.ndarray, taup: float) -> float:
 
 
 def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
-            tol: float, max_iter: int = 60):
+            tol: float, bound: float | None = np.inf, max_iter: int = 60):
     """Damped Newton on the nonlinear constraints, run in lockstep on every
     row of the stack x0.
 
@@ -210,20 +238,31 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
     takes the step halved (at most 40 times) until the residual norm
     strictly drops, failing if it never does; the accepted point brings
     its Jacobian from the same evaluation.  A row leaves the stack when it
-    converges or fails.  Returns the rows, their constraint values and a
-    per-row convergence flag.
+    converges or fails, and is cut when the RMS of its iterate exceeds the
+    best peak known so far (bound, or the smallest peak of the rows already
+    converged): the root it heads for would likely lose anyway.  bound=None
+    switches the cut off and runs every start to the end.  Returns the rows,
+    their constraint values, a per-row convergence flag and the peak max|V|
+    of each converged row (inf for the others).
     """
     n_nl = spec.n_nonlinear
     x = np.array(x0, dtype=float)
     f, jac = _constraints(spec, x, taup, n_quad)
     ok = np.zeros(len(x), dtype=bool)
     live = np.ones(len(x), dtype=bool)
-    for _ in range(max_iter):
-        done = live & (np.max(np.abs(f), axis=1) < tol)
-        ok |= done
-        live &= ~done
+    peak = np.full(len(x), np.inf)
+    for it in range(max_iter + 1):
+        done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
+        for r in done:
+            peak[r] = _peak(_coeffs_from_free(spec, x[r], taup), taup)
+        ok[done] = True
+        live[done] = False
         rows = np.flatnonzero(live)
-        if rows.size == 0:
+        if bound is not None:
+            cut = _rms(spec, x[rows], taup) > min(bound, peak.min())
+            live[rows[cut]] = False
+            rows = rows[~cut]
+        if rows.size == 0 or it == max_iter:
             break
         # a singular Jacobian leaves its row NaN, which ends that start below
         dx = np.full((rows.size, n_nl), np.nan)
@@ -251,8 +290,7 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
             rows, dx, norm_f = rows[~better], dx[~better], norm_f[~better]
             lam /= 2
         live[rows] = False  # no strict decrease within 40 halvings
-    ok |= live & (np.max(np.abs(f), axis=1) < tol)
-    return x, f, ok
+    return x, f, ok, peak
 
 
 def _solve_branches(spec: DesignSpec, tail: np.ndarray, taup: float,
@@ -262,14 +300,13 @@ def _solve_branches(spec: DesignSpec, tail: np.ndarray, taup: float,
     seeds = product(_SEEDS, repeat=spec.n_nonlinear)
     x0 = np.array([np.concatenate([np.array(seed) / taup, tail])
                    for seed in seeds])
-    roots, _, ok = _newton(spec, x0, taup, n_quad, tol)
+    roots, _, ok, peaks = _newton(spec, x0, taup, n_quad, tol)
     found = []
-    for x in roots[ok]:
-        raw = _coeffs_from_free(spec, x, taup)
-        key = tuple(np.round(raw * taup, 7))
+    for x, peak in zip(roots[ok], peaks[ok]):
+        key = tuple(np.round(_coeffs_from_free(spec, x, taup) * taup, 7))
         if any(k == key for k, _, _ in found):
             continue
-        found.append((key, x, _peak(raw, taup)))
+        found.append((key, x, peak))
     return found
 
 
@@ -309,7 +346,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         x_best = _minimize_peak(spec, x_best, taup, coarse, max(tol, 1e-11))
 
     # polish the winner at full and verify at doubled resolution
-    x, f, ok = _newton(spec, x_best[None], taup, n_quad, tol)
+    x, f, ok, peak = _newton(spec, x_best[None], taup, n_quad, tol)
     if not ok[0]:
         raise ConvergenceError(
             f"polish stage failed for {spec}: best residuals {np.abs(f[0])}")
@@ -340,7 +377,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         coeffs=tuple((raw / unit).tolist()),
         residuals=residuals,
         params=p,
-        peak_amplitude=_peak(raw, taup),
+        peak_amplitude=float(peak[0]),
         zeta_reference=zeta_ref,
         zeta_deviation=dz,
         flagged=(dz is not None and dz > shapes.ZETA_FLAG_THRESHOLD),
@@ -354,11 +391,9 @@ def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, taup: float,
     n_nl = spec.n_nonlinear
     x = np.array(x_start, dtype=float)
 
-    def solved_peak(xv):
-        xs, _, ok = _newton(spec, xv[None], taup, n_quad, tol)
-        if not ok[0]:
-            return None, np.inf
-        return xs[0], _peak(_coeffs_from_free(spec, xs[0], taup), taup)
+    def solved_peak(xv, bound=np.inf):
+        xs, _, _, peak = _newton(spec, xv[None], taup, n_quad, tol, bound)
+        return xs[0], peak[0]
 
     x, best = solved_peak(x)
     step = 2.0 * np.pi / taup
@@ -368,7 +403,7 @@ def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, taup: float,
             for sgn in (+1.0, -1.0):
                 probe = x.copy()
                 probe[j] += sgn * step
-                xs, pk = solved_peak(probe)
+                xs, pk = solved_peak(probe, best)
                 if pk < best - 1e-12:
                     x, best, moved = xs, pk, True
         if not moved:

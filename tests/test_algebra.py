@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cavitydd.algebra import (CouplingSet, ModelParams, SIGMA_X, anticomm,
-                              assemble, comm, expm_herm, jaynes_cummings,
-                              kron, lowering, op_norm)
+from cavitydd.algebra import (HERMITICITY_TOL, CouplingSet, ModelParams,
+                              SIGMA_X, anticomm, assemble, comm, expm_herm,
+                              jaynes_cummings, kron, lowering, op_norm)
 from conftest import chemical_shift, random_couplings
 
 
@@ -84,6 +85,38 @@ class TestValidation:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             CouplingSet(z, bad, z, z)
+
+    def test_hermiticity_checked_on_assembled_hamiltonian(self):
+        # each operator passes alone, but Hs = diag(0.9e-12j, 0) fails the
+        # check expm_herm applies
+        z = np.zeros((1, 1), dtype=complex)
+        a = np.array([[0.45e-12j]])
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            CouplingSet(a0=a, ax=z, ay=z, az=a)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+           size=st.sampled_from((1e-3, 1.0, 30.0)),
+           leak=st.floats(0.1, 2.0), factor=st.floats(1e-3, 1.0))
+    def test_constructed_sets_exponentiate_and_scale_down(self, seed, dim,
+                                                          size, leak,
+                                                          factor):
+        # each operator A gets an anti-Hermitian part with ||A - A^dag|| at
+        # `leak` times the tolerance A would have alone, so the sets straddle
+        # the check
+        rng = np.random.default_rng(seed)
+        ops = []
+        base = random_couplings(rng, dim, scale=size)
+        for m in (base.a0, base.ax, base.ay, base.az):
+            k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            k = (k - k.conj().T) / (2 * op_norm(k - k.conj().T))
+            ops.append(m + leak * HERMITICITY_TOL * max(1.0, op_norm(m)) * k)
+        try:
+            cs = CouplingSet(*ops)
+        except ValueError:
+            return
+        expm_herm(assemble(cs))
+        cs.scaled(factor)
 
     def test_model_params(self):
         with pytest.raises(ValueError):

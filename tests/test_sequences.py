@@ -191,6 +191,26 @@ class TestExpandPulse:
         for a, b in zip(neg, pos_flipped):
             assert np.allclose(a, -b, atol=1e-14)
 
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           name=st.sampled_from(("G10", "H05", "S1", "Q1")),
+           taup=st.sampled_from((1.0, 2.0)))
+    def test_negative_pulse_against_propagator(self, seed, dim, name, taup):
+        # the truncated -x expansion against one propagated -x pulse:
+        # halving the couplings shrinks the residual ~8x, as for +x
+        shape = resolve_shape(name, taup)
+        cs = random_couplings(np.random.default_rng(seed), dim, scale=0.3)
+        p = compute_params(shape)
+        sched = build_schedule(Sequence(elements=(PulseSpec("x", -1),)),
+                               shape)
+        res = []
+        for lam in (0.2, 0.1):
+            sc = cs.scaled(lam)
+            u = propagate.propagate_period(sc, sched, self_check=False)
+            res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x", -1),
+                                                 taup=shape.taup)))
+        assert 6 < res[0] / res[1] < 10
+
 
 def _on(axis, m):
     q = PAULI[axis] if axis else np.eye(2)
