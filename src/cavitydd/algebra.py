@@ -2,8 +2,9 @@
 
 Tensor ordering is fixed throughout the package as qubit (x) rest: a joint
 operator is ``np.kron(qubit_part, rest_part)``.  All frequencies passed in
-``ModelParams`` are in units of 2*pi/tau_p and converted to absolute angular
-frequencies by the Hamiltonian builders.
+``ModelParams`` are in units of 2*pi/tau_p; ``jaynes_cummings`` converts them
+to angular frequencies at tau_p = 1, the time unit of the whole package
+above the pulse shapes.
 """
 
 from __future__ import annotations
@@ -131,18 +132,14 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite")
 
 
-def jaynes_cummings(params: ModelParams, taup: float = 1.0) -> CouplingSet:
+def jaynes_cummings(params: ModelParams) -> CouplingSet:
     """Coupling set for a qubit exchange-coupled to a single cavity mode.
 
     Builds A0 = omega_r b'b, Ax = -g (b + b')/2, Ay = i g (b' - b)/2,
     Az = (omega_0/2) 1, all truncated to n_max + 1 levels, with frequencies
-    converted from 2*pi/tau_p units to absolute angular frequency.
+    converted from 2*pi/tau_p units to angular frequency at tau_p = 1.
     """
-    if not np.isfinite(taup):
-        raise ValueError("taup must be finite")
-    if taup <= 0:
-        raise ValueError("taup must be positive")
-    unit = 2 * np.pi / taup
+    unit = 2 * np.pi
     dim = params.n_max + 1
     b = lowering(dim)
     bd = b.conj().T

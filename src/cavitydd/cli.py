@@ -1,8 +1,8 @@
 """Command-line front end: parameter tables, shape design, simulation runs,
 effective-Hamiltonian reports and refocusing-order checks.
 
-All frequencies (omega_r, omega_0, g) are given in units of 2*pi/tau_p; the
-builders convert to absolute angular frequency internally.  Config files are
+All frequencies (omega_r, omega_0, g) are given in units of 2*pi/tau_p and
+every run is at tau_p = 1, so times are in units of tau_p.  Config files are
 flat ``key = value`` text (# starts a comment); command-line flags override
 file values.  Exit codes: 0 success, 2 validation error, 3 numerical
 convergence failure.
@@ -36,7 +36,6 @@ class ExperimentConfig:
     steps_per_pulse: int = 256
     grid: int = 50
     oscillator_level: int = 0
-    taup: float = 1.0
     output: str = "trace.csv"
 
 
@@ -126,15 +125,15 @@ def _model_from_args(args) -> ModelParams:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = _apply_overrides(cfg, args)
-    shape = resolve_shape(cfg.shape, cfg.taup)
+    shape = resolve_shape(cfg.shape)
     seq = sequences.parse_sequence(cfg.sequence)
-    couplings = jaynes_cummings(_model_from_args(cfg), cfg.taup)
+    couplings = jaynes_cummings(_model_from_args(cfg))
     schedule = sequences.build_schedule(seq, shape)
     trace = propagate.run_trace(couplings, schedule, cfg.periods,
                                 metrics.bloch_grid(cfg.grid),
                                 oscillator_level=cfg.oscillator_level,
                                 steps_per_pulse=cfg.steps_per_pulse)
-    metrics.write_csv(cfg.output, trace, cfg.taup)
+    metrics.write_csv(cfg.output, trace)
     fmin = trace.fidelity_min
     print(f"wrote {cfg.output}: {cfg.periods} periods of {cfg.sequence} + "
           f"{cfg.shape}")

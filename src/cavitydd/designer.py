@@ -12,11 +12,12 @@ conditions sum_m (-1)^m m^(2k) A_m = -A0 [k = 0], so the area and endpoint
 constraints are eliminated analytically and only the one- or two-dimensional
 nonlinear system {s = 0 (, alpha = 0)} is solved.
 
-The pulse phase is then affine in the free coefficients x, phi = phi0 + x P,
-with phi0 and P tabulated once per (spec, n_quad, taup) on the quadrature
-nodes, so the constraints of a whole stack of free vectors come from one
-array evaluation of the shared quadrature in shapes (in chunks of _CHUNK
-rows, which bounds its temporaries).  The same pass gives the exact
+The designer works at tau_p = 1, as its coefficients are in units of
+2 pi/tau_p.  The pulse phase is then affine in the free coefficients x,
+phi = phi0 + x P, with phi0 and P tabulated once per (spec, n_quad) on the
+quadrature nodes, so the constraints of a whole stack of free vectors come
+from one array evaluation of the shared quadrature in shapes (in chunks of
+_CHUNK rows, which bounds its temporaries).  The same pass gives the exact
 Jacobian: ds/dx_j and dalpha/dx_j are single integrals of P_j against
 weights built from cos phi, sin phi and their cumulative integrals, which
 the quadrature forms for alpha anyway.  The solver is a damped Newton
@@ -121,9 +122,9 @@ def _endpoint_matrix(spec: DesignSpec):
     return m_solve, m_free
 
 
-def _coeffs_from_free(spec: DesignSpec, x: np.ndarray, taup: float) -> np.ndarray:
-    """Full raw coefficient vector (absolute units) for free tail x."""
-    a0 = np.pi / taup
+def _coeffs_from_free(spec: DesignSpec, x: np.ndarray) -> np.ndarray:
+    """Full raw coefficient vector (units of 1/tau_p) for free tail x."""
+    a0 = np.pi
     m_solve, m_free = _endpoint_matrix(spec)
     rhs = -(m_free @ x)
     rhs[0] -= a0
@@ -131,9 +132,8 @@ def _coeffs_from_free(spec: DesignSpec, x: np.ndarray, taup: float) -> np.ndarra
     return np.concatenate([[a0], head, x])
 
 
-def _fourier_shape(raw: np.ndarray, taup: float) -> shapes.PulseShape:
-    unit = 2 * np.pi / taup
-    return shapes.fourier(raw / unit, taup=taup)
+def _fourier_shape(raw: np.ndarray) -> shapes.PulseShape:
+    return shapes.fourier(raw / (2 * np.pi))
 
 
 # rows per stacked constraint evaluation: bounds the (rows, n_quad + 1)
@@ -143,7 +143,7 @@ _CHUNK = 4
 
 
 @lru_cache(maxsize=8)
-def _phase_basis(spec: DesignSpec, n_quad: int, taup: float):
+def _phase_basis(spec: DesignSpec, n_quad: int):
     """Phase on the n_quad + 1 quadrature nodes as an affine map of the free
     tail x, phi(x) = phi0 + x @ P.
 
@@ -152,38 +152,38 @@ def _phase_basis(spec: DesignSpec, n_quad: int, taup: float):
     integral of the x = 0 envelope and row j of P that of the envelope's
     change per unit x_j.
     """
-    t = np.linspace(0.0, taup, n_quad + 1)
+    t = np.linspace(0.0, 1.0, n_quad + 1)
 
     def envelope(x):
-        raw = _coeffs_from_free(spec, x, taup)
-        return shapes._raw_envelope(_fourier_shape(raw, taup), t)
+        raw = _coeffs_from_free(spec, x)
+        return shapes._raw_envelope(_fourier_shape(raw), t)
 
     n_free = spec.n_coeffs - 1 - spec.order
     v0 = envelope(np.zeros(n_free))
     dv = np.array([envelope(e) - v0 for e in np.eye(n_free)])
-    h = taup / n_quad
+    h = 1.0 / n_quad
     return shapes._cumulative_simpson(v0, h), shapes._cumulative_simpson(dv, h)
 
 
 @lru_cache(maxsize=8)
-def _coeff_map(spec: DesignSpec, taup: float):
+def _coeff_map(spec: DesignSpec):
     """Raw coefficients as an affine map of the free tail x, A(x) = a + x @ m."""
     n_free = spec.n_coeffs - 1 - spec.order
-    a = _coeffs_from_free(spec, np.zeros(n_free), taup)
-    m = np.array([_coeffs_from_free(spec, e, taup) - a
+    a = _coeffs_from_free(spec, np.zeros(n_free))
+    m = np.array([_coeffs_from_free(spec, e) - a
                   for e in np.eye(n_free)])
     return a, m
 
 
-def _rms(spec: DesignSpec, xs: np.ndarray, taup: float) -> np.ndarray:
+def _rms(spec: DesignSpec, xs: np.ndarray) -> np.ndarray:
     """RMS of V over the pulse for each row of the stack xs, by Parseval
     sqrt(A0^2 + sum_m A_m^2 / 2): a lower bound of the row's peak max|V|."""
-    a, m = _coeff_map(spec, taup)
+    a, m = _coeff_map(spec)
     raw = a + xs @ m
     return np.sqrt(raw[:, 0] ** 2 + 0.5 * np.sum(raw[:, 1:] ** 2, axis=1))
 
 
-def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
+def _constraints(spec: DesignSpec, xs: np.ndarray,
                  n_quad: int) -> tuple[np.ndarray, np.ndarray]:
     """Constraint values f = (s[, alpha]) and their exact Jacobian, one row
     per row of the stack xs.
@@ -191,15 +191,15 @@ def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
     jac[r, i, j] = d f_i / d x_j for the moving coordinates j < n_nl.  With
     phi = phi0 + x P and C, S the cumulative integrals of cos phi, sin phi,
 
-        ds/dx_j     = (1/tau_p)   int cos phi P_j
-        dalpha/dx_j = (1/tau_p^2) int P_j [2 (cos phi C + sin phi S)
-                                  - cos phi C(tau_p) - sin phi S(tau_p)]
+        ds/dx_j     = int cos phi P_j
+        dalpha/dx_j = int P_j [2 (cos phi C + sin phi S)
+                               - cos phi C(1) - sin phi S(1)]
 
     (the alpha row exchanges the order of its ordered double integral).
     """
-    phi0, p = _phase_basis(spec, n_quad, taup)
+    phi0, p = _phase_basis(spec, n_quad)
     n_nl = spec.n_nonlinear
-    h = taup / n_quad
+    h = 1.0 / n_quad
     f = np.empty((len(xs), n_nl))
     jac = np.empty((len(xs), n_nl, n_nl))
     for i in range(0, len(xs), _CHUNK):
@@ -208,27 +208,26 @@ def _constraints(spec: DesignSpec, xs: np.ndarray, taup: float,
         # summed term by term and reduced row by row, not by matmul, so that
         # a row's values do not depend on how many rows share its chunk
         phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
-        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h, taup)
+        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h, 1.0)
         f[rows, 0] = s
         # weights w_i with df_i/dx_j = int w_i P_j, one axis per constraint
-        w = cos_sin[:1] / taup
+        w = cos_sin[:1]
         if spec.family == "Q":
             f[rows, 1] = alpha
             cos_g, sin_g = cos_sin * (2 * cum - cum[..., -1:])
-            w = np.stack([w[0], (cos_g + sin_g) / taup ** 2])
+            w = np.stack([w[0], cos_g + sin_g])
         jac[rows] = shapes._simpson(w[..., None, :] * p[:n_nl],
                                     h).transpose(1, 0, 2)
     return f, jac
 
 
-def _peak(raw: np.ndarray, taup: float) -> float:
-    t = np.linspace(0.0, taup, 4097)
-    return float(np.max(np.abs(
-        shapes._raw_envelope(_fourier_shape(raw, taup), t))))
+def _peak(raw: np.ndarray) -> float:
+    t = np.linspace(0.0, 1.0, 4097)
+    return float(np.max(np.abs(shapes._raw_envelope(_fourier_shape(raw), t))))
 
 
-def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
-            tol: float, bound: float | None = np.inf, max_iter: int = 60):
+def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
+            bound: float | None = np.inf, max_iter: int = 60):
     """Damped Newton on the nonlinear constraints, run in lockstep on every
     row of the stack x0.
 
@@ -247,19 +246,19 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
     """
     n_nl = spec.n_nonlinear
     x = np.array(x0, dtype=float)
-    f, jac = _constraints(spec, x, taup, n_quad)
+    f, jac = _constraints(spec, x, n_quad)
     ok = np.zeros(len(x), dtype=bool)
     live = np.ones(len(x), dtype=bool)
     peak = np.full(len(x), np.inf)
     for it in range(max_iter + 1):
         done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
         for r in done:
-            peak[r] = _peak(_coeffs_from_free(spec, x[r], taup), taup)
+            peak[r] = _peak(_coeffs_from_free(spec, x[r]))
         ok[done] = True
         live[done] = False
         rows = np.flatnonzero(live)
         if bound is not None:
-            cut = _rms(spec, x[rows], taup) > min(bound, peak.min())
+            cut = _rms(spec, x[rows]) > min(bound, peak.min())
             live[rows[cut]] = False
             rows = rows[~cut]
         if rows.size == 0 or it == max_iter:
@@ -282,7 +281,7 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
                 break
             x_try = x[rows]
             x_try[:, :n_nl] += lam * dx
-            f_try, jac_try = _constraints(spec, x_try, taup, n_quad)
+            f_try, jac_try = _constraints(spec, x_try, n_quad)
             better = np.linalg.norm(f_try, axis=1) < norm_f
             x[rows[better]] = x_try[better]
             f[rows[better]] = f_try[better]
@@ -293,24 +292,23 @@ def _newton(spec: DesignSpec, x0: np.ndarray, taup: float, n_quad: int,
     return x, f, ok, peak
 
 
-def _solve_branches(spec: DesignSpec, tail: np.ndarray, taup: float,
-                    n_quad: int, tol: float):
+def _solve_branches(spec: DesignSpec, tail: np.ndarray, n_quad: int,
+                    tol: float):
     """Newton from the whole deterministic seed grid at once; return
     (key, root, peak) for each distinct converged root, in seed order."""
     seeds = product(_SEEDS, repeat=spec.n_nonlinear)
-    x0 = np.array([np.concatenate([np.array(seed) / taup, tail])
-                   for seed in seeds])
-    roots, _, ok, peaks = _newton(spec, x0, taup, n_quad, tol)
+    x0 = np.array([np.concatenate([seed, tail]) for seed in seeds])
+    roots, _, ok, peaks = _newton(spec, x0, n_quad, tol)
     found = []
     for x, peak in zip(roots[ok], peaks[ok]):
-        key = tuple(np.round(_coeffs_from_free(spec, x, taup) * taup, 7))
+        key = tuple(np.round(_coeffs_from_free(spec, x), 7))
         if any(k == key for k, _, _ in found):
             continue
         found.append((key, x, peak))
     return found
 
 
-def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
+def design(spec: DesignSpec, tol: float = 1e-12,
            n_quad: int = 4096) -> DesignResult:
     """Solve for the coefficient vector of a self-refocusing shape.
 
@@ -335,7 +333,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         raise ValueError("tol must be <= 1e-6")
     tail = np.zeros(spec.extra_terms)
     coarse = max(512, n_quad // 8)
-    found = _solve_branches(spec, tail, taup, coarse, max(tol, 1e-11))
+    found = _solve_branches(spec, tail, coarse, max(tol, 1e-11))
     if not found:
         raise ConvergenceError(
             f"no Newton start converged for {spec}; try more quadrature nodes "
@@ -343,15 +341,15 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     _, x_best, _ = min(found, key=lambda r: r[2])
 
     if spec.extra_terms > 0:
-        x_best = _minimize_peak(spec, x_best, taup, coarse, max(tol, 1e-11))
+        x_best = _minimize_peak(spec, x_best, coarse, max(tol, 1e-11))
 
     # polish the winner at full and verify at doubled resolution
-    x, f, ok, peak = _newton(spec, x_best[None], taup, n_quad, tol)
+    x, f, ok, peak = _newton(spec, x_best[None], n_quad, tol)
     if not ok[0]:
         raise ConvergenceError(
             f"polish stage failed for {spec}: best residuals {np.abs(f[0])}")
-    raw = _coeffs_from_free(spec, x[0], taup)
-    shape = _fourier_shape(raw, taup)
+    raw = _coeffs_from_free(spec, x[0])
+    shape = _fourier_shape(raw)
     p = shapes.compute_params(shape, n_quad)
     residuals = {"s": abs(p.s), "area": abs(p.area - np.pi)}
     if spec.family == "Q":
@@ -361,7 +359,7 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
         val = sum((-1.0) ** m * m ** (2 * k) * raw[m] for m in range(1, len(raw)))
         if k == 0:
             val += a0
-        residuals[f"endpoint_d{2 * k}"] = abs(val) * taup  # dimensionless
+        residuals[f"endpoint_d{2 * k}"] = abs(val)
     worst = max(abs(p.s), residuals.get("alpha", 0.0))
     if worst > 10 * max(tol, 1e-12):
         raise ConvergenceError(
@@ -371,10 +369,9 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     ref = shapes.REFERENCE_PARAMS.get(name)
     zeta_ref = ref[2] if ref and spec.extra_terms == 0 else None
     dz = float(abs(p.zeta - zeta_ref)) if zeta_ref is not None else None
-    unit = 2 * np.pi / taup
     return DesignResult(
         shape=shape,
-        coeffs=tuple((raw / unit).tolist()),
+        coeffs=tuple((raw / (2 * np.pi)).tolist()),
         residuals=residuals,
         params=p,
         peak_amplitude=float(peak[0]),
@@ -384,19 +381,19 @@ def design(spec: DesignSpec, tol: float = 1e-12, taup: float = 1.0,
     )
 
 
-def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, taup: float,
-                   n_quad: int, tol: float) -> np.ndarray:
+def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, n_quad: int,
+                   tol: float) -> np.ndarray:
     """Compass search over the surplus coefficients, re-solving the
     constraints at every probe; minimizes max|V|."""
     n_nl = spec.n_nonlinear
     x = np.array(x_start, dtype=float)
 
     def solved_peak(xv, bound=np.inf):
-        xs, _, _, peak = _newton(spec, xv[None], taup, n_quad, tol, bound)
+        xs, _, _, peak = _newton(spec, xv[None], n_quad, tol, bound)
         return xs[0], peak[0]
 
     x, best = solved_peak(x)
-    step = 2.0 * np.pi / taup
+    step = 2.0 * np.pi
     while step > 1e-3:
         moved = False
         for j in range(n_nl, len(x)):

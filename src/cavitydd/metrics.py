@@ -46,11 +46,11 @@ def bloch_grid(n_sphere: int = 50) -> np.ndarray:
 CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
 
 
-def write_csv(path: str, trace: EvolutionTrace, taup: float = 1.0) -> None:
+def write_csv(path: str, trace: EvolutionTrace) -> None:
     """Atomically write the CSV rows of the stroboscopic worst-case
     observables (temp file + rename)."""
     rows = map("{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
-               range(len(trace.times)), (trace.times / taup).tolist(),
+               range(len(trace.times)), trace.times.tolist(),
                trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
                trace.leakage_max.tolist())
     directory = os.path.dirname(os.path.abspath(path))

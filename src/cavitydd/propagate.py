@@ -286,7 +286,8 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     if len(qs) == 0:
         raise ValueError("initial_states is empty")
     norms = np.linalg.norm(qs, axis=1)
-    if np.any(np.abs(norms - 1) > 1e-10):
+    # "not all(<=)" so that a NaN norm fails too
+    if not np.all(np.abs(norms - 1) <= 1e-10):
         raise ValueError("initial qubit states must be normalized")
 
     # allocated before U(T) is built, so that an n_periods too large for

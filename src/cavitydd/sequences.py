@@ -288,15 +288,15 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
 # the cavity-model specializations as printed, for the comparison report
 # ---------------------------------------------------------------------------
 
-def jc_cavity_hamiltonian(name: str, model: ModelParams, params: ShapeParams,
-                          taup: float = 1.0) -> np.ndarray:
+def jc_cavity_hamiltonian(name: str, model: ModelParams,
+                          params: ShapeParams) -> np.ndarray:
     """Leading-order cavity-model effective Hamiltonians, verbatim forms.
 
     Names: "4p", "4p_s0" (the separate equation for first-order
     self-refocusing pulses), "4pxz", "8s", "8a".  Frequencies in ``model``
-    are in 2*pi/tau_p units.
+    are in 2*pi/tau_p units, at tau_p = 1 like ``jaynes_cummings``.
     """
-    unit = 2 * np.pi / taup
+    unit = 2 * np.pi
     omr, om0, g = model.omega_r * unit, model.omega_0 * unit, model.g * unit
     dim = model.n_max + 1
     b = lowering(dim)
@@ -307,14 +307,14 @@ def jc_cavity_hamiltonian(name: str, model: ModelParams, params: ShapeParams,
         return (base + (s * om0 / 2) * kron(PAULI["x"], np.eye(dim))
                 + (s * g / 4) * kron(PAULI["z"], 1j * (bd - b)))
     if name == "4p_s0":
-        return (base - (taup * g * omr / 4) * kron(PAULI["x"], 1j * (bd - b))
-                - ((1 + 4 * zeta) / 8) * taup * g ** 2
+        return (base - (g * omr / 4) * kron(PAULI["x"], 1j * (bd - b))
+                - ((1 + 4 * zeta) / 8) * g ** 2
                 * kron(PAULI["z"], 1j * (b @ b - bd @ bd)))
     if name == "4pxz":
         return (base + (s * g / 4) * kron(PAULI["x"], 1j * (bd - b))
-                + (taup * g * omr / 4) * kron(PAULI["x"], 1j * (bd - b)))
+                + (g * omr / 4) * kron(PAULI["x"], 1j * (bd - b)))
     if name == "8s":
-        return (base - (alpha * g ** 2 * taup / 8)
+        return (base - (alpha * g ** 2 / 8)
                 * kron(PAULI["y"], (bd + b) @ (bd + b)))
     if name == "8a":
         return base + (s * g / 4) * kron(PAULI["z"], 1j * (bd - b))

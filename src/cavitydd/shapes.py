@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,19 +145,19 @@ DESIGNED_COEFFS = {
 
 # built-in shapes from the reference table
 _BUILTIN = {
-    "delta": delta,
-    "G05": lambda taup: gaussian(0.05, taup),
-    "G10": lambda taup: gaussian(0.10, taup),
-    "H05": lambda taup: hermitian(0.05, taup=taup),
-    "H10": lambda taup: hermitian(0.10, taup=taup),
-    **{name: partial(fourier, c) for name, c in DESIGNED_COEFFS.items()},
+    "delta": delta(),
+    "G05": gaussian(0.05),
+    "G10": gaussian(0.10),
+    "H05": hermitian(0.05),
+    "H10": hermitian(0.10),
+    **{name: fourier(c) for name, c in DESIGNED_COEFFS.items()},
 }
 
 
-def named_builtin(name: str, taup: float = 1.0) -> PulseShape:
+def named_builtin(name: str) -> PulseShape:
     if name not in _BUILTIN:
         raise ValueError(f"unknown built-in shape {name!r}")
-    return _BUILTIN[name](taup)
+    return _BUILTIN[name]
 
 
 def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
@@ -315,7 +315,7 @@ def compute_params(shape: PulseShape,
     return fine
 
 
-def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
+def solve_hermitian_gamma(width_ratio: float,
                           bracket: tuple[float, float] = (0.5, 1.3),
                           tol: float = 1e-11, n_quad: int = 8192) -> float:
     """Root of s(gamma) = 0 for the quadratic-envelope family at this width.
@@ -323,7 +323,7 @@ def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
     Plain bisection on the bracket; s(gamma) is smooth and monotone there.
     """
     def s_of(gam: float) -> float:
-        shp = hermitian(width_ratio, gamma=gam, taup=taup)
+        shp = hermitian(width_ratio, gamma=gam)
         return _params_at(shp, n_quad).s
 
     lo, hi = bracket
@@ -342,61 +342,44 @@ def solve_hermitian_gamma(width_ratio: float, taup: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization (kind=gaussian width=0.10) and shape lookup
+# plain-text serialization (gaussian:0.1) and shape lookup
 # ---------------------------------------------------------------------------
 
 def shape_to_text(shape: PulseShape) -> str:
+    """The colon spec of shape, which resolve_shape reads back at tau_p = 1."""
     if shape.kind == "delta":
-        return "kind=delta"
+        return "delta"
     if shape.kind == "gaussian":
-        return f"kind=gaussian width={shape.width_ratio:.12g}"
+        return f"gaussian:{shape.width_ratio:.12g}"
     if shape.kind == "hermitian":
-        return (f"kind=hermitian width={shape.width_ratio:.12g} "
-                f"gamma={shape.gamma:.12g}")
-    coeffs = ",".join(f"{c:.12g}" for c in shape.coeffs)
-    return f"kind=fourier coeffs={coeffs}"
+        return f"hermitian:{shape.width_ratio:.12g}:{shape.gamma:.12g}"
+    return "fourier:" + ",".join(f"{c:.12g}" for c in shape.coeffs)
 
 
-def resolve_shape(text: str, taup: float = 1.0) -> PulseShape:
-    """Shape from a name (delta, G05, G10, H05, H10, S1, S2, Q1, Q2), a colon
-    spec (gaussian:0.10, hermitian:0.05[:gamma], fourier:c0,c1,...), or the
-    ``kind=...`` serialization."""
+# colon-separated fields each spec kind takes at most
+_SPEC_FIELDS = {"gaussian": 1, "hermitian": 2, "fourier": 1}
+
+
+def resolve_shape(text: str) -> PulseShape:
+    """Shape from a name (delta, G05, G10, H05, H10, S1, S2, Q1, Q2) or a
+    colon spec (gaussian:0.10, hermitian:0.05[:gamma], fourier:c0,c1,...)."""
     spec = text.strip()
-    if spec.startswith("kind="):
-        fields = {}
-        for tok in spec.split():
-            if "=" not in tok:
-                raise ValueError(f"malformed shape token {tok!r}")
-            k, v = tok.split("=", 1)
-            fields[k] = v
-        kind = fields.get("kind")
-        if kind == "delta":
-            return delta(taup)
-        if kind == "gaussian":
-            return gaussian(float(fields["width"]), taup)
-        if kind == "hermitian":
-            return hermitian(float(fields["width"]),
-                             float(fields.get("gamma", HERMITIAN_GAMMA)), taup)
-        if kind == "fourier":
-            return fourier([float(c) for c in fields["coeffs"].split(",")],
-                           taup)
-        raise ValueError(f"unknown shape kind {kind!r}")
     lowered = spec.lower()
-    for name in _BUILTIN:
+    for name, shape in _BUILTIN.items():
         if lowered == name.lower():
-            return named_builtin(name, taup)
-    if ":" in spec:
-        kind, _, rest = spec.partition(":")
-        kind = kind.lower()
-        if kind == "gaussian":
-            return gaussian(float(rest), taup)
-        if kind == "hermitian":
-            parts = rest.split(":")
-            gamma = float(parts[1]) if len(parts) > 1 else HERMITIAN_GAMMA
-            return hermitian(float(parts[0]), gamma, taup)
-        if kind == "fourier":
-            return fourier([float(c) for c in rest.split(",")], taup)
-    raise ValueError(f"unknown shape spec {text!r}")
+            return shape
+    kind, colon, rest = spec.partition(":")
+    kind = kind.lower()
+    if not colon or kind not in _SPEC_FIELDS:
+        raise ValueError(f"unknown shape spec {text!r}")
+    fields = rest.split(":")
+    if len(fields) > _SPEC_FIELDS[kind]:
+        raise ValueError(f"shape spec {text!r} has {len(fields)} fields; "
+                         f"{kind} takes at most {_SPEC_FIELDS[kind]}")
+    if kind == "fourier":
+        return fourier([float(c) for c in rest.split(",")])
+    values = [float(f) for f in fields]
+    return gaussian(*values) if kind == "gaussian" else hermitian(*values)
 
 
 # ---------------------------------------------------------------------------

@@ -124,15 +124,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModelParams(g=float("inf"))
 
-    @pytest.mark.parametrize("taup, message", [
-        (0.0, "taup must be positive"), (-1.0, "taup must be positive"),
-        (float("nan"), "taup must be finite"),
-        (float("inf"), "taup must be finite")])
-    def test_jaynes_cummings_refuses_bad_taup(self, taup, message):
-        # the rule and wording of PulseShape
-        with pytest.raises(ValueError, match=message):
-            jaynes_cummings(ModelParams(), taup)
-
     def test_model_params_has_no_delta_shift(self):
         # the builder never read a chemical-shift offset, so none is taken
         with pytest.raises(TypeError):

@@ -9,6 +9,7 @@ import pytest
 
 from cavitydd import propagate, sequences
 from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
+from cavitydd.shapes import delta, fourier, gaussian, hermitian, shape_to_text
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,8 +29,9 @@ class TestResolveShape:
         assert len(sh.coeffs) == 3
 
     def test_serialization_passthrough(self):
-        sh = resolve_shape("kind=gaussian width=0.07")
-        assert sh.width_ratio == pytest.approx(0.07)
+        # the printed shape line is a colon spec that resolves back
+        for sh in (delta(), gaussian(0.07), hermitian(0.05), fourier([1, 2])):
+            assert resolve_shape(shape_to_text(sh)) == sh
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -90,7 +92,7 @@ class TestConfig:
         assert len(paths) == 6
         for p in paths:
             cfg = load_config(p)
-            resolve_shape(cfg.shape, cfg.taup)
+            resolve_shape(cfg.shape)
             sequences.parse_sequence(cfg.sequence)
             assert cfg.omega_r == pytest.approx(0.117)
             assert cfg.periods == 100
@@ -106,6 +108,17 @@ class TestCommands:
 
     def test_params_rejects_bad_shape(self, capsys):
         assert main(["params", "--shape", "warp:1"]) == 2
+
+    # a surplus field was once ignored, and the retired kind=... form with
+    # a field missing ended in a KeyError traceback
+    @pytest.mark.parametrize("spec", ["hermitian:0.05:0.9609317217:junk",
+                                      "kind=gaussian", "kind=fourier"])
+    def test_params_refuses_spec_outside_the_grammar(self, spec, capsys):
+        assert main(["params", "--shape", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("spec", ["hermitian:0.05:nan", "fourier:1,nan",
                                       "fourier:1,inf"])
@@ -138,7 +151,7 @@ class TestCommands:
     def test_design_q1(self, capsys):
         assert main(["design", "--family", "Q", "--order", "1"]) == 0
         out = capsys.readouterr().out
-        assert "kind=fourier" in out
+        assert out.startswith("fourier:0.5,")
         assert "reference zeta" in out
         assert "FLAG" not in out
 
@@ -179,7 +192,7 @@ class TestCommands:
     # each is refused by the library before U(T) is built
     @pytest.mark.parametrize("flag,value", [
         ("--periods", "-1"), ("--n-max", "0"), ("--grid", "-1"),
-        ("--steps-per-pulse", "8"), ("--taup", "0"), ("--shape", "nope"),
+        ("--steps-per-pulse", "8"), ("--shape", "nope"),
         ("--sequence", "nope")])
     def test_simulate_rejects_invalid_value(self, tmp_path, monkeypatch,
                                             capsys, flag, value):
@@ -192,12 +205,18 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_simulate_rejects_non_finite_taup(self, tmp_path, capsys):
-        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
-                   "--taup", "nan", "--periods", "1", "--n-max", "2",
-                   "--grid", "4", "--output", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "taup must be finite" in capsys.readouterr().err
+    def test_simulate_takes_no_taup(self, tmp_path, monkeypatch, capsys):
+        # every run is at taup = 1; an old flag or config line fails loudly
+        # rather than being ignored
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--taup", "2"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("taup = 1\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "unknown key 'taup'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_simulate_convergence_exit_code(self, tmp_path, capsys):
         # hot parameters at the minimum step count trip the halving check

@@ -156,50 +156,46 @@ def test_designed_coefficients_pinned(spec):
 class TestStackedConstraints:
     @settings(derandomize=True, max_examples=24, deadline=None)
     @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
-           extra=st.integers(0, 1), taup=st.sampled_from((1.0, 2.5)),
-           n_quad=st.sampled_from((256, 1024)),
+           extra=st.integers(0, 1), n_quad=st.sampled_from((256, 1024)),
            rows=st.sampled_from((1, designer._CHUNK, designer._CHUNK + 1)),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_rows_match_scalar_quadrature(self, family, order, extra, taup,
-                                          n_quad, rows, seed):
+    def test_rows_match_scalar_quadrature(self, family, order, extra, n_quad,
+                                          rows, seed):
         spec = DesignSpec(family, order, extra_terms=extra)
         rng = np.random.default_rng(seed)
-        xs = rng.uniform(-8.0, 8.0,
-                         size=(rows, spec.n_nonlinear + extra)) / taup
-        got, jac = designer._constraints(spec, xs, taup, n_quad)
+        xs = rng.uniform(-8.0, 8.0, size=(rows, spec.n_nonlinear + extra))
+        got, jac = designer._constraints(spec, xs, n_quad)
         assert got.shape == (rows, spec.n_nonlinear)
         assert jac.shape == (rows, spec.n_nonlinear, spec.n_nonlinear)
         for x, row in zip(xs, got):
-            raw = designer._coeffs_from_free(spec, x, taup)
-            p = shapes._params_at(designer._fourier_shape(raw, taup), n_quad)
+            raw = designer._coeffs_from_free(spec, x)
+            p = shapes._params_at(designer._fourier_shape(raw), n_quad)
             want = np.array([p.s, p.alpha])[:spec.n_nonlinear]
             assert np.max(np.abs(row - want)) <= 1e-13
         # a row's values and Jacobian do not depend on the rows sharing its
         # chunk
-        alone, jac_alone = designer._constraints(spec, xs[-1:], taup, n_quad)
+        alone, jac_alone = designer._constraints(spec, xs[-1:], n_quad)
         assert np.array_equal(alone[0], got[-1])
         assert np.array_equal(jac_alone[0], jac[-1])
 
     @settings(derandomize=True, max_examples=32, deadline=None)
     @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
-           extra=st.integers(0, 1), taup=st.sampled_from((1.0, 2.5)),
-           n_quad=st.sampled_from((256, 1024)),
+           extra=st.integers(0, 1), n_quad=st.sampled_from((256, 1024)),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_jacobian_matches_central_differences(self, family, order, extra,
-                                                  taup, n_quad, seed):
+                                                  n_quad, seed):
         spec = DesignSpec(family, order, extra_terms=extra)
         rng = np.random.default_rng(seed)
-        xs = rng.uniform(-8.0, 8.0,
-                         size=(3, spec.n_nonlinear + extra)) / taup
-        _, jac = designer._constraints(spec, xs, taup, n_quad)
+        xs = rng.uniform(-8.0, 8.0, size=(3, spec.n_nonlinear + extra))
+        _, jac = designer._constraints(spec, xs, n_quad)
         # entries are 1e-3 .. 1; central differences of the quadrature
         # agree with the exact Jacobian to <= 1e-10 on these draws
         eps = 1e-5
         for j in range(spec.n_nonlinear):
             step = np.zeros(xs.shape[1])
             step[j] = eps
-            up, _ = designer._constraints(spec, xs + step, taup, n_quad)
-            down, _ = designer._constraints(spec, xs - step, taup, n_quad)
+            up, _ = designer._constraints(spec, xs + step, n_quad)
+            down, _ = designer._constraints(spec, xs - step, n_quad)
             fd = (up - down) / (2 * eps)
             assert np.max(np.abs(jac[:, :, j] - fd)) <= 1e-9
 
@@ -211,9 +207,9 @@ def test_q1_design_row_count(monkeypatch):
     rows = []
     constraints = designer._constraints
 
-    def counted(spec, xs, taup, n_quad):
+    def counted(spec, xs, n_quad):
         rows.append(len(xs))
-        return constraints(spec, xs, taup, n_quad)
+        return constraints(spec, xs, n_quad)
 
     monkeypatch.setattr(designer, "_constraints", counted)
     design(DesignSpec("Q", 1))
@@ -222,18 +218,28 @@ def test_q1_design_row_count(monkeypatch):
 
 @pytest.mark.parametrize("spec", [DesignSpec("S", 1), DesignSpec("Q", 2, 1)],
                          ids=str)
-@pytest.mark.parametrize("taup", [1.0, 2.5])
-def test_rms_is_envelope_rms(spec, taup):
+def test_rms_is_envelope_rms(spec):
     # the Parseval form sqrt(A0^2 + sum A_m^2 / 2) against a quadrature of V^2
     rng = np.random.default_rng(5)
     xs = rng.uniform(-40.0, 40.0, size=(6, spec.n_nonlinear
-                                           + spec.extra_terms)) / taup
-    t = np.linspace(0.0, taup, 4097)
-    for x, rms in zip(xs, designer._rms(spec, xs, taup)):
-        raw = designer._coeffs_from_free(spec, x, taup)
-        v = shapes._raw_envelope(designer._fourier_shape(raw, taup), t)
-        want = np.sqrt(shapes._simpson(v ** 2, taup / 4096) / taup)
+                                           + spec.extra_terms))
+    t = np.linspace(0.0, 1.0, 4097)
+    for x, rms in zip(xs, designer._rms(spec, xs)):
+        raw = designer._coeffs_from_free(spec, x)
+        v = shapes._raw_envelope(designer._fourier_shape(raw), t)
+        want = np.sqrt(shapes._simpson(v ** 2, 1 / 4096))
         assert rms == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(shapes.DESIGNED_COEFFS))
+def test_designs_are_taup_free(name):
+    # s, alpha and zeta are dimensionless and the coefficients are in units
+    # of 2*pi/taup, so a design made at taup = 1 serves every taup
+    coeffs = shapes.DESIGNED_COEFFS[name]
+    one = compute_params(shapes.fourier(coeffs))
+    other = compute_params(shapes.fourier(coeffs, taup=2.5))
+    for field in ("s", "alpha", "zeta"):
+        assert abs(getattr(other, field) - getattr(one, field)) <= 1e-13
 
 
 @pytest.mark.parametrize("name, n_roots, peak", [("S1", 13, 14.92),
@@ -245,11 +251,11 @@ def test_designer_picks_minimal_peak_bracketed_root(name, n_roots, peak):
     # polished with the cut off
     spec = DesignSpec("S", int(name[1]))
     grid = np.linspace(-100.0, 100.0, 4001)[:, None]
-    s, _ = designer._constraints(spec, grid, 1.0, 512)
+    s, _ = designer._constraints(spec, grid, 512)
     lo = np.flatnonzero(np.sign(s[:-1, 0]) * np.sign(s[1:, 0]) < 0)
     assert lo.size == n_roots
     roots, _, ok, peaks = designer._newton(
-        spec, (grid[lo] + grid[lo + 1]) / 2, 1.0, 4096, 1e-12, bound=None)
+        spec, (grid[lo] + grid[lo + 1]) / 2, 4096, 1e-12, bound=None)
     assert ok.all()
     # each bracket polishes to its own root
     assert np.all((grid[lo] <= roots) & (roots <= grid[lo + 1]))
@@ -257,5 +263,5 @@ def test_designer_picks_minimal_peak_bracketed_root(name, n_roots, peak):
     best = np.argmin(peaks)
     assert chosen.peak_amplitude == pytest.approx(peak, abs=5e-3)
     assert abs(chosen.peak_amplitude - peaks[best]) <= 1e-10
-    want = designer._coeffs_from_free(spec, roots[best], 1.0) / (2 * np.pi)
+    want = designer._coeffs_from_free(spec, roots[best]) / (2 * np.pi)
     assert np.max(np.abs(np.subtract(chosen.coeffs, want))) <= 1e-10

@@ -69,3 +69,37 @@ def test_scanner_finds_orphaned_private_defs():
                          ids=lambda p: str(p.relative_to(REPO_ROOT)))
 def test_no_orphaned_private_defs(path):
     assert orphaned_private_defs(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that their function's body never reads: an argument left
+    in a signature once the code that used it is gone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"line {node.lineno}: {node.name}({name})"
+                  for name in params if name not in read]
+    return found
+
+
+def test_scanner_finds_unread_parameters():
+    src = ("def f(a, b, *args, c=1, **kw):\n    b = a\n    return c\n"
+           "def outer(y, z=lambda z: z):\n"
+           "    def inner():\n        return y\n    return inner\n"
+           "class K:\n    def m(self, x):\n        return self\n")
+    assert unread_parameters(src) == [
+        "line 1: f(b)", "line 1: f(args)", "line 1: f(kw)",
+        "line 4: outer(z)", "line 9: m(x)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES,
+                         ids=lambda p: str(p.relative_to(REPO_ROOT)))
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

@@ -495,6 +495,19 @@ class TestRunTrace:
         with pytest.raises(ValueError, match="empty"):
             run_trace(cs, sched, 1, np.empty((0, 2)))
 
+    @pytest.mark.parametrize("state", [[np.nan, 0], [1, np.nan],
+                                       [np.inf, 0], [1, -np.inf]], ids=str)
+    def test_non_finite_state_refused(self, g10, state):
+        # a NaN norm compares false with any bound, so a "> tol" test would
+        # let it through into an all-NaN trace
+        cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
+                                         n_max=2))
+        sched = build_schedule(parse_sequence("4p"), g10)
+        # np.linalg.norm of an infinite entry warns of inf/inf on the way
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="normalized"):
+            run_trace(cs, sched, 2, [state])
+
     def test_steps_validation(self, g10, grid6):
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.002,
                                          n_max=4))

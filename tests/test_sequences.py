@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestExpandPulse:
     def test_negative_pulse_against_propagator(self, seed, dim, name, taup):
         # the truncated -x expansion against one propagated -x pulse:
         # halving the couplings shrinks the residual ~8x, as for +x
-        shape = resolve_shape(name, taup)
+        shape = dataclasses.replace(resolve_shape(name), taup=taup)
         cs = random_couplings(np.random.default_rng(seed), dim, scale=0.3)
         p = compute_params(shape)
         sched = build_schedule(Sequence(elements=(PulseSpec("x", -1),)),
@@ -261,7 +262,7 @@ def paper_effective_hamiltonian(name, cs, params, taup, convention):
 
 @functools.cache
 def _shape(name, taup=1.0):
-    return resolve_shape(name, taup)
+    return dataclasses.replace(resolve_shape(name), taup=taup)
 
 
 class TestEffectiveHamiltonian:

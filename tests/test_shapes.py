@@ -220,29 +220,28 @@ class TestSerialization:
     @given(kind=st.sampled_from(("gaussian", "hermitian", "fourier")),
            width=st.floats(0.02, 0.5), gamma=st.floats(0.5, 1.5),
            a0=st.floats(0.1, 2.0),
-           tail=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
-           taup=st.sampled_from((1.0, 2.5)))
-    def test_roundtrip_random_shapes(self, kind, width, gamma, a0, tail,
-                                     taup):
-        sh = {"gaussian": lambda: gaussian(width, taup),
-              "hermitian": lambda: hermitian(width, gamma, taup),
-              "fourier": lambda: fourier([a0, *tail], taup)}[kind]()
+           tail=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    def test_roundtrip_random_shapes(self, kind, width, gamma, a0, tail):
+        sh = {"gaussian": lambda: gaussian(width),
+              "hermitian": lambda: hermitian(width, gamma),
+              "fourier": lambda: fourier([a0, *tail])}[kind]()
         text = shape_to_text(sh)
-        back = resolve_shape(text, taup)
-        assert back.kind == kind and back.taup == taup
+        back = resolve_shape(text)
+        assert back.kind == kind and back.taup == 1.0
         assert shape_to_text(back) == text
         # every printed number keeps 12 significant digits, a relative
         # rounding of at most 5e-12 each; the worst such rounding of width
         # and gamma moves a hermitian envelope by 2.1e-11 of its peak
-        t = np.linspace(0.0, taup, 257)
+        t = np.linspace(0.0, 1.0, 257)
         v = amplitude(sh, t)
         if kind == "fourier":
-            scale = 2 * np.pi / taup * np.sum(np.abs(sh.coeffs))
+            scale = 2 * np.pi * np.sum(np.abs(sh.coeffs))
         else:
             scale = np.max(np.abs(v))
         assert np.max(np.abs(amplitude(back, t) - v)) <= 5e-11 * scale
 
     def test_malformed(self):
+        # kind=... is the retired serialization, refused like any unknown spec
         with pytest.raises(ValueError):
             resolve_shape("kind=warp width=0.1")
         with pytest.raises(ValueError):
@@ -260,10 +259,9 @@ def test_named_designs_are_data(monkeypatch):
     monkeypatch.setattr(designer, "design", refuse)
     monkeypatch.setattr(designer, "design_named", refuse)
     for name in ("S1", "S2", "Q1", "Q2"):
-        for taup in (1.0, 2.5):
-            sh = resolve_shape(name, taup)
-            assert sh.kind == "fourier" and sh.taup == taup
-            assert sh.coeffs == shapes.DESIGNED_COEFFS[name]
+        sh = resolve_shape(name)
+        assert sh.kind == "fourier" and sh.taup == 1.0
+        assert sh.coeffs == shapes.DESIGNED_COEFFS[name]
     assert [row[0] for row in shapes.table_rows()][-4:] == [
         "S1", "S2", "Q1", "Q2"]
 
