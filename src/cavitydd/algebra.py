@@ -3,8 +3,8 @@
 Tensor ordering is fixed throughout the package as qubit (x) rest: a joint
 operator is ``np.kron(qubit_part, rest_part)``.  All frequencies passed in
 ``ModelParams`` are in units of 2*pi/tau_p; ``jaynes_cummings`` converts them
-to angular frequencies at tau_p = 1, the time unit of the whole package
-above the pulse shapes.
+to angular frequencies.  Time is in units of tau_p throughout the package,
+so ``CouplingSet.scaled`` sets the expansion parameter J tau_p.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class CouplingSet:
         return self.a0.shape[0]
 
     def scaled(self, factor: float) -> "CouplingSet":
-        """Uniformly rescaled couplings (used by order checks)."""
+        """Uniformly rescaled couplings, J tau_p times factor."""
         return CouplingSet(factor * self.a0, factor * self.ax,
                            factor * self.ay, factor * self.az)
 
@@ -137,7 +137,7 @@ def jaynes_cummings(params: ModelParams) -> CouplingSet:
 
     Builds A0 = omega_r b'b, Ax = -g (b + b')/2, Ay = i g (b' - b)/2,
     Az = (omega_0/2) 1, all truncated to n_max + 1 levels, with frequencies
-    converted from 2*pi/tau_p units to angular frequency at tau_p = 1.
+    converted from 2*pi/tau_p units to angular frequency in units of 1/tau_p.
     """
     unit = 2 * np.pi
     dim = params.n_max + 1

@@ -1,29 +1,28 @@
 """Synthesis of self-refocusing Fourier pulse shapes by constrained root-finding.
 
 A family-S shape of index L satisfies {area = pi, s = 0} plus vanishing
-endpoint derivatives V^(l)(0) = V^(l)(tau_p) = 0 for l = 0 .. 2L-1; a
-family-Q shape additionally imposes alpha = 0 (second-order
-self-refocusing).  In the cosine basis
+endpoint derivatives V^(l)(0) = V^(l)(1) = 0 for l = 0 .. 2L-1, time in
+units of tau_p; a family-Q shape additionally imposes alpha = 0
+(second-order self-refocusing).  In the cosine basis (A_m in 1/tau_p)
 
-    V(t) = A0 + sum_m A_m cos(m Omega_p (t - tau_p/2)),   Omega_p = 2 pi/tau_p
+    V(t) = A0 + sum_m A_m cos(2 pi m (t - 1/2))
 
 the odd endpoint derivatives vanish identically and the even ones are linear
 conditions sum_m (-1)^m m^(2k) A_m = -A0 [k = 0], so the area and endpoint
 constraints are eliminated analytically and only the one- or two-dimensional
 nonlinear system {s = 0 (, alpha = 0)} is solved.
 
-The designer works at tau_p = 1, as its coefficients are in units of
-2 pi/tau_p.  The pulse phase is then affine in the free coefficients x,
-phi = phi0 + x P, with phi0 and P tabulated once per (spec, n_quad) on the
-quadrature nodes, so the constraints of a whole stack of free vectors come
-from one array evaluation of the shared quadrature in shapes (in chunks of
-_CHUNK rows, which bounds its temporaries).  The same pass gives the exact
-Jacobian: ds/dx_j and dalpha/dx_j are single integrals of P_j against
-weights built from cos phi, sin phi and their cumulative integrals, which
-the quadrature forms for alpha anyway.  The solver is a damped Newton
-iteration run in lockstep over the stack: every line-search halving is one
-stacked call, each accepted row keeps the Jacobian evaluated with it, and a
-start leaves the stack as soon as it converges or fails.
+The pulse phase is affine in the free coefficients x, phi = phi0 + x P,
+with phi0 and P tabulated once per (spec, n_quad) on the quadrature nodes,
+so the constraints of a whole stack of free vectors come from one array
+evaluation of the shared quadrature in shapes (in chunks of _CHUNK rows,
+which bounds its temporaries).  The same pass gives the exact Jacobian:
+ds/dx_j and dalpha/dx_j are single integrals of P_j against weights built
+from cos phi, sin phi and their cumulative integrals, which the quadrature
+forms for alpha anyway.  The solver is a damped Newton iteration run in
+lockstep over the stack: every line-search halving is one stacked call,
+each accepted row keeps the Jacobian evaluated with it, and a start leaves
+the stack as soon as it converges or fails.
 
 The system has many roots; Newton is run from a small deterministic seed
 grid, all seeds at once, at an eighth of the polish resolution (at least
@@ -80,6 +79,13 @@ class DesignSpec:
             raise ValueError("order must be >= 1")
         if self.extra_terms < 0:
             raise ValueError("extra_terms must be >= 0")
+        # the endpoint conditions weigh A_m by m^(2k), k < order and
+        # m < n_coeffs; the largest must be a double
+        try:
+            float(self.n_coeffs - 1) ** (2 * self.order - 2)
+        except OverflowError:
+            raise ValueError("order too high: the endpoint weights m^(2k) "
+                             "exceed the double range") from None
 
     @property
     def n_nonlinear(self) -> int:
@@ -208,7 +214,7 @@ def _constraints(spec: DesignSpec, xs: np.ndarray,
         # summed term by term and reduced row by row, not by matmul, so that
         # a row's values do not depend on how many rows share its chunk
         phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
-        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h, 1.0)
+        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h)
         f[rows, 0] = s
         # weights w_i with df_i/dx_j = int w_i P_j, one axis per constraint
         w = cos_sin[:1]

@@ -33,7 +33,7 @@ Exact symmetries cut the pulses that are integrated at all:
   real generators is integrated (x before y), so on the Jaynes-Cummings
   model all of +-x and +-y come from one +x pulse per step count.
 * Real half-product.  When Hs and K are real and the CF4 coefficient list
-  is a palindrome (every package envelope is symmetric about tau_p/2), each
+  is a palindrome (every package envelope is symmetric about t = 1/2), each
   factor is a complex symmetric matrix and the second half of the product
   is the transpose of the first half W: U = W^T W, with W built from the
   first ``steps`` coefficients by real eigendecompositions (time-symmetric
@@ -137,7 +137,7 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                    steps: int) -> np.ndarray:
-    h = shape.taup / steps
+    h = 1 / steps
     t0 = np.arange(steps)[:, None] * h
     amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
     # CF4 factor coefficients in time order: step k applies
@@ -188,7 +188,7 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     for e in schedule.elements:
         if e not in cache:
             if isinstance(e, Delay):
-                cache[e] = expm_herm(hs, e.duration * shape.taup)
+                cache[e] = expm_herm(hs, e.duration)
             elif shape.is_delta:
                 cache[e] = kron(-1j * e.sign * PAULI[e.axis], eye)
             else:
@@ -285,10 +285,12 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
         raise ValueError("initial_states must be a list of qubit 2-vectors")
     if len(qs) == 0:
         raise ValueError("initial_states is empty")
-    norms = np.linalg.norm(qs, axis=1)
-    # "not all(<=)" so that a NaN norm fails too
-    if not np.all(np.abs(norms - 1) <= 1e-10):
-        raise ValueError("initial qubit states must be normalized")
+    # every entry of a normalized state has |q| <= 1: tested before the
+    # norm, which warns on an infinite or huge entry, and failed by NaN
+    if not (np.all(np.abs(qs) <= 1 + 1e-10)
+            and np.all(np.abs(np.linalg.norm(qs, axis=1) - 1) <= 1e-10)):
+        raise ValueError("initial qubit states must be finite and "
+                         "normalized")
 
     # allocated before U(T) is built, so that an n_periods too large for
     # memory fails at once

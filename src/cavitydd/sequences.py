@@ -12,10 +12,10 @@ A ``ControlSchedule`` is one period of a sequence driven with a shape;
 effective Hamiltonian alike.
 
 The effective Hamiltonian of a sequence is composed as in the paper, from
-the shape alone: the second-order pulse expansions X0 + tau_p X1 +
-tau_p^2 X2, with (s, alpha, zeta) from ``compute_params(shape)`` and tau_p
-from the shape, and each delay's exp(-i d tau_p Hs) are multiplied in time
-order and truncated at tau_p^2; dividing by the scalar c = prod X0 gives
+the shape alone: the second-order pulse expansions X0 + X1 + X2 (time in
+units of tau_p), with (s, alpha, zeta) from ``compute_params(shape)``, and
+each delay's exp(-i d Hs) are multiplied in time order and truncated at
+second order in the couplings; dividing by the scalar c = prod X0 gives
 1 + A1 + A2, and H_eff = [i (A1 + A2 - A1^2/2) - arg(c)] / T.  A delta
 pulse, the tau_p -> 0 limit, enters as its exact X0 with zero duration.  A
 sequence whose X0 do not multiply to a multiple of the identity does not
@@ -163,23 +163,23 @@ class ControlSchedule:
 def build_schedule(seq: Sequence, shape: PulseShape) -> ControlSchedule:
     """Assemble the control schedule of one period from a sequence and shape.
 
-    Pulses are contiguous (duration tau_p each, zero for delta pulses);
-    delays are in units of tau_p.
+    Pulses are contiguous (duration 1 each, zero for delta pulses); delays
+    last their duration.
     """
     t = 0.0
-    pulse_len = 0.0 if shape.is_delta else shape.taup
+    pulse_len = 0.0 if shape.is_delta else 1.0
     for e in seq.elements:
         if isinstance(e, PulseSpec):
             t += pulse_len
         elif isinstance(e, Delay):
-            t += e.duration * shape.taup
+            t += e.duration
         else:
             raise ValueError(f"unknown sequence element {e!r}")
     return ControlSchedule(shape=shape, elements=seq.elements, period=t)
 
 
 # ---------------------------------------------------------------------------
-# single-pulse expansion  X = X0 + taup X1 + taup^2 X2 + O((J taup)^3)
+# single-pulse expansion  X = X0 + X1 + X2 + O((J taup)^3)
 # ---------------------------------------------------------------------------
 
 def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
@@ -225,9 +225,9 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
 
 
 def expansion_sum(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
-                  taup: float = 1.0, convention: str = "matched") -> np.ndarray:
+                  convention: str = "matched") -> np.ndarray:
     x0, x1, x2 = expand_pulse(couplings, params, pulse, convention)
-    return x0 + taup * x1 + taup ** 2 * x2
+    return x0 + x1 + x2
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,10 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
     """H_eff with one period's propagator exp(-i T H_eff) up to O(taup^2),
     its global phase c included.
 
-    The pulse parameters come from ``compute_params(shape)``, tau_p from
-    ``shape.taup`` and T from ``build_schedule``; a delta pulse enters as its
-    exact X0 with zero duration.  A sequence that does not refocus, or whose
-    period has zero duration, raises ValueError.
+    The pulse parameters come from ``compute_params(shape)`` and T from
+    ``build_schedule``; a delta pulse enters as its exact X0 with zero
+    duration.  A sequence that does not refocus, or whose period has zero
+    duration, raises ValueError.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -264,18 +264,19 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
     if period <= 0:
         raise ValueError("the period has zero duration")
     params = compute_params(shape)
-    pulse_len = 0.0 if shape.is_delta else shape.taup
     hs = assemble(couplings)
     eye = np.eye(hs.shape[0], dtype=complex)
-    # X0, l X1, l^2 X2 of each distinct pulse, l = pulse_len
-    pulses = {e: [pulse_len ** k * x for k, x in enumerate(
-        expand_pulse(couplings, params, e, convention))]
-        for e in set(seq.elements) if isinstance(e, PulseSpec)}
+    # a delta pulse lasts 0, so only its X0 is left
+    pulses = {e: expand_pulse(couplings, params, e, convention)
+              for e in set(seq.elements) if isinstance(e, PulseSpec)}
+    if shape.is_delta:
+        pulses = {e: (x0, 0.0 * x1, 0.0 * x2)
+                  for e, (x0, x1, x2) in pulses.items()}
     # the truncated product M0 + M1 + M2, order by order
     m0, m1, m2 = eye, np.zeros_like(eye), np.zeros_like(eye)
     for e in seq.elements:
         if isinstance(e, Delay):
-            d = e.duration * shape.taup
+            d = e.duration
             x0, x1, x2 = eye, -1j * d * hs, -(d ** 2 / 2) * hs @ hs
         else:
             x0, x1, x2 = pulses[e]

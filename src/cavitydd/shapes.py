@@ -1,9 +1,9 @@
 """Symmetric pi-pulse envelopes and their second-order shape parameters.
 
-A pulse shape is the field V(t) on [0, tau_p] driving one qubit axis,
-normalized so the rotation area phi(tau_p) = integral of V equals pi.  A
-symmetric inversion shape is characterized to second order by three
-dimensionless parameters
+A pulse shape is the field V(t) on [0, 1], time in units of tau_p, driving
+one qubit axis, normalized so the rotation area phi(1) = integral of V
+equals pi.  A symmetric inversion shape is characterized to second order by
+three dimensionless parameters
 
     s     = <sin phi(t)>              (single average over the pulse)
     alpha = <theta(t-t') sin[phi(t) - phi(t')]>   (ordered two-time average)
@@ -58,28 +58,23 @@ REFERENCE_PARAMS = {
 
 @dataclass(frozen=True)
 class PulseShape:
-    """A symmetric inversion-pulse envelope on [0, tau_p].
+    """A symmetric inversion-pulse envelope on [0, 1], time in units of tau_p.
 
     kind is one of "delta", "gaussian", "hermitian", "fourier".  Gaussian and
     hermitian shapes carry width_ratio = tau/tau_p (the envelope is truncated
-    to [0, tau_p] and rescaled to exact pi area); fourier shapes carry cosine
-    coefficients in units of 2*pi/tau_p, V(t) = A0 + sum_m A_m cos(m Omega_p
-    (t - tau_p/2)) with Omega_p = 2*pi/tau_p.
+    to [0, 1] and rescaled to exact pi area); fourier shapes carry cosine
+    coefficients in units of 2*pi/tau_p, V(t) = 2 pi (A0 + sum_m A_m
+    cos(2 pi m (t - 1/2))).
     """
 
     kind: str
     width_ratio: float | None = None
     gamma: float | None = None
     coeffs: tuple[float, ...] | None = None
-    taup: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("delta", "gaussian", "hermitian", "fourier"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if not math.isfinite(self.taup):
-            raise ValueError("taup must be finite")
-        if self.taup <= 0:
-            raise ValueError("taup must be positive")
         for name in ("width_ratio", "gamma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -103,24 +98,23 @@ class PulseShape:
         return self.kind == "delta"
 
 
-def delta(taup: float = 1.0) -> PulseShape:
+def delta() -> PulseShape:
     """Hard pi pulse (zero duration, symbolic)."""
-    return PulseShape(kind="delta", taup=taup)
+    return PulseShape(kind="delta")
 
 
-def gaussian(width_ratio: float, taup: float = 1.0) -> PulseShape:
+def gaussian(width_ratio: float) -> PulseShape:
     """Gaussian envelope of width tau = width_ratio * tau_p."""
-    return PulseShape(kind="gaussian", width_ratio=width_ratio, taup=taup)
+    return PulseShape(kind="gaussian", width_ratio=width_ratio)
 
 
-def hermitian(width_ratio: float, gamma: float = HERMITIAN_GAMMA,
-              taup: float = 1.0) -> PulseShape:
+def hermitian(width_ratio: float,
+              gamma: float = HERMITIAN_GAMMA) -> PulseShape:
     """Gaussian times (1 - gamma t^2/tau^2)/(1 - gamma/2) around the center."""
-    return PulseShape(kind="hermitian", width_ratio=width_ratio, gamma=gamma,
-                      taup=taup)
+    return PulseShape(kind="hermitian", width_ratio=width_ratio, gamma=gamma)
 
 
-def fourier(coeffs, taup: float = 1.0) -> PulseShape:
+def fourier(coeffs) -> PulseShape:
     """Cosine-series shape; coefficients in units of 2*pi/tau_p.
 
     The coefficient vector is rescaled uniformly so the area is exactly pi
@@ -130,7 +124,7 @@ def fourier(coeffs, taup: float = 1.0) -> PulseShape:
     if c.size == 0 or abs(c[0]) < 1e-15:
         raise ValueError("fourier shape needs coefficients with A0 != 0")
     c = c * (0.5 / c[0])
-    return PulseShape(kind="fourier", coeffs=tuple(c.tolist()), taup=taup)
+    return PulseShape(kind="fourier", coeffs=tuple(c.tolist()))
 
 
 # Designed self-refocusing shapes, cosine coefficients in units of 2*pi/tau_p:
@@ -154,26 +148,20 @@ _BUILTIN = {
 }
 
 
-def named_builtin(name: str) -> PulseShape:
-    if name not in _BUILTIN:
-        raise ValueError(f"unknown built-in shape {name!r}")
-    return _BUILTIN[name]
-
-
 def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
     """Unnormalized envelope sampled at t."""
-    tau = shape.width_ratio * shape.taup if shape.width_ratio else None
-    x = t - shape.taup / 2
+    tau = shape.width_ratio
+    x = t - 0.5
     if shape.kind == "gaussian":
         return (np.sqrt(np.pi) / tau) * np.exp(-(x / tau) ** 2)
     if shape.kind == "hermitian":
         g = (np.sqrt(np.pi) / tau) * np.exp(-(x / tau) ** 2)
         return g * (1 - shape.gamma * (x / tau) ** 2) / (1 - shape.gamma / 2)
     if shape.kind == "fourier":
-        omp = 2 * np.pi / shape.taup
-        out = np.full_like(np.asarray(x, dtype=float), 2 * np.pi / shape.taup * shape.coeffs[0])
+        omp = 2 * np.pi
+        out = np.full_like(np.asarray(x, dtype=float), omp * shape.coeffs[0])
         for m in range(1, len(shape.coeffs)):
-            out = out + (2 * np.pi / shape.taup) * shape.coeffs[m] * np.cos(m * omp * x)
+            out = out + omp * shape.coeffs[m] * np.cos(m * omp * x)
         return out
     raise ValueError("delta shape has no pointwise envelope")
 
@@ -213,34 +201,34 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 def _norm_scale(shape: PulseShape) -> float:
     """Factor rescaling the truncated envelope to exact pi area."""
     if shape.kind == "fourier":
-        # cosine terms integrate to zero over full periods: area = A0 * taup
+        # cosine terms integrate to zero over full periods: area = 2 pi A0
         return 0.5 / shape.coeffs[0]
     n = 1 << 14
-    t = np.linspace(0.0, shape.taup, n + 1)
-    area = _simpson(_raw_envelope(shape, t), shape.taup / n)
+    t = np.linspace(0.0, 1.0, n + 1)
+    area = _simpson(_raw_envelope(shape, t), 1 / n)
     return np.pi / area
 
 
 @lru_cache(maxsize=256)
 def _sampled(shape: PulseShape, n_quad: int):
     """Normalized envelope and cumulative integrals on n_quad+1 uniform nodes."""
-    h = shape.taup / n_quad
-    t = np.linspace(0.0, shape.taup, n_quad + 1)
+    h = 1 / n_quad
+    t = np.linspace(0.0, 1.0, n_quad + 1)
     v = _norm_scale(shape) * _raw_envelope(shape, t)
     phi = _cumulative_simpson(v, h)
     return t, v, phi
 
 
 def amplitude(shape: PulseShape, t):
-    """Field value V(t), 0 <= t <= tau_p.
+    """Field value V(t), 0 <= t <= 1.
 
     The delta variant rejects pointwise evaluation (it is symbolic).
     """
     if shape.is_delta:
         raise ValueError("delta pulse has no pointwise amplitude")
     ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0) or np.any(ta > shape.taup):
-        raise ValueError("t outside [0, taup]")
+    if np.any(ta < 0) or np.any(ta > 1):
+        raise ValueError("t outside [0, 1]")
     out = _norm_scale(shape) * _raw_envelope(shape, ta)
     return float(out) if np.isscalar(t) else out
 
@@ -255,7 +243,7 @@ class ShapeParams:
     area: float
 
 
-def _phase_params(phi: np.ndarray, h: float, taup: float):
+def _phase_params(phi: np.ndarray, h: float):
     """(s, alpha) from phase samples phi on a uniform grid of spacing h
     along the last axis; any leading axes are a stack of pulses.
 
@@ -267,18 +255,18 @@ def _phase_params(phi: np.ndarray, h: float, taup: float):
     cos_phi, sin_phi = cos_sin
     np.cos(phi, out=cos_phi)
     np.sin(phi, out=sin_phi)
-    s = _simpson(sin_phi, h) / taup
+    s = _simpson(sin_phi, h)
     cum = _cumulative_simpson(cos_sin, h)
     c_cum, s_cum = cum
-    alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h) / taup ** 2
+    alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h)
     return (s, alpha), (cos_sin, cum)
 
 
 def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     t, v, phi = _sampled(shape, n_quad)
-    h = shape.taup / n_quad
-    (s, alpha), (_, cum) = _phase_params(phi, h, shape.taup)
-    zeta = _simpson(cum[0], h) / shape.taup ** 2
+    h = 1 / n_quad
+    (s, alpha), (_, cum) = _phase_params(phi, h)
+    zeta = _simpson(cum[0], h)
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 
@@ -346,7 +334,7 @@ def solve_hermitian_gamma(width_ratio: float,
 # ---------------------------------------------------------------------------
 
 def shape_to_text(shape: PulseShape) -> str:
-    """The colon spec of shape, which resolve_shape reads back at tau_p = 1."""
+    """The colon spec of shape, which resolve_shape reads back."""
     if shape.kind == "delta":
         return "delta"
     if shape.kind == "gaussian":
@@ -389,8 +377,8 @@ def resolve_shape(text: str) -> PulseShape:
 def table_rows(n_quad: int = DEFAULT_N_QUAD):
     """(name, s, alpha/2, zeta) for delta, G/H widths 0.05/0.10, S1/S2/Q1/Q2."""
     rows = []
-    for name in _BUILTIN:
-        p = compute_params(named_builtin(name), n_quad)
+    for name, shape in _BUILTIN.items():
+        p = compute_params(shape, n_quad)
         rows.append((name, p.s, p.alpha / 2, p.zeta))
     return rows
 

@@ -30,7 +30,7 @@ def cosine_average(shape):
     vanishes for symmetric pi shapes."""
     n = shapes.DEFAULT_N_QUAD
     phi = shapes._sampled(shape, n)[2]
-    return shapes._simpson(np.cos(phi), shape.taup / n) / shape.taup
+    return shapes._simpson(np.cos(phi), 1 / n)
 
 
 @pytest.fixture(scope="session")

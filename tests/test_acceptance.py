@@ -13,7 +13,7 @@ from cavitydd.cli import main
 from cavitydd.propagate import propagate_period, run_trace
 from cavitydd.sequences import (PulseSpec, build_schedule, expansion_sum,
                                 order_check, parse_sequence)
-from cavitydd.shapes import compute_params, delta, gaussian, named_builtin
+from cavitydd.shapes import compute_params, delta, gaussian, resolve_shape
 from conftest import chemical_shift
 
 # halving diffs of the traces accepted while running this suite (criterion 9)
@@ -38,7 +38,7 @@ def test_criterion_01_parameter_table_regression():
     t0 = time.perf_counter()
     rows = {}
     for name in ("delta", "G05", "G10", "H05", "H10"):
-        p = compute_params(named_builtin(name))
+        p = compute_params(resolve_shape(name))
         rows[name] = (p.s, p.alpha / 2, p.zeta)
     elapsed = time.perf_counter() - t0
     assert rows["delta"] == (0.0, 0.0, 0.25)          # hard-pulse row exact

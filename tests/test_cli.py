@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cavitydd import propagate, sequences
+from cavitydd import designer, propagate, sequences
 from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
 from cavitydd.shapes import delta, fourier, gaussian, hermitian, shape_to_text
 
@@ -137,6 +137,29 @@ class TestCommands:
         assert main(["design", "--family", "Q", "-L", "1",
                      "--tol", "1e-6"]) == 0
         assert "reference zeta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["S", "-L", "82"], ["S", "-L", "200"], ["Q", "-L", "82"],
+        ["S", "-L", "70", "--extra-terms", "200"]])
+    def test_design_refuses_orders_beyond_the_double_range(self, args,
+                                                           monkeypatch,
+                                                           capsys):
+        # the endpoint weights m^(2k) of such a basis overflow a double;
+        # refused before any Newton work
+        def refuse(*args, **kwargs):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(designer, "_newton", refuse)
+        assert main(["design", "--family", *args]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "double range" in err
+
+    def test_design_at_an_unreachable_order_is_a_numerical_failure(self,
+                                                                   capsys):
+        # -L 8 fits the double range, but the polish does not converge
+        assert main(["design", "--family", "S", "-L", "8"]) == 3
+        assert "exceed tolerance" in capsys.readouterr().err
 
     def test_params_rejects_singular_hermitian_gamma(self, capsys):
         assert main(["params", "--shape", "hermitian:0.05:2"]) == 2

@@ -231,17 +231,6 @@ def test_rms_is_envelope_rms(spec):
         assert rms == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", list(shapes.DESIGNED_COEFFS))
-def test_designs_are_taup_free(name):
-    # s, alpha and zeta are dimensionless and the coefficients are in units
-    # of 2*pi/taup, so a design made at taup = 1 serves every taup
-    coeffs = shapes.DESIGNED_COEFFS[name]
-    one = compute_params(shapes.fourier(coeffs))
-    other = compute_params(shapes.fourier(coeffs, taup=2.5))
-    for field in ("s", "alpha", "zeta"):
-        assert abs(getattr(other, field) - getattr(one, field)) <= 1e-13
-
-
 @pytest.mark.parametrize("name, n_roots, peak", [("S1", 13, 14.92),
                                                  ("S2", 25, 18.35)])
 def test_designer_picks_minimal_peak_bracketed_root(name, n_roots, peak):

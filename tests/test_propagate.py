@@ -50,7 +50,7 @@ class TestSchedule:
 def step_loop_pulse_unitary(hs, k_op, shape, sign, steps):
     """Reference CF4 pulse unitary: one step at a time, two scalar envelope
     evaluations and two expm_herm exponentials per step."""
-    h = shape.taup / steps
+    h = 1 / steps
     u = np.eye(hs.shape[0], dtype=complex)
     for k in range(steps):
         t0 = k * h
@@ -498,14 +498,23 @@ class TestRunTrace:
     @pytest.mark.parametrize("state", [[np.nan, 0], [1, np.nan],
                                        [np.inf, 0], [1, -np.inf]], ids=str)
     def test_non_finite_state_refused(self, g10, state):
-        # a NaN norm compares false with any bound, so a "> tol" test would
-        # let it through into an all-NaN trace
+        # refused before the norm is taken: a NaN norm compares false with
+        # any bound, and the norm of an infinite entry warns of inf * 0 on
+        # the way, which the suite turns into an error
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
-        # np.linalg.norm of an infinite entry warns of inf/inf on the way
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="finite"):
+            run_trace(cs, sched, 2, [state])
+
+    @pytest.mark.parametrize("state", [[1, 1], [0.5, 0], [1e200, 0]],
+                             ids=str)
+    def test_unnormalized_state_refused(self, g10, state):
+        # a huge entry is refused before the norm, which would overflow
+        cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
+                                         n_max=2))
+        sched = build_schedule(parse_sequence("4p"), g10)
+        with pytest.raises(ValueError, match="normalized"):
             run_trace(cs, sched, 2, [state])
 
     def test_steps_validation(self, g10, grid6):

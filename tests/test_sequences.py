@@ -1,6 +1,3 @@
-import dataclasses
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,7 +131,7 @@ class TestExpandPulse:
             expand_pulse(cs, bad, PulseSpec("x"))
 
     def test_truncation_scaling(self, g10):
-        # residual || U - (X0 + taup X1 + taup^2 X2) || ~ C (J taup)^3:
+        # residual || U - (X0 + X1 + X2) || ~ C (J taup)^3:
         # halving the couplings shrinks it by 8x within +-20%
         rng = np.random.default_rng(21)
         cs = random_couplings(rng, 3, scale=0.3)
@@ -166,19 +163,18 @@ class TestExpandPulse:
             res.append(op_norm(u - expansion_sum(sc, p, PulseSpec(axis, sign))))
         assert 6 < res[0] / res[1] < 10
 
-    def test_nonunit_pulse_duration(self):
-        # the expansion is organized in powers of taup: consistent at taup=2
+    def test_nonunit_pulse_duration(self, g10):
+        # a pulse twice as long against these couplings is the unit pulse
+        # against couplings twice as large: J taup doubled
         rng = np.random.default_rng(9)
-        cs = random_couplings(rng, 3, scale=0.15)
-        shape = gaussian(0.10, taup=2.0)
-        p = compute_params(shape)
-        sched = build_schedule(parse_sequence("X"), shape)
+        cs = random_couplings(rng, 3, scale=0.15).scaled(2.0)
+        p = compute_params(g10)
+        sched = build_schedule(parse_sequence("X"), g10)
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
             u = propagate.propagate_period(sc, sched, self_check=False)
-            res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x"),
-                                                 taup=2.0)))
+            res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x"))))
         assert 6 < res[0] / res[1] < 10
 
     def test_negative_pulse_rule(self, g10):
@@ -195,12 +191,14 @@ class TestExpandPulse:
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
            name=st.sampled_from(("G10", "H05", "S1", "Q1")),
-           taup=st.sampled_from((1.0, 2.0)))
-    def test_negative_pulse_against_propagator(self, seed, dim, name, taup):
+           factor=st.sampled_from((1.0, 2.0)))
+    def test_negative_pulse_against_propagator(self, seed, dim, name, factor):
         # the truncated -x expansion against one propagated -x pulse:
-        # halving the couplings shrinks the residual ~8x, as for +x
-        shape = dataclasses.replace(resolve_shape(name), taup=taup)
-        cs = random_couplings(np.random.default_rng(seed), dim, scale=0.3)
+        # halving the couplings shrinks the residual ~8x, as for +x; factor
+        # 2 doubles J taup
+        shape = resolve_shape(name)
+        cs = random_couplings(np.random.default_rng(seed), dim,
+                              scale=0.3).scaled(factor)
         p = compute_params(shape)
         sched = build_schedule(Sequence(elements=(PulseSpec("x", -1),)),
                                shape)
@@ -208,8 +206,7 @@ class TestExpandPulse:
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
             u = propagate.propagate_period(sc, sched, self_check=False)
-            res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x", -1),
-                                                 taup=shape.taup)))
+            res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x", -1))))
         assert 6 < res[0] / res[1] < 10
 
 
@@ -260,32 +257,29 @@ def paper_effective_hamiltonian(name, cs, params, taup, convention):
     return _on(None, a0) + (s / 2) * (_on("x", az) - _on("z", ay))
 
 
-@functools.cache
-def _shape(name, taup=1.0):
-    return dataclasses.replace(resolve_shape(name), taup=taup)
-
-
 class TestEffectiveHamiltonian:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4),
            shape=st.sampled_from(("G05", "G10", "H05", "S1", "Q1")),
-           taup=st.sampled_from((1.0, 2.0)),
+           factor=st.sampled_from((1.0, 2.0)),
            convention=st.sampled_from(("matched", "printed")))
-    def test_composition_equals_paper_formulas(self, seed, dim, shape, taup,
+    def test_composition_equals_paper_formulas(self, seed, dim, shape, factor,
                                                convention):
+        # couplings factor * J multiply J taup by factor: H_eff / factor is
+        # the paper's form with taup = factor
         cs = random_couplings(np.random.default_rng(seed), dim)
-        shp = _shape(shape, taup)
+        shp = resolve_shape(shape)
         p = compute_params(shp)
         names = ["xbarx", "x4", "8s", "8a"]
-        if convention == "matched" and abs(p.s) * taup <= 4e-13:
+        if convention == "matched" and abs(p.s) * factor <= 4e-13:
             # the printed 4p equation drops only s*taup terms, below the
-            # tolerance here (S1 at both taup, Q1 at taup 1; Q1 at taup 2
-            # reaches 1.6e-13)
+            # tolerance here (S1 at both factors, Q1 at factor 1; Q1 at
+            # factor 2 reaches 1.6e-13)
             names.append("4p")
         for name in names:
-            h = effective_hamiltonian(parse_sequence(name), cs, shp,
-                                      convention)
-            ref = paper_effective_hamiltonian(name, cs, p, taup, convention)
+            h = effective_hamiltonian(parse_sequence(name), cs.scaled(factor),
+                                      shp, convention) / factor
+            ref = paper_effective_hamiltonian(name, cs, p, factor, convention)
             assert op_norm(h - ref) <= 1e-13 * max(1.0, op_norm(ref))
 
     def test_printed_4p_commutator_sign(self, s1_shape):
@@ -363,6 +357,7 @@ class TestEffectiveHamiltonian:
         ("x4", (0.2, 0.1, 0.05, 0.02)),
         ("8a", (0.4, 0.2, 0.1, 0.04)),
         ("8s", (0.4, 0.2, 0.1, 0.04)),
+        ("x4", (0.4, 0.2, 0.1, 0.04)),
     ])
     def test_defect_scaling_matched(self, name, scales, g10):
         # remainder O(taup^2) terms are cubic in the coupling scale
@@ -371,15 +366,6 @@ class TestEffectiveHamiltonian:
         r = order_check(parse_sequence(name), cs, g10, scales,
                         reference="effective")
         assert r.exponent > 2.7
-
-    @pytest.mark.parametrize("name", ["x4", "8s"])
-    def test_defect_scaling_at_the_shape_taup(self, name):
-        # the effective reference is taken at the shape's own tau_p, where
-        # the taup-proportional terms of x4 and 8s are twice as large
-        cs = random_couplings(np.random.default_rng(42), 3)
-        r = order_check(parse_sequence(name), cs, gaussian(0.10, taup=2.0),
-                        (0.2, 0.1, 0.05, 0.02), reference="effective")
-        assert r.exponent >= 2.7
 
     @pytest.mark.parametrize("text", ["Y X -Y X", "4p", "4pxz",
                                       "Y d(0.5) X -Y d(0.5) X"])
@@ -398,12 +384,13 @@ class TestEffectiveHamiltonian:
                         (0.4, 0.2, 0.1, 0.04), reference="effective")
         assert r.exponent > 2.7
 
-    @pytest.mark.parametrize("taup", [1.0, 2.0])
-    def test_delta_defect_scaling(self, taup):
-        # hard pulses between delays: the remainder is cubic as for soft ones
-        cs = random_couplings(np.random.default_rng(42), 3)
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_delta_defect_scaling(self, factor):
+        # hard pulses between delays: the remainder is cubic as for soft
+        # ones, at J taup and at twice that
+        cs = random_couplings(np.random.default_rng(42), 3).scaled(factor)
         r = order_check(parse_sequence("d(0.5) X d(1) -X d(0.5)"), cs,
-                        delta(taup), (0.4, 0.2, 0.1, 0.04),
+                        delta(), (0.4, 0.2, 0.1, 0.04),
                         reference="effective")
         assert r.exponent >= 2.8
 

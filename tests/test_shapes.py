@@ -40,15 +40,13 @@ class TestConstruction:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("make", [
-        lambda: gaussian(0.10, taup=np.nan),
-        lambda: gaussian(0.10, taup=np.inf),
         lambda: hermitian(0.05, gamma=np.nan),
         lambda: hermitian(0.05, gamma=np.inf),
         lambda: fourier([1.0, np.nan]),
         lambda: fourier([1.0, np.inf]),
         lambda: PulseShape(kind="fourier", coeffs=(0.5, np.nan)),
-    ], ids=["taup-nan", "taup-inf", "gamma-nan", "gamma-inf", "coeff-nan",
-            "coeff-inf", "raw-coeff-nan"])
+    ], ids=["gamma-nan", "gamma-inf", "coeff-nan", "coeff-inf",
+            "raw-coeff-nan"])
     def test_rejected_at_construction(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
@@ -135,7 +133,7 @@ class TestComputeParams:
 
     @pytest.mark.parametrize("name", ["G05", "G10", "H05", "H10"])
     def test_reference_table(self, name):
-        p = compute_params(shapes.named_builtin(name))
+        p = compute_params(resolve_shape(name))
         ref_s, ref_ah, ref_z = shapes.REFERENCE_PARAMS[name]
         assert abs(p.s - ref_s) < 1e-5
         assert abs(p.alpha / 2 - ref_ah) < 1e-5
@@ -159,7 +157,7 @@ class TestComputeParams:
     ])
     def test_values_bitwise_pinned(self, name, expected):
         # the stacked-phase quadrature helpers must not move a single bit
-        p = compute_params(shapes.named_builtin(name))
+        p = compute_params(resolve_shape(name))
         assert (p.s, p.alpha, p.zeta, p.area) == expected
 
     def test_node_doubling_stability(self):
@@ -227,7 +225,7 @@ class TestSerialization:
               "fourier": lambda: fourier([a0, *tail])}[kind]()
         text = shape_to_text(sh)
         back = resolve_shape(text)
-        assert back.kind == kind and back.taup == 1.0
+        assert back.kind == kind
         assert shape_to_text(back) == text
         # every printed number keeps 12 significant digits, a relative
         # rounding of at most 5e-12 each; the worst such rounding of width
@@ -260,7 +258,7 @@ def test_named_designs_are_data(monkeypatch):
     monkeypatch.setattr(designer, "design_named", refuse)
     for name in ("S1", "S2", "Q1", "Q2"):
         sh = resolve_shape(name)
-        assert sh.kind == "fourier" and sh.taup == 1.0
+        assert sh.kind == "fourier"
         assert sh.coeffs == shapes.DESIGNED_COEFFS[name]
     assert [row[0] for row in shapes.table_rows()][-4:] == [
         "S1", "S2", "Q1", "Q2"]
