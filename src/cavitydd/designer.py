@@ -7,10 +7,13 @@ units of tau_p; a family-Q shape additionally imposes alpha = 0
 
     V(t) = A0 + sum_m A_m cos(2 pi m (t - 1/2))
 
-the odd endpoint derivatives vanish identically and the even ones are linear
-conditions sum_m (-1)^m m^(2k) A_m = -A0 [k = 0], so the area and endpoint
-constraints are eliminated analytically and only the one- or two-dimensional
-nonlinear system {s = 0 (, alpha = 0)} is solved.
+the endpoint derivatives below order 2L vanish exactly when V factors as
+(2 + 2 cos theta)^L Q(theta), theta = 2 pi (t - 1/2), with Q a cosine
+polynomial.  The A_m are affine in the free tail x = (A_{L+1}, ...): the area
+fixes Q's constant term and the tail the rest through a unit lower-triangular
+matrix, never singular.  So the area and endpoint constraints hold by
+construction, and only the one- or two-dimensional nonlinear system
+{s = 0 (, alpha = 0)} is solved.
 
 The pulse phase is affine in the free coefficients x, phi = phi0 + x P,
 with phi0 and P tabulated once per (spec, n_quad) on the quadrature nodes,
@@ -47,9 +50,11 @@ twice that, sets the precision.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -79,13 +84,15 @@ class DesignSpec:
             raise ValueError("order must be >= 1")
         if self.extra_terms < 0:
             raise ValueError("extra_terms must be >= 0")
-        # the endpoint conditions weigh A_m by m^(2k), k < order and
-        # m < n_coeffs; the largest must be a double
-        try:
-            float(self.n_coeffs - 1) ** (2 * self.order - 2)
-        except OverflowError:
-            raise ValueError("order too high: the endpoint weights m^(2k) "
-                             "exceed the double range") from None
+        # a unit of the d-term free tail moves the raw coefficients by up to
+        # about C(2L, L) C(2L + d - 2, d - 1) / 2 (see _coeff_map); the RMS
+        # cut squares and sums them, from seeds of up to max|_SEEDS| units
+        L, d = self.order, self.n_coeffs - 1 - self.order
+        scale = int(max(_SEEDS)) * comb(2 * L, L) * comb(2 * L + d - 2, d - 1)
+        if self.n_coeffs * scale ** 2 > sys.float_info.max:
+            raise ValueError("order or extra_terms too high: the coefficients "
+                             "of the basis (2 + 2 cos theta)^L exceed the "
+                             "double range")
 
     @property
     def n_nonlinear(self) -> int:
@@ -108,34 +115,10 @@ class DesignResult:
     flagged: bool
 
 
-def _endpoint_matrix(spec: DesignSpec):
-    """Linear elimination data: A_1..A_L from the free tail.
-
-    Even endpoint derivatives give, for k = 0..L-1,
-    sum_{m>=1} (-1)^m m^(2k) A_m = -A0 * [k == 0].
-    """
-    L = spec.order
-    n_coef = spec.n_coeffs
-    m_solve = np.zeros((L, L))
-    m_free = np.zeros((L, n_coef - 1 - L))
-    for k in range(L):
-        for m in range(1, n_coef):
-            c = (-1.0) ** m * m ** (2 * k)
-            if m <= L:
-                m_solve[k, m - 1] = c
-            else:
-                m_free[k, m - L - 1] = c
-    return m_solve, m_free
-
-
 def _coeffs_from_free(spec: DesignSpec, x: np.ndarray) -> np.ndarray:
     """Full raw coefficient vector (units of 1/tau_p) for free tail x."""
-    a0 = np.pi
-    m_solve, m_free = _endpoint_matrix(spec)
-    rhs = -(m_free @ x)
-    rhs[0] -= a0
-    head = np.linalg.solve(m_solve, rhs)
-    return np.concatenate([[a0], head, x])
+    a, m = _coeff_map(spec)
+    return a + x @ m
 
 
 def _fourier_shape(raw: np.ndarray) -> shapes.PulseShape:
@@ -153,31 +136,42 @@ def _phase_basis(spec: DesignSpec, n_quad: int):
     """Phase on the n_quad + 1 quadrature nodes as an affine map of the free
     tail x, phi(x) = phi0 + x @ P.
 
-    The envelope is linear in the raw coefficients and the endpoint
-    conditions make them affine in x, so phi0 is the cumulative Simpson
-    integral of the x = 0 envelope and row j of P that of the envelope's
-    change per unit x_j.
+    The envelope is linear in the raw coefficients, which are affine in x
+    (_coeff_map), so phi0 is the cumulative Simpson integral of the x = 0
+    envelope and row j of P that of the envelope's change per unit x_j.
     """
+    a, m = _coeff_map(spec)
     t = np.linspace(0.0, 1.0, n_quad + 1)
-
-    def envelope(x):
-        raw = _coeffs_from_free(spec, x)
-        return shapes._raw_envelope(_fourier_shape(raw), t)
-
-    n_free = spec.n_coeffs - 1 - spec.order
-    v0 = envelope(np.zeros(n_free))
-    dv = np.array([envelope(e) - v0 for e in np.eye(n_free)])
+    v0, *vs = [shapes._raw_envelope(_fourier_shape(c), t)
+               for c in (a, *(a + m))]
+    dv = np.array(vs) - v0
     h = 1.0 / n_quad
     return shapes._cumulative_simpson(v0, h), shapes._cumulative_simpson(dv, h)
 
 
 @lru_cache(maxsize=8)
 def _coeff_map(spec: DesignSpec):
-    """Raw coefficients as an affine map of the free tail x, A(x) = a + x @ m."""
-    n_free = spec.n_coeffs - 1 - spec.order
-    a = _coeffs_from_free(spec, np.zeros(n_free))
-    m = np.array([_coeffs_from_free(spec, e) - a
-                  for e in np.eye(n_free)])
+    """Raw coefficients as an affine map of the free tail x, A(x) = a + x @ m.
+
+    V = (2 + 2 cos theta)^L sum_j q_j cos(j theta); the factor has cosine
+    coefficients p_0 = C(2L, L), p_i = 2 C(2L, L - i), and row j of the
+    basis holds those of its product with cos(j theta).  The tail
+    (A_{L+1}, ...) is (q_1, ...) times the basis's unit lower-triangular
+    corner, whose inverse has entries up to about C(2L + d - 2, d - 1).
+    """
+    L, n = spec.order, spec.n_coeffs
+    p = [comb(2 * L, L)] + [2 * comb(2 * L, L - i) for i in range(1, L + 1)]
+    basis = np.zeros((n - L, n))
+    for j in range(n - L):
+        for i, p_i in enumerate(p):  # cos i cos j = [cos(i+j) + cos(i-j)] / 2
+            basis[j, i + j] += p_i / 2
+            basis[j, abs(i - j)] += p_i / 2
+    # q_0 = (pi - q_1.. @ basis[1:, 0]) / p_0 and q_1.. = x @ tinv
+    tinv = np.linalg.inv(basis[1:, L + 1:])
+    a = np.pi / basis[0, 0] * basis[0]
+    m = tinv @ (basis[1:] - np.outer(basis[1:, 0] / basis[0, 0], basis[0]))
+    a[0], m[:, 0] = np.pi, 0.0  # exactly: the area is pi at every x
+    m[:, L + 1:] = np.eye(n - 1 - L)  # and the tail is x itself
     return a, m
 
 
@@ -357,19 +351,21 @@ def design(spec: DesignSpec, tol: float = 1e-12,
     raw = _coeffs_from_free(spec, x[0])
     shape = _fourier_shape(raw)
     p = shapes.compute_params(shape, n_quad)
-    residuals = {"s": abs(p.s), "area": abs(p.area - np.pi)}
+    checked = {"s": abs(p.s)}
     if spec.family == "Q":
-        residuals["alpha"] = abs(p.alpha)
-    a0 = raw[0]
-    for k in range(spec.order):
-        val = sum((-1.0) ** m * m ** (2 * k) * raw[m] for m in range(1, len(raw)))
-        if k == 0:
-            val += a0
-        residuals[f"endpoint_d{2 * k}"] = abs(val)
-    worst = max(abs(p.s), residuals.get("alpha", 0.0))
-    if worst > 10 * max(tol, 1e-12):
+        checked["alpha"] = abs(p.alpha)
+    if max(checked.values()) > 10 * max(tol, 1e-12):
         raise ConvergenceError(
-            f"design residuals {residuals} exceed tolerance for {spec}")
+            "design residuals "
+            + ", ".join(f"{k} = {v:.3e}" for k, v in checked.items())
+            + f" exceed tolerance for {spec}")
+    # V^(2k)(0) = sum_m (-1)^m m^(2k) A_m relative to the sum of its terms'
+    # magnitudes, which the weights (m/M)^(2k) <= 1 leave unchanged
+    m = np.arange(len(raw))
+    terms = (m / m[-1]) ** (2 * np.arange(spec.order)[:, None]) * raw
+    ratio = np.abs(terms @ (-1.0) ** m) / np.abs(terms).sum(axis=1)
+    residuals = {**checked, "area": abs(p.area - np.pi),
+                 **{f"endpoint_d{2 * k}": r for k, r in enumerate(ratio)}}
 
     name = f"{spec.family}{spec.order}"
     ref = shapes.REFERENCE_PARAMS.get(name)

@@ -39,9 +39,9 @@ PARAM_CONVERGENCE_TOL = 1e-9
 # Published reference parameters (s, alpha/2, zeta) for the classic shapes and
 # the designed first/second-order self-refocusing families.  The designed
 # shapes of DESIGNED_COEFFS meet s = 0 (and alpha = 0 for Q) but their zeta
-# sits 0.0028-0.0038 above these rows (a known deviation, see README.md), so
-# the designed rows are compared loosely: the parameter table and
-# designer.design flag a designed zeta more than ZETA_FLAG_THRESHOLD away.
+# sits 0.0028-0.0038 above these rows (README.md: the S rows fit shapes with
+# one more coefficient), so the designed rows are compared loosely: the table
+# and designer.design flag a designed zeta more than ZETA_FLAG_THRESHOLD away.
 ZETA_FLAG_THRESHOLD = 0.01
 REFERENCE_PARAMS = {
     "delta": (0.0, 0.0, 0.25),

@@ -139,17 +139,22 @@ class TestCommands:
         assert "reference zeta" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [
-        ["S", "-L", "82"], ["S", "-L", "200"], ["Q", "-L", "82"],
-        ["S", "-L", "70", "--extra-terms", "200"]])
+        ["S", "-L", "254"], ["S", "-L", "255"], ["Q", "-L", "250"],
+        ["Q", "-L", "251"]])
     def test_design_refuses_orders_beyond_the_double_range(self, args,
                                                            monkeypatch,
                                                            capsys):
-        # the endpoint weights m^(2k) of such a basis overflow a double;
-        # refused before any Newton work
+        # the coefficients of the basis (2 + 2 cos theta)^L grow as
+        # C(2L, L) ~ 4^L: the last order whose seed-grid coefficients square
+        # to a double reaches Newton, the next is refused before it
         def refuse(*args, **kwargs):
             raise AssertionError("Newton ran")
 
         monkeypatch.setattr(designer, "_newton", refuse)
+        if int(args[2]) <= {"S": 254, "Q": 250}[args[0]]:
+            with pytest.raises(AssertionError, match="Newton ran"):
+                main(["design", "--family", *args])
+            return
         assert main(["design", "--family", *args]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -157,8 +162,27 @@ class TestCommands:
 
     def test_design_at_an_unreachable_order_is_a_numerical_failure(self,
                                                                    capsys):
-        # -L 8 fits the double range, but the polish does not converge
-        assert main(["design", "--family", "S", "-L", "8"]) == 3
+        # L = 81 fits the double range and its basis is exact, but the
+        # polished shape misses tol at the quadrature's precision
+        for family in ("S", "Q"):
+            assert main(["design", "--family", family, "-L", "81"]) == 3
+            err = capsys.readouterr().err
+            assert "exceed tolerance" in err and "Singular" not in err
+            # names only the residuals compared with tol
+            assert "endpoint" not in err and len(err) < 300
+
+    def test_design_at_order_8(self, capsys):
+        # the endpoint conditions hold by construction, so no
+        # ill-conditioned solve stands between Newton and the polish
+        assert main(["design", "--family", "S", "-L", "8"]) == 0
+        assert "max|V| = 32.0091 / taup" in capsys.readouterr().out
+
+    def test_design_with_many_surplus_terms_fails_without_overflow(self,
+                                                                    capsys):
+        # the RMS cut squares raw coefficients; under error::RuntimeWarning
+        # an overflow there would raise instead of the exit 3
+        assert main(["design", "--family", "S", "-L", "70",
+                     "--extra-terms", "20"]) == 3
         assert "exceed tolerance" in capsys.readouterr().err
 
     def test_params_rejects_singular_hermitian_gamma(self, capsys):

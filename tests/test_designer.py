@@ -254,3 +254,63 @@ def test_designer_picks_minimal_peak_bracketed_root(name, n_roots, peak):
     assert abs(chosen.peak_amplitude - peaks[best]) <= 1e-10
     want = designer._coeffs_from_free(spec, roots[best]) / (2 * np.pi)
     assert np.max(np.abs(np.subtract(chosen.coeffs, want))) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [DesignSpec("S", 8), DesignSpec("S", 12),
+                                  DesignSpec("Q", 6)], ids=str)
+def test_orders_past_the_old_endpoint_solve_design(spec):
+    # these orders failed while the endpoint conditions were met by a
+    # Vandermonde-like solve (condition number 1.4e13 at L = 8)
+    r = design(spec)
+    assert r.residuals["s"] <= 1e-11
+    assert r.residuals.get("alpha", 0.0) <= 1e-11
+    assert max(v for k, v in r.residuals.items()
+               if k.startswith("endpoint")) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [DesignSpec("S", 40), DesignSpec("Q", 12, 3),
+                                  DesignSpec("S", 2, 1)], ids=str)
+def test_endpoint_conditions_hold_by_construction(spec):
+    # V^(2k)(0) = sum_m (-1)^m m^(2k) A_m vanishes for k < L at every x, to
+    # the roundoff of an n_coeffs-term sum relative to its terms' magnitudes
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-8.0, 8.0, size=(4, spec.n_coeffs - 1 - spec.order))
+    m = np.arange(spec.n_coeffs)
+    for x in xs:
+        raw = designer._coeffs_from_free(spec, x)
+        assert raw[0] == np.pi and np.array_equal(raw[spec.order + 1:], x)
+        for k in range(spec.order):
+            terms = (m / m[-1]) ** (2 * k) * raw
+            assert (abs(np.sum((-1.0) ** m * terms)) <= spec.n_coeffs
+                    * np.finfo(float).eps * np.sum(np.abs(terms)))
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_one_surplus_coefficient_reproduces_reference_alpha(name):
+    # the reference S_L rows belong to the S_L+1 family (one more cosine
+    # coefficient, the same endpoint and s = 0 conditions): the member
+    # whose zeta is the reference zeta has the reference alpha/2 too
+    spec = DesignSpec("S", int(name[1]), extra_terms=1)
+    _, ref_half_alpha, ref_zeta = shapes.REFERENCE_PARAMS[name]
+    x = np.array([2 * np.pi * shapes.DESIGNED_COEFFS[name][-1], 0.0])
+
+    def zeta_gap(surplus):
+        # s = 0 along the family, from the previous member's root
+        x[1] = surplus
+        roots, _, ok, _ = designer._newton(spec, x[None], 4096, 1e-12,
+                                           bound=None)
+        assert ok[0]
+        x[:] = roots[0]
+        raw = designer._coeffs_from_free(spec, x)
+        p = compute_params(designer._fourier_shape(raw))
+        return p.zeta - ref_zeta, p
+
+    c0, c1 = 0.0, -0.5
+    g0, _ = zeta_gap(c0)
+    for _ in range(20):
+        g1, p = zeta_gap(c1)
+        if abs(g1) < 1e-10:
+            break
+        c0, c1, g0 = c1, c1 - g1 * (c1 - c0) / (g1 - g0), g1
+    assert abs(p.zeta - ref_zeta) < 1e-10
+    assert abs(p.alpha / 2 - ref_half_alpha) < 5e-7
