@@ -10,10 +10,17 @@ evaluated at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h,
 
 each factor an exact Hermitian exponential.  Within a pulse H = Hs + V(t) K
 with K = sign * sigma_axis/2 (x) 1, and w1 + w2 = 1/2, so every factor's
-generator is Hs/2 + c K with a real coefficient c.  A pulse unitary is
-therefore batched: one vectorised envelope evaluation at all 2*steps nodes,
-then blocks of _BLOCK generators, each with one stacked eigendecomposition
-and a pairwise tree product, multiplied into the running unitary.
+generator is Hs/2 + c K with a real coefficient c; one vectorised envelope
+evaluation gives all 2*steps of them.  The factor exp(-i h (Hs/2 + c K)) has
+|d^n/dc^n| <= (h |K|)^n, so its Chebyshev interpolant in c at n nodes on
+[c_min, c_max] errs by at most 2 a^n / n!, a = h |K| (c_max - c_min) / 4.
+The fewest nodes with that <= _INTERP_TOL (7 for the figure shapes) get exact
+factors from one stacked eigendecomposition, and every factor is their
+Lagrange combination; when the bound asks for a node per factor, the
+distinct coefficients are the nodes and the factors exact.  Blocks of _BLOCK
+factors are multiplied by a pairwise tree product, and one Newton-Schulz
+step U (3 - U^dagger U) / 2 ends the product, taking its accumulated
+roundoff off unitarity.
 Hs is Hermitian because ``CouplingSet`` validates its operators where they
 are built; K is Hermitian by construction, so each generator is too.
 
@@ -36,10 +43,11 @@ Exact symmetries cut the pulses that are integrated at all:
   is a palindrome (every package envelope is symmetric about t = 1/2), each
   factor is a complex symmetric matrix and the second half of the product
   is the transpose of the first half W: U = W^T W, with W built from the
-  first ``steps`` coefficients by real eigendecompositions (time-symmetric
-  splitting; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Odd
-  step counts need nothing special, because the middle step is itself
-  symmetric.
+  first ``steps`` coefficients by a real eigendecomposition of its nodes
+  and the Newton-Schulz step (time-symmetric splitting; Blanes, Casas,
+  Oteo & Ros, Phys. Rep. 470, 151 (2009)); real combinations of the node
+  factors stay complex symmetric.  Odd step counts need nothing special,
+  because the middle step is itself symmetric.
 * Fallback.  Every other pulse (complex Hs or K, an asymmetric envelope)
   takes the general complex product of all 2*steps factors.
 
@@ -87,12 +95,14 @@ _CF4_W2 = 0.25 - np.sqrt(3) / 6
 MIN_STEPS_PER_PULSE = 16
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
-# CF4 exponentials per stacked eigendecomposition, and periods per reduced
+# CF4 factors formed and multiplied at a time, and periods per reduced
 # block of a trace: deep enough to amortise the Python overhead, shallow
 # enough to keep peak memory flat
 _BLOCK = 32
 # relative tolerance of the symmetry and palindrome tests
 _SYMMETRY_TOL = 1e-12
+# interpolation error bound of one CF4 factor
+_INTERP_TOL = 1e-17
 
 
 def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -121,18 +131,38 @@ def _symmetries(hs: np.ndarray) -> list:
 
 def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
                  h: float) -> np.ndarray:
-    """Time-ordered product of exp(-i h (Hs/2 + c K)) over ``coef``."""
-    u = np.eye(hs.shape[0], dtype=complex)
+    """Time-ordered product of exp(-i h (Hs/2 + c K)) over ``coef``, each
+    factor interpolated in c (see the module docstring)."""
+    lo, hi = coef.min(), coef.max()
+    a = h * op_norm(k_op) * (hi - lo) / 4
+    n, err = 1, 2 * a
+    while err > _INTERP_TOL and n < coef.size:
+        n += 1
+        err *= a / n
+    if n < coef.size:
+        nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(
+            (2 * np.arange(n) + 1) * np.pi / (2 * n))
+    else:
+        nodes = np.unique(coef)
+    dim = hs.shape[0]
+    w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
+    exact = ((v * np.exp(-1j * h * w)[:, None, :])
+             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), dim * dim)
+    off = ~np.eye(len(nodes), dtype=bool)
+    gaps = np.where(off, nodes[:, None] - nodes, 1.0)
+    u = np.eye(dim, dtype=complex)
     for b in range(0, coef.size, _BLOCK):
-        c = coef[b:b + _BLOCK, None, None]
-        w, v = np.linalg.eigh(0.5 * hs + c * k_op)
-        f = (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m), taken as a
+        # product of ratios, so that they are exactly 1 and 0 at a node
+        ratios = (coef[b:b + _BLOCK, None, None] - nodes) / gaps
+        f = (np.where(off, ratios, 1.0).prod(axis=2) @ exact
+             ).reshape(-1, dim, dim)
         # pairwise tree product, later factors on the left
         while len(f) > 1:
             paired = f[1::2] @ f[:-1:2]
             f = np.concatenate([paired, f[-1:]]) if len(f) % 2 else paired
         u = f[0] @ u
-    return u
+    return u @ (3 * np.eye(dim) - u.conj().T @ u) / 2
 
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,

@@ -80,6 +80,56 @@ class TestPulseUnitary:
         looped = step_loop_pulse_unitary(hs, k_op, sh, sign, steps)
         assert op_norm(batched - looped) <= 1e-12
 
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(16, 1024),
+           n_max=st.integers(1, 3),
+           model=st.sampled_from(("jc", "parity", "generic")),
+           axis=st.sampled_from("xyz"), sign=st.sampled_from((1, -1)),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)))
+    def test_interpolated_matches_exact_factors(self, seed, steps, n_max,
+                                                model, axis, sign, shape):
+        # real couplings ("jc", "parity") take the real half-product for x
+        # and z pulses, complex ones ("generic", or a y pulse) the general
+        # product
+        hs = assemble(drawn_couplings(model, seed, n_max))
+        k_op = kron(PAULI[axis] / 2, np.eye(n_max + 1, dtype=complex))
+        sh = PROPERTY_SHAPES[shape]
+        interpolated = propagate._pulse_unitary(hs, sign * k_op, sh, steps)
+        looped = step_loop_pulse_unitary(hs, k_op, sh, sign, steps)
+        assert op_norm(interpolated - looped) <= 1e-12
+
+    # a control operator this strong makes the bound ask for a node per
+    # factor: 16 of the real half-product, 32 of the general product
+    @pytest.mark.parametrize("model, factors", (("jc", 16), ("generic", 32)))
+    def test_as_many_nodes_as_factors_gives_exact_factors(
+            self, monkeypatch, g10, model, factors):
+        # the distinct coefficients are then the nodes, so each factor is
+        # its own exact exponential, and at this scale no interpolant of
+        # fewer nodes would come near the step loop
+        hs = assemble(drawn_couplings(model, 4, 2))
+        k_op = 100 * kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        u = propagate._pulse_unitary(hs, k_op, g10, 16)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert len(sizes) == 1 and sizes[0] <= factors
+        assert op_norm(u - step_loop_pulse_unitary(hs, k_op, g10, 1, 16)) \
+            <= 1e-12
+
+    def test_long_general_pulse_stays_unitary(self, h05):
+        # the roundoff of 2048 near-identical factors errs coherently (2.8e-12
+        # off unitarity here); the closing Newton-Schulz step removes it
+        hs = assemble(random_couplings(np.random.default_rng(5), 10))
+        k_op = kron(PAULI["x"] / 2, np.eye(10, dtype=complex))
+        u = propagate._pulse_unitary(hs, k_op, h05, 1024)
+        assert op_norm(u @ u.conj().T - np.eye(20)) <= 1e-14
+
     def test_off_hermitian_system_rejected(self):
         # Hermiticity is checked once, where the couplings are built, at the
         # tolerance expm_herm applies
@@ -140,21 +190,16 @@ class TestSymmetryReduction:
         assert len(syms) == kept
         assert np.all(syms[0] == 1)
 
-    # odd step counts put the middle step in the first half-product.  The
-    # batched and step-loop products differ by roundoff that grows with the
-    # number of factors, up to about 3e-13 per H05 pulse at 257 steps, so
-    # the 257-step draws keep to two pulses
-    @pytest.mark.parametrize("steps, seqs", ((17, SEQUENCES), (27, SEQUENCES),
-                                             (257, pulse_tokens(2))),
-                             ids=("17", "27", "257"))
+    # odd step counts put the middle step in the first half-product
+    @pytest.mark.parametrize("steps", (17, 27, 257))
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 4),
            model=st.sampled_from(("jc", "parity", "generic")),
-           shape=st.sampled_from(sorted(PROPERTY_SHAPES)), data=st.data())
-    def test_matches_general_step_loop(self, steps, seqs, seed, n_max, model,
-                                       shape, data):
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)), seq=SEQUENCES)
+    def test_matches_general_step_loop(self, steps, seed, n_max, model,
+                                       shape, seq):
         cs = drawn_couplings(model, seed, n_max)
-        sched = build_schedule(parse_sequence(data.draw(seqs)),
+        sched = build_schedule(parse_sequence(seq),
                                PROPERTY_SHAPES[shape])
         reduced = propagate._period_unitary(cs, sched, steps)
         assert op_norm(reduced - general_period_unitary(cs, sched, steps)) \
@@ -181,7 +226,9 @@ class TestSymmetryReduction:
     def test_one_real_half_pulse_per_step_count(self, monkeypatch, seq,
                                                 shape):
         # the figure model: every pulse of the period comes from one +x
-        # pulse per step count, integrated as a real half-product
+        # pulse per step count, integrated as a real half-product whose
+        # factors are interpolated from 7 exact ones, the node count the
+        # bound gives at 256 and at 128 steps
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.0002,
                                          n_max=8))
         sched = build_schedule(parse_sequence(seq), resolve_shape(shape))
@@ -189,12 +236,12 @@ class TestSymmetryReduction:
         calls = []
 
         def counting_eigh(a, *args, **kwargs):
-            calls.append((a.dtype, a.ndim))
+            calls.append((a.dtype, a.ndim, len(a)))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         propagate_period(cs, sched, 256)
-        assert calls == [(np.float64, 3)] * ((256 + 128) // propagate._BLOCK)
+        assert calls == [(np.float64, 3, 7)] * 2
 
 
 class TestPropagatePeriod:
