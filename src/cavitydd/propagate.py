@@ -17,8 +17,12 @@ evaluation gives all 2*steps of them.  The factor exp(-i h (Hs/2 + c K)) has
 The fewest nodes with that <= _INTERP_TOL (7 for the figure shapes) get exact
 factors from one stacked eigendecomposition, and every factor is their
 Lagrange combination; when the bound asks for a node per factor, the
-distinct coefficients are the nodes and the factors exact.  Blocks of _BLOCK
-factors are multiplied by a pairwise tree product, and one Newton-Schulz
+distinct coefficients are the nodes and the factors exact.  The Lagrange
+weights of a pulse are formed once, and each block of factors is one real
+matrix product of its weights with the (re, im) view of the exact factors.
+A block is _BLOCK factors, doubled while it holds at most _BLOCK_ENTRIES
+matrix entries (1024 factors at dim 4, 256 at dim 8, 32 from dim 18 on), so
+at small dimension a pulse is one pairwise tree product.  One Newton-Schulz
 step U (3 - U^dagger U) / 2 ends the product, taking its accumulated
 roundoff off unitarity.
 Hs is Hermitian because ``CouplingSet`` validates its operators where they
@@ -27,13 +31,15 @@ are built; K is Hermitian by construction, so each generator is too.
 Exact symmetries cut the pulses that are integrated at all:
 
 * Symmetry tests.  Once per period unitary, two diagonal candidates are
-  tested against the assembled Hs and kept when |S Hs S^dagger - Hs| <=
+  tested against the assembled Hs and kept when |S Hs S^dagger - Hs|_F <=
   1e-12 max(1, |Hs|): the parity R = sigma_z (x) (-1)^n and the excitation
   rotation V = exp(-i pi N/2), N = sigma_z/2 (x) 1 + 1 (x) n, with V^dagger.
+  The Frobenius norm bounds the spectral one, so no symmetry that a
+  spectral test would drop is kept, and the scale |Hs| is the one SVD.
   The Jaynes-Cummings Hs keeps all three; a counter-rotating term keeps R
   alone; generic couplings keep none.
 * Pulse reuse.  A pulse K' takes S U S^dagger from an integrated pulse
-  (K, U) when a kept S gives S K S^dagger = K' to 1e-12.  Nothing is
+  (K, U) when a kept S gives |S K S^dagger - K'|_F <= 1e-12.  Nothing is
   assumed per axis: R K_x R = -K_x and V K_x V^dagger = K_y, but
   R K_z R = +K_z, so -z is no partner of +z.
 * Which pulse to integrate.  Otherwise the orbit member S^dagger K' S with
@@ -60,7 +66,8 @@ oracle for them.
 The schedule of one period (``ControlSchedule``, from
 ``sequences.build_schedule``) is the sequence's elements with the shape and
 the period.  Delta pulses are applied as exact -i sigma rotations between
-integration segments; free-evolution delays are exact exponentials of Hs.
+integration segments; free-evolution delays are exact exponentials of Hs,
+all from one eigendecomposition of Hs taken at the first delay.
 
 ``run_trace`` is the one place the stroboscopic observables are computed.
 Every initial state is q (x) |level>, so U^k psi = q_0 U^k e_0 + q_1 U^k e_1
@@ -81,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CouplingSet, PAULI, assemble, expm_herm, kron, op_norm
+from .algebra import CouplingSet, PAULI, assemble, kron, op_norm
 from .errors import ConvergenceError
 from .sequences import ControlSchedule, Delay
 from .shapes import PulseShape, amplitude
@@ -95,10 +102,13 @@ _CF4_W2 = 0.25 - np.sqrt(3) / 6
 MIN_STEPS_PER_PULSE = 16
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
-# CF4 factors formed and multiplied at a time, and periods per reduced
-# block of a trace: deep enough to amortise the Python overhead, shallow
-# enough to keep peak memory flat
+# the fewest CF4 factors formed and multiplied at a time, and periods per
+# reduced block of a trace: deep enough to amortise the Python overhead,
+# shallow enough to keep peak memory flat
 _BLOCK = 32
+# most matrix entries in a block of CF4 factors longer than _BLOCK: up to
+# dim 16 a pulse's factors are formed and multiplied in fewer, longer blocks
+_BLOCK_ENTRIES = 1 << 14
 # relative tolerance of the symmetry and palindrome tests
 _SYMMETRY_TOL = 1e-12
 # interpolation error bound of one CF4 factor
@@ -112,7 +122,7 @@ def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _symmetries(hs: np.ndarray) -> list:
     """Diagonals of the identity and of every candidate S that is a symmetry
-    of hs, |S hs S^dagger - hs| <= _SYMMETRY_TOL max(1, |hs|).
+    of hs, |S hs S^dagger - hs|_F <= _SYMMETRY_TOL max(1, |hs|_2).
 
     The candidates are the parity R = sigma_z (x) (-1)^n and the excitation
     rotation V = exp(-i pi N / 2), N = sigma_z/2 (x) 1 + 1 (x) n, and
@@ -126,7 +136,17 @@ def _symmetries(hs: np.ndarray) -> list:
     tol = _SYMMETRY_TOL * max(1.0, op_norm(hs))
     return [np.ones(hs.shape[0])] + [
         s for s in (parity, rot, rot.conj())
-        if op_norm(_diag_conj(s, hs) - hs) <= tol]
+        if np.linalg.norm(_diag_conj(s, hs) - hs) <= tol]
+
+
+def _block_length(dim: int) -> int:
+    """CF4 factors per block at this dimension: the longest power of two
+    whose block holds at most _BLOCK_ENTRIES entries, and never fewer than
+    _BLOCK."""
+    block = _BLOCK
+    while 2 * block * dim * dim <= _BLOCK_ENTRIES:
+        block *= 2
+    return block
 
 
 def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
@@ -146,17 +166,24 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
         nodes = np.unique(coef)
     dim = hs.shape[0]
     w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
+    # the exact factors as rows of (re, im) pairs, so that a block's factors
+    # are one real product of their Lagrange weights with these rows
     exact = ((v * np.exp(-1j * h * w)[:, None, :])
-             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), dim * dim)
-    off = ~np.eye(len(nodes), dtype=bool)
-    gaps = np.where(off, nodes[:, None] - nodes, 1.0)
+             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), -1).view(float)
+    # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of the whole
+    # pulse, multiplied in ratio by ratio, so that they are exactly 1 and 0
+    # at a node
+    gaps = nodes[:, None] - nodes
+    np.fill_diagonal(gaps, 1.0)
+    weights = np.ones((coef.size, len(nodes)))
+    for m, x in enumerate(nodes):
+        ratio = (coef[:, None] - x) / gaps[:, m]
+        ratio[:, m] = 1.0
+        weights *= ratio
+    block = _block_length(dim)
     u = np.eye(dim, dtype=complex)
-    for b in range(0, coef.size, _BLOCK):
-        # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m), taken as a
-        # product of ratios, so that they are exactly 1 and 0 at a node
-        ratios = (coef[b:b + _BLOCK, None, None] - nodes) / gaps
-        f = (np.where(off, ratios, 1.0).prod(axis=2) @ exact
-             ).reshape(-1, dim, dim)
+    for b in range(0, coef.size, block):
+        f = (weights[b:b + block] @ exact).view(complex).reshape(-1, dim, dim)
         # pairwise tree product, later factors on the left
         while len(f) > 1:
             paired = f[1::2] @ f[:-1:2]
@@ -196,7 +223,7 @@ def _symmetric_pulse(hs: np.ndarray, k_op: np.ndarray, syms: list,
     """
     for k, u in pulses:
         for s in syms:
-            if op_norm(_diag_conj(s, k) - k_op) <= _SYMMETRY_TOL:
+            if np.linalg.norm(_diag_conj(s, k) - k_op) <= _SYMMETRY_TOL:
                 return _diag_conj(s, u)
     members = [(s, _diag_conj(s.conj(), k_op)) for s in syms]
     real = [m for m in members if not (hs.imag.any() or m[1].imag.any())]
@@ -213,12 +240,16 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     eye = np.eye(couplings.dim, dtype=complex)
     syms = _symmetries(hs)
     pulses = []     # (K, U) of every pulse unitary integrated so far
+    eig = None      # eigh(hs), taken at the first delay
     u = np.eye(2 * couplings.dim, dtype=complex)
     cache: dict = {}    # one unitary per distinct element
     for e in schedule.elements:
         if e not in cache:
             if isinstance(e, Delay):
-                cache[e] = expm_herm(hs, e.duration)
+                if eig is None:
+                    eig = np.linalg.eigh(hs)
+                w, v = eig
+                cache[e] = (v * np.exp(-1j * w * e.duration)) @ v.conj().T
             elif shape.is_delta:
                 cache[e] = kron(-1j * e.sign * PAULI[e.axis], eye)
             else:

@@ -270,13 +270,15 @@ def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 
+@lru_cache(maxsize=256)
 def compute_params(shape: PulseShape,
                    n_quad: int = DEFAULT_N_QUAD) -> ShapeParams:
     """Shape parameters (s, alpha, zeta) by quadrature.
 
     Evaluates at n_quad and 2*n_quad panels and requires the two answers to
     agree to PARAM_CONVERGENCE_TOL; the converged (finer) values are
-    returned.
+    returned, and kept per (shape, n_quad).  A failed quadrature is not
+    kept: it raises again on every call.
 
     Raises
     ------

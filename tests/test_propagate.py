@@ -1,10 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitydd import propagate
+from cavitydd import algebra, propagate
 from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
                               expm_herm, jaynes_cummings, kron, lowering,
                               op_norm)
@@ -64,8 +65,9 @@ def step_loop_pulse_unitary(hs, k_op, shape, sign, steps):
 
 
 class TestPulseUnitary:
-    # 27 steps give a last block of 22 factors, so the tree carries an odd
-    # factor on two of its levels
+    # at dim <= 8 a block holds 256 factors or more: 27 steps give one tree
+    # of 54 factors, which carries an odd factor on two of its levels, and
+    # 257 steps at dim 8 on the general path give blocks of 256, 256 and 2
     @pytest.mark.parametrize("steps", (16, 17, 27, 100, 257))
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
@@ -121,6 +123,31 @@ class TestPulseUnitary:
         assert len(sizes) == 1 and sizes[0] <= factors
         assert op_norm(u - step_loop_pulse_unitary(hs, k_op, g10, 1, 16)) \
             <= 1e-12
+
+    @pytest.mark.parametrize("dim, block", ((2, 4096), (4, 1024), (6, 256),
+                                            (8, 256), (16, 64), (18, 32),
+                                            (40, 32)))
+    def test_block_length_by_dimension(self, dim, block):
+        assert propagate._block_length(dim) == block
+
+    @pytest.mark.parametrize("steps", (17, 27, 128, 257))
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 3),
+           model=st.sampled_from(("jc", "generic")),
+           axis=st.sampled_from("xyz"),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES)))
+    def test_product_independent_of_block_length(self, steps, seed, n_max,
+                                                 model, axis, shape):
+        # real half-products ("jc", x and z) and general ones, with blocks
+        # of _BLOCK factors and with the budgeted blocks
+        hs = assemble(drawn_couplings(model, seed, n_max))
+        k_op = kron(PAULI[axis] / 2, np.eye(n_max + 1, dtype=complex))
+        sh = PROPERTY_SHAPES[shape]
+        budgeted = propagate._pulse_unitary(hs, k_op, sh, steps)
+        with mock.patch.object(propagate, "_BLOCK_ENTRIES", 0):
+            assert propagate._block_length(2 * n_max + 2) == propagate._BLOCK
+            fixed = propagate._pulse_unitary(hs, k_op, sh, steps)
+        assert op_norm(budgeted - fixed) <= 1e-13
 
     def test_long_general_pulse_stays_unitary(self, h05):
         # the roundoff of 2048 near-identical factors errs coherently (2.8e-12
@@ -189,6 +216,16 @@ class TestSymmetryReduction:
         syms = propagate._symmetries(assemble(drawn_couplings(model, 3, 4)))
         assert len(syms) == kept
         assert np.all(syms[0] == 1)
+
+    @pytest.mark.parametrize("scale, kept", ((1e-14, 4), (1e-10, 1)))
+    def test_symmetry_tolerance(self, scale, kept):
+        # sigma_x (x) 1 anticommutes with R and shifts N by one, so it breaks
+        # R, V and V^dagger; the Frobenius test keeps them only while the
+        # breaking is far below 1e-12 |Hs|
+        hs = assemble(drawn_couplings("jc", 3, 4))
+        flip = kron(PAULI["x"], np.eye(5, dtype=complex))
+        broken = hs + scale * op_norm(hs) * flip
+        assert len(propagate._symmetries(broken)) == kept
 
     # odd step counts put the middle step in the first half-product
     @pytest.mark.parametrize("steps", (17, 27, 257))
@@ -304,6 +341,26 @@ class TestPropagatePeriod:
         # and passes with more steps
         u = propagate_period(cs, sched, steps_per_pulse=512)
         assert op_norm(u @ u.conj().T - np.eye(8)) < 1e-10
+
+    def test_delays_from_one_eigendecomposition(self, monkeypatch):
+        # the couplings are checked where they are built, so two distinct
+        # delays take one eigh of Hs and no Hermiticity check
+        cs = drawn_couplings("generic", 6, 2)
+        sched = build_schedule(parse_sequence("X d(0.7) -X d(1.3)"),
+                               delta())
+        is_hermitian, eigh = algebra.is_hermitian, np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(algebra, "is_hermitian", lambda a: (
+            calls.append("is_hermitian"), is_hermitian(a))[1])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+            calls.append("eigh"), eigh(a))[1])
+        u = propagate._period_unitary(cs, sched, 16)
+        monkeypatch.undo()
+        assert calls == ["eigh"]
+        hs, x = assemble(cs), kron(PAULI["x"], np.eye(3, dtype=complex))
+        expect = (expm_herm(hs, 1.3) @ (1j * x) @ expm_herm(hs, 0.7)
+                  @ (-1j * x))
+        assert op_norm(u - expect) <= 1e-14
 
     def test_steps_validation(self, g10):
         cs = chemical_shift(0.1)

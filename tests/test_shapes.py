@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitydd import designer, shapes
+from cavitydd import cli, designer, shapes
 from cavitydd.errors import ConvergenceError
 from cavitydd.shapes import (DEFAULT_N_QUAD, PulseShape, amplitude,
                              compute_params, delta, fourier, gaussian,
@@ -184,6 +184,33 @@ class TestComputeParams:
         assert all(x > y > 0 for x, y in zip(s_vals, s_vals[1:]))
         assert all(x > y > 0 for x, y in zip(a_vals, a_vals[1:]))
         assert abs(ps[-1].zeta - 0.25) < abs(ps[0].zeta - 0.25)
+
+    @staticmethod
+    def count_quadratures(monkeypatch):
+        """Clear the memo and record the n_quad of every _params_at call."""
+        calls = []
+        params_at = shapes._params_at
+        monkeypatch.setattr(shapes, "_params_at", lambda shape, n_quad: (
+            calls.append(n_quad), params_at(shape, n_quad))[1])
+        compute_params.cache_clear()
+        return calls
+
+    def test_effham_takes_one_quadrature_pair(self, monkeypatch, capsys):
+        # effham reads the parameters three times: for its report and for
+        # both conventions of the effective Hamiltonian
+        calls = self.count_quadratures(monkeypatch)
+        assert cli.main(["effham", "--sequence", "8a", "--shape", "G10",
+                         "--n-max", "1", "--steps-per-pulse", "64"]) == 0
+        assert "defect" in capsys.readouterr().out
+        assert calls == [DEFAULT_N_QUAD, 2 * DEFAULT_N_QUAD]
+
+    def test_convergence_error_raised_on_every_call(self, monkeypatch):
+        calls = self.count_quadratures(monkeypatch)
+        shape = hermitian(0.05, gamma=1.99)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                compute_params(shape)
+        assert len(calls) == 4
 
 
 class TestGammaSolve:
