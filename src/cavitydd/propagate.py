@@ -20,11 +20,12 @@ Lagrange combination; when the bound asks for a node per factor, the
 distinct coefficients are the nodes and the factors exact.  The Lagrange
 weights of a pulse are formed once, and each block of factors is one real
 matrix product of its weights with the (re, im) view of the exact factors.
-A block is _BLOCK factors, doubled while it holds at most _BLOCK_ENTRIES
-matrix entries (1024 factors at dim 4, 256 at dim 8, 32 from dim 18 on), so
-at small dimension a pulse is one pairwise tree product.  One Newton-Schulz
-step U (3 - U^dagger U) / 2 ends the product, taking its accumulated
-roundoff off unitarity.
+Below dimension _BLOCK_DIM a block is _BLOCK factors, doubled while it holds
+at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256 at dim 8),
+so that a small pulse is one pairwise tree product; from dimension
+_BLOCK_DIM on it is _BLOCK factors, the association order of the figures.
+One Newton-Schulz step U (3 - U^dagger U) / 2 ends the product, taking its
+accumulated roundoff off unitarity.
 Hs is Hermitian because ``CouplingSet`` validates its operators where they
 are built; K is Hermitian by construction, so each generator is too.
 
@@ -66,8 +67,7 @@ oracle for them.
 The schedule of one period (``ControlSchedule``, from
 ``sequences.build_schedule``) is the sequence's elements with the shape and
 the period.  Delta pulses are applied as exact -i sigma rotations between
-integration segments; free-evolution delays are exact exponentials of Hs,
-all from one eigendecomposition of Hs taken at the first delay.
+integration segments; free-evolution delays are exact exponentials of Hs.
 
 ``run_trace`` is the one place the stroboscopic observables are computed.
 Every initial state is q (x) |level>, so U^k psi = q_0 U^k e_0 + q_1 U^k e_1
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CouplingSet, PAULI, assemble, kron, op_norm
+from .algebra import CouplingSet, PAULI, assemble, expm_herm, kron, op_norm
 from .errors import ConvergenceError
 from .sequences import ControlSchedule, Delay
 from .shapes import PulseShape, amplitude
@@ -106,9 +106,11 @@ LEAK_THRESHOLD = 1e-6
 # reduced block of a trace: deep enough to amortise the Python overhead,
 # shallow enough to keep peak memory flat
 _BLOCK = 32
-# most matrix entries in a block of CF4 factors longer than _BLOCK: up to
-# dim 16 a pulse's factors are formed and multiplied in fewer, longer blocks
+# most matrix entries in a block of CF4 factors longer than _BLOCK, and the
+# dimension from which blocks stay _BLOCK long: below it a pulse's factors
+# are formed and multiplied in fewer, longer blocks
 _BLOCK_ENTRIES = 1 << 14
+_BLOCK_DIM = 16
 # relative tolerance of the symmetry and palindrome tests
 _SYMMETRY_TOL = 1e-12
 # interpolation error bound of one CF4 factor
@@ -140,11 +142,11 @@ def _symmetries(hs: np.ndarray) -> list:
 
 
 def _block_length(dim: int) -> int:
-    """CF4 factors per block at this dimension: the longest power of two
-    whose block holds at most _BLOCK_ENTRIES entries, and never fewer than
-    _BLOCK."""
+    """CF4 factors per block at this dimension: _BLOCK from _BLOCK_DIM on,
+    and below it the longest power of two, never fewer than _BLOCK, whose
+    block holds at most _BLOCK_ENTRIES entries."""
     block = _BLOCK
-    while 2 * block * dim * dim <= _BLOCK_ENTRIES:
+    while dim < _BLOCK_DIM and 2 * block * dim * dim <= _BLOCK_ENTRIES:
         block *= 2
     return block
 
@@ -240,16 +242,12 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     eye = np.eye(couplings.dim, dtype=complex)
     syms = _symmetries(hs)
     pulses = []     # (K, U) of every pulse unitary integrated so far
-    eig = None      # eigh(hs), taken at the first delay
     u = np.eye(2 * couplings.dim, dtype=complex)
     cache: dict = {}    # one unitary per distinct element
     for e in schedule.elements:
         if e not in cache:
             if isinstance(e, Delay):
-                if eig is None:
-                    eig = np.linalg.eigh(hs)
-                w, v = eig
-                cache[e] = (v * np.exp(-1j * w * e.duration)) @ v.conj().T
+                cache[e] = expm_herm(hs, e.duration)
             elif shape.is_delta:
                 cache[e] = kron(-1j * e.sign * PAULI[e.axis], eye)
             else:
