@@ -11,6 +11,7 @@ convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -253,7 +254,9 @@ def _add_model_args(p: argparse.ArgumentParser):
                    default=dflt.steps_per_pulse)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cavitydd",
         description="Soft-pulse dynamical decoupling workbench "

@@ -58,8 +58,9 @@ Exact symmetries cut the pulses that are integrated at all:
 * Fallback.  Every other pulse (complex Hs or K, an asymmetric envelope)
   takes the general complex product of all 2*steps factors.
 
-The step count is validated, and the step-halving self-check made, in one
-place (``_checked_period_unitary``) for every entry point.  The expansion
+The step count (>= 32) is validated, and the step-halving check made, in
+``_checked_period_unitary``, which every entry point passes and none can
+skip; exact delta-pulse schedules skip only the check.  The expansion
 parameters tested elsewhere in this package never enter here: the propagator
 integrates the lab-frame Hamiltonian directly, so it is an independent
 oracle for them.
@@ -99,7 +100,7 @@ _GL_NODE_2 = 0.5 + np.sqrt(3) / 6
 _CF4_W1 = 0.25 + np.sqrt(3) / 6
 _CF4_W2 = 0.25 - np.sqrt(3) / 6
 
-MIN_STEPS_PER_PULSE = 16
+MIN_STEPS_PER_PULSE = 32
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
 # the fewest CF4 factors formed and multiplied at a time, and periods per
@@ -259,22 +260,17 @@ def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
 
 
 def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
-                            steps_per_pulse: int, self_check: bool):
+                            steps_per_pulse: int):
     """(U(T), |U(steps) - U(steps/2)|): the one step-count validation and
     step-halving check behind every entry point.
 
-    The difference is 0.0 without ``self_check`` and for the exact
-    delta-pulse schedules; above SELF_CHECK_TOL a ConvergenceError asks for
-    more steps.
+    The difference is 0.0 for the exact delta-pulse schedules; above
+    SELF_CHECK_TOL a ConvergenceError asks for more steps.
     """
     if steps_per_pulse < MIN_STEPS_PER_PULSE:
         raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
-    check = self_check and not schedule.shape.is_delta
-    if check and steps_per_pulse // 2 < MIN_STEPS_PER_PULSE:
-        raise ValueError("self_check needs steps_per_pulse >= "
-                         f"{2 * MIN_STEPS_PER_PULSE}")
     u = _period_unitary(couplings, schedule, steps_per_pulse)
-    if not check:
+    if schedule.shape.is_delta:
         return u, 0.0
     halving = op_norm(u - _period_unitary(couplings, schedule,
                                           steps_per_pulse // 2))
@@ -286,17 +282,15 @@ def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
 
 
 def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
-                     steps_per_pulse: int = 256,
-                     self_check: bool = True) -> np.ndarray:
+                     steps_per_pulse: int = 256) -> np.ndarray:
     """One-period propagator U(T).
 
-    With ``self_check`` the integration is repeated at half the step count
-    and the two answers must agree to SELF_CHECK_TOL (Richardson check);
-    otherwise a ConvergenceError asks for more steps.  Delta-pulse schedules
-    are exact and skip the check.
+    The integration is repeated at half the step count and the two answers
+    must agree to SELF_CHECK_TOL (Richardson check); otherwise a
+    ConvergenceError asks for more steps.  Delta-pulse schedules are exact
+    and skip the check.
     """
-    return _checked_period_unitary(couplings, schedule, steps_per_pulse,
-                                   self_check)[0]
+    return _checked_period_unitary(couplings, schedule, steps_per_pulse)[0]
 
 
 @dataclass
@@ -319,8 +313,7 @@ class EvolutionTrace:
 
 def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
               n_periods: int, initial_states, oscillator_level: int = 0,
-              steps_per_pulse: int = 256,
-              self_check: bool = True) -> EvolutionTrace:
+              steps_per_pulse: int = 256) -> EvolutionTrace:
     """Propagate initial product states |psi_q> (x) |k_osc> stroboscopically.
 
     The one-period propagator is computed once and reused (the schedule is
@@ -358,8 +351,7 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     lmax = np.empty(n_periods + 1)
     times = np.arange(n_periods + 1) * schedule.period
 
-    u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse,
-                                         self_check)
+    u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse)
 
     dim = 2 * d
     # U^0 .. U^(_BLOCK-1), and U^_BLOCK to advance a block

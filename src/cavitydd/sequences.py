@@ -196,13 +196,8 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
     if abs(abs(params.area) - np.pi) > 1e-8:
         raise ValueError("expand_pulse requires inversion-pulse parameters "
                          f"(area = +-pi, got {params.area})")
-    if pulse.sign < 0:
-        flipped = ShapeParams(s=-params.s, alpha=-params.alpha,
-                              zeta=params.zeta, area=-params.area)
-        pos = expand_pulse(couplings, flipped, _p(pulse.axis), convention)
-        return tuple(-m for m in pos)
-
-    s, alpha, zeta = params.s, params.alpha, params.zeta
+    sign = pulse.sign
+    s, alpha, zeta = sign * params.s, sign * params.alpha, params.zeta
     if convention == "matched":
         s, alpha = -s, -alpha
     mu, nu, rho = _CYCLIC[pulse.axis]
@@ -221,7 +216,7 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
                        - 1j * comm(_on(None, am), _on(nu, ar) - _on(rho, an)))
           + alpha * (_on(None, an @ an + ar @ ar) + 1j * _on(mu, comm(an, ar)))
           + (s ** 2 / 2) * (_on(None, comm(ar, an)) + 1j * _on(mu, an @ an + ar @ ar)))
-    return x0, x1, x2
+    return (x0, x1, x2) if sign > 0 else (-x0, -x1, -x2)
 
 
 def expansion_sum(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,

@@ -209,14 +209,12 @@ def _norm_scale(shape: PulseShape) -> float:
     return np.pi / area
 
 
-@lru_cache(maxsize=256)
-def _sampled(shape: PulseShape, n_quad: int):
-    """Normalized envelope and cumulative integrals on n_quad+1 uniform nodes."""
-    h = 1 / n_quad
+def _sampled(shape: PulseShape, n_quad: int) -> np.ndarray:
+    """Phase phi(t), the cumulative integral of the normalized envelope, on
+    n_quad+1 uniform nodes."""
     t = np.linspace(0.0, 1.0, n_quad + 1)
-    v = _norm_scale(shape) * _raw_envelope(shape, t)
-    phi = _cumulative_simpson(v, h)
-    return t, v, phi
+    return _cumulative_simpson(_norm_scale(shape) * _raw_envelope(shape, t),
+                               1 / n_quad)
 
 
 def amplitude(shape: PulseShape, t):
@@ -262,23 +260,24 @@ def _phase_params(phi: np.ndarray, h: float):
     return (s, alpha), (cos_sin, cum)
 
 
+@lru_cache(maxsize=256)
 def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
-    t, v, phi = _sampled(shape, n_quad)
+    """(s, alpha, zeta, area) at n_quad panels, kept per (shape, n_quad)."""
+    phi = _sampled(shape, n_quad)
     h = 1 / n_quad
     (s, alpha), (_, cum) = _phase_params(phi, h)
     zeta = _simpson(cum[0], h)
     return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
 
 
-@lru_cache(maxsize=256)
 def compute_params(shape: PulseShape,
                    n_quad: int = DEFAULT_N_QUAD) -> ShapeParams:
     """Shape parameters (s, alpha, zeta) by quadrature.
 
     Evaluates at n_quad and 2*n_quad panels and requires the two answers to
     agree to PARAM_CONVERGENCE_TOL; the converged (finer) values are
-    returned, and kept per (shape, n_quad).  A failed quadrature is not
-    kept: it raises again on every call.
+    returned.  The quadratures are kept per (shape, n_quad) by _params_at,
+    and the check runs on every call, so a failed one raises every time.
 
     Raises
     ------
@@ -311,6 +310,7 @@ def solve_hermitian_gamma(width_ratio: float,
     """Root of s(gamma) = 0 for the quadratic-envelope family at this width.
 
     Plain bisection on the bracket; s(gamma) is smooth and monotone there.
+    A root whose quadrature fails compute_params's check raises.
     """
     def s_of(gam: float) -> float:
         shp = hermitian(width_ratio, gamma=gam)
@@ -328,7 +328,9 @@ def solve_hermitian_gamma(width_ratio: float,
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    gamma = 0.5 * (lo + hi)
+    compute_params(hermitian(width_ratio, gamma), n_quad)
+    return gamma
 
 
 # ---------------------------------------------------------------------------

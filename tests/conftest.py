@@ -29,7 +29,7 @@ def cosine_average(shape):
     """<cos phi(t)> over the pulse from the quadrature phase samples; it
     vanishes for symmetric pi shapes."""
     n = shapes.DEFAULT_N_QUAD
-    phi = shapes._sampled(shape, n)[2]
+    phi = shapes._sampled(shape, n)
     return shapes._simpson(np.cos(phi), 1 / n)
 
 

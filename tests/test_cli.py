@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from cavitydd import designer, propagate, sequences
-from cavitydd.cli import ExperimentConfig, load_config, main, resolve_shape
+from cavitydd.cli import (ExperimentConfig, build_parser, load_config, main,
+                          resolve_shape)
 from cavitydd.shapes import delta, fourier, gaussian, hermitian, shape_to_text
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -275,7 +276,8 @@ class TestCommands:
         assert "convergence" in capsys.readouterr().err
 
     def test_simulate_too_few_steps_for_self_check(self, tmp_path, capsys):
-        # 16 steps pass the config check but leave 8 for the halving check
+        # 16 steps fail the one step rule, steps_per_pulse >= 32, which
+        # leaves the halving check at least 16
         rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
                    "--periods", "1", "--n-max", "2", "--grid", "4",
                    "--steps-per-pulse", "16",
@@ -390,6 +392,11 @@ class TestCommands:
         assert out.splitlines()[-1] == (
             "fitted exponent p: not fitted (fewer than two defects above "
             "the 1e-12 floor)")
+
+
+def test_parser_built_once():
+    # every main call in a process parses with the same parser
+    assert build_parser() is build_parser()
 
 
 def test_python_m_cavitydd():

@@ -47,7 +47,7 @@ class TestObservables:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bounds(self, small_grid):
-        tr = make_trace(small_grid, g=0.05, periods=40, self_check=False)
+        tr = make_trace(small_grid, g=0.05, periods=40)
         f = tr.fidelity_min
         n = tr.n_mean_max
         assert np.all((0 <= f) & (f <= 1 + 1e-12))
@@ -55,8 +55,7 @@ class TestObservables:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_two_level_oscillator_bound(self, small_grid):
-        tr = make_trace(small_grid, g=0.05, n_max=1, periods=40,
-                        self_check=False)
+        tr = make_trace(small_grid, g=0.05, n_max=1, periods=40)
         assert np.all(tr.n_mean_max <= 1 + 1e-10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -65,8 +64,8 @@ class TestObservables:
         # and raise the maximum occupation
         small = bloch_grid(6)
         big = np.concatenate([small, bloch_grid(13)[6:]])
-        tr_small = make_trace(small, g=0.04, periods=25, self_check=False)
-        tr_big = make_trace(big, g=0.04, periods=25, self_check=False)
+        tr_small = make_trace(small, g=0.04, periods=25)
+        tr_big = make_trace(big, g=0.04, periods=25)
         assert np.all(tr_big.fidelity_min
                       <= tr_small.fidelity_min + 1e-14)
         assert np.all(tr_big.n_mean_max

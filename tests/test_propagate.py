@@ -251,11 +251,12 @@ class TestSymmetryReduction:
         cs = drawn_couplings(model, seed, n_max)
         once = parse_sequence(seq).label()
         sh = PROPERTY_SHAPES[shape]
-        u1 = propagate_period(cs, build_schedule(parse_sequence(once), sh),
-                              32, self_check=False)
-        u2 = propagate_period(
-            cs, build_schedule(parse_sequence(f"{once} {once}"), sh), 32,
-            self_check=False)
+        # unchecked: the identity holds at any step count, and 32 steps do
+        # not pass the halving check on these shapes
+        u1 = propagate._period_unitary(
+            cs, build_schedule(parse_sequence(once), sh), 32)
+        u2 = propagate._period_unitary(
+            cs, build_schedule(parse_sequence(f"{once} {once}"), sh), 32)
         assert op_norm(u2 - u1 @ u1) <= 1e-12
 
     @pytest.mark.parametrize("seq", ("4p", "8a", "8s"))
@@ -304,7 +305,8 @@ class TestPropagatePeriod:
         rng = np.random.default_rng(17)
         cs = random_couplings(rng, 3, scale=0.5)
         sched = build_schedule(parse_sequence("X"), resolve_shape(shape))
-        u64, u128, u256 = (propagate_period(cs, sched, n, self_check=False)
+        # the unchecked U(T): the test measures the unconverged differences
+        u64, u128, u256 = (propagate._period_unitary(cs, sched, n)
                            for n in (64, 128, 256))
         d1 = op_norm(u128 - u64)
         d2 = op_norm(u256 - u128)
@@ -328,8 +330,8 @@ class TestPropagatePeriod:
         once = "Y X -Y X X -Y X Y"
         one = build_schedule(parse_sequence(once), q1_shape)
         two = build_schedule(parse_sequence(once + " " + once), q1_shape)
-        u1 = propagate_period(cs, one, self_check=False)
-        u2 = propagate_period(cs, two, self_check=False)
+        u1 = propagate_period(cs, one)
+        u2 = propagate_period(cs, two)
         assert op_norm(u2 - u1 @ u1) < 1e-9
 
     def test_self_check_raises_on_hot_parameters(self, q1_shape):
@@ -343,13 +345,22 @@ class TestPropagatePeriod:
         assert op_norm(u @ u.conj().T - np.eye(8)) < 1e-10
 
     def test_steps_validation(self, g10):
+        # one rule for every schedule, so that the halving check integrates
+        # at least 16 steps
         cs = chemical_shift(0.1)
-        sched = build_schedule(parse_sequence("X"), g10)
-        with pytest.raises(ValueError):
-            propagate_period(cs, sched, steps_per_pulse=8)
-        with pytest.raises(ValueError, match="self_check"):
-            propagate_period(cs, sched, steps_per_pulse=16)
-        propagate_period(cs, sched, steps_per_pulse=16, self_check=False)
+        soft = build_schedule(parse_sequence("X"), g10)
+        hard = build_schedule(parse_sequence("X"), delta())
+        for sched in (soft, hard):
+            for steps in (8, 16, 31):
+                with pytest.raises(ValueError,
+                                   match="steps_per_pulse must be >= 32"):
+                    propagate_period(cs, sched, steps_per_pulse=steps)
+        # 32 steps pass the rule, and the halving check then runs: it fails
+        # for G10 at this step size, and an exact delta pulse skips it
+        with pytest.raises(ConvergenceError):
+            propagate_period(cs, soft, steps_per_pulse=32)
+        assert op_norm(propagate_period(cs, hard, steps_per_pulse=32)
+                       + 1j * PAULI["x"]) < 1e-14
 
 
 def per_period_columns(u, qs, d, level, n_periods):
@@ -373,6 +384,15 @@ def per_period_columns(u, qs, d, level, n_periods):
         leak = w[:, :, max(0, d - 2):].sum(axis=(1, 2))
         cols.append((f.min(), n_exp.max(), leak.max()))
     return np.array(cols).T
+
+
+def unchecked_period_unitary():
+    """Patch run_trace's U(T) to the unchecked one, for random couplings on
+    which few steps do not converge: the trace loop is under test."""
+    return mock.patch.object(
+        propagate, "_checked_period_unitary",
+        lambda cs, sched, steps: (propagate._period_unitary(cs, sched, steps),
+                                  0.0))
 
 
 TRACE_SCHEDULES = {"xbarx+G10": ("xbarx", gaussian(0.10)),
@@ -412,9 +432,10 @@ class TestRunTrace:
         level = int(rng.integers(dim))
         seq, shape = TRACE_SCHEDULES[schedule]
         sched = build_schedule(parse_sequence(seq), shape)
-        tr = run_trace(cs, sched, n_periods, qs, oscillator_level=level,
-                       steps_per_pulse=16, self_check=False)
-        u = propagate_period(cs, sched, 16, self_check=False)
+        with unchecked_period_unitary():
+            tr = run_trace(cs, sched, n_periods, qs, oscillator_level=level,
+                           steps_per_pulse=16)
+        u = propagate._period_unitary(cs, sched, 16)
         ref = per_period_columns(u, qs, dim, level, n_periods)
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert got.shape == ref.shape == (3, n_periods + 1)
@@ -427,8 +448,8 @@ class TestRunTrace:
                                          n_max=8))
         sched = build_schedule(parse_sequence("4p"), g10)
         qs = bloch_grid(50)
-        tr = run_trace(cs, sched, 100, qs, self_check=False)
-        u = propagate_period(cs, sched, self_check=False)
+        tr = run_trace(cs, sched, 100, qs)
+        u = propagate_period(cs, sched)
         ref = per_period_columns(u, qs, 9, 0, 100)
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -442,10 +463,11 @@ class TestRunTrace:
         qs /= np.linalg.norm(qs, axis=1, keepdims=True)
         n_periods = 3 * propagate._BLOCK + 5
         sched = build_schedule(parse_sequence("xbarx"), gaussian(0.10))
-        with pytest.warns(RuntimeWarning, match="n_max"):
+        with pytest.warns(RuntimeWarning, match="n_max"), \
+                unchecked_period_unitary():
             tr = run_trace(cs, sched, n_periods, qs, oscillator_level=3,
-                           steps_per_pulse=16, self_check=False)
-        u = propagate_period(cs, sched, 16, self_check=False)
+                           steps_per_pulse=16)
+        u = propagate._period_unitary(cs, sched, 16)
         ref = per_period_columns(u, qs, 5, 3, n_periods)
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -564,7 +586,7 @@ class TestRunTrace:
                                          n_max=2))
         sched = build_schedule(parse_sequence("4p"), g10)
         with pytest.warns(RuntimeWarning, match="n_max"):
-            run_trace(cs, sched, 60, grid6, self_check=False)
+            run_trace(cs, sched, 60, grid6)
 
     def test_validation(self, g10, grid6):
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.01,
@@ -605,13 +627,19 @@ class TestRunTrace:
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.002,
                                          n_max=4))
         sched = build_schedule(parse_sequence("4p"), g10)
-        with pytest.raises(ValueError, match="steps_per_pulse"):
-            run_trace(cs, sched, 1, grid6, steps_per_pulse=4)
-        with pytest.raises(ValueError, match="self_check"):
-            run_trace(cs, sched, 1, grid6, steps_per_pulse=16)
-        tr = run_trace(cs, sched, 1, grid6, steps_per_pulse=16,
-                       self_check=False)
-        assert tr.halving_diff == 0.0
+        for steps in (4, 16):
+            with pytest.raises(ValueError,
+                               match="steps_per_pulse must be >= 32"):
+                run_trace(cs, sched, 1, grid6, steps_per_pulse=steps)
+        # the halving check runs at every accepted step count: G10 needs
+        # 128 steps here, and the exact delta schedule reports 0.0
+        with pytest.raises(ConvergenceError):
+            run_trace(cs, sched, 1, grid6, steps_per_pulse=64)
+        tr = run_trace(cs, sched, 1, grid6, steps_per_pulse=128)
+        assert 0 < tr.halving_diff <= propagate.SELF_CHECK_TOL
+        hard = build_schedule(parse_sequence("4p"), delta())
+        assert run_trace(cs, hard, 1, grid6,
+                         steps_per_pulse=32).halving_diff == 0.0
 
     def test_fock_start(self, g10, grid6):
         cs = jaynes_cummings(ModelParams(omega_r=0.1, omega_0=0, g=0.0,

@@ -118,7 +118,7 @@ class TestExpandPulse:
         # and the propagator agrees with the matched variant, not the
         # sign-flipped one
         sched = build_schedule(parse_sequence("X"), gaussian(0.10))
-        u = propagate.propagate_period(cs, sched, self_check=False)
+        u = propagate.propagate_period(cs, sched)
         matched = x0 + x1 + x2
         flipped = x0 - x1 + taubar ** 2 * (p.alpha * np.eye(2)
                                            + 0.5j * p.s ** 2 * sx)
@@ -140,7 +140,7 @@ class TestExpandPulse:
 
         def residual(scale):
             sc = cs.scaled(scale)
-            u = propagate.propagate_period(sc, sched, self_check=False)
+            u = propagate.propagate_period(sc, sched)
             return op_norm(u - expansion_sum(sc, p, PulseSpec("x")))
 
         ratio = residual(0.2) / residual(0.1)
@@ -159,7 +159,7 @@ class TestExpandPulse:
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
-            u = propagate.propagate_period(sc, sched, self_check=False)
+            u = propagate.propagate_period(sc, sched)
             res.append(op_norm(u - expansion_sum(sc, p, PulseSpec(axis, sign))))
         assert 6 < res[0] / res[1] < 10
 
@@ -173,7 +173,7 @@ class TestExpandPulse:
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
-            u = propagate.propagate_period(sc, sched, self_check=False)
+            u = propagate.propagate_period(sc, sched)
             res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x"))))
         assert 6 < res[0] / res[1] < 10
 
@@ -205,7 +205,9 @@ class TestExpandPulse:
         res = []
         for lam in (0.2, 0.1):
             sc = cs.scaled(lam)
-            u = propagate.propagate_period(sc, sched, self_check=False)
+            # unchecked: some drawn couplings need more than 256 steps to
+            # pass the halving check, far below the residuals compared here
+            u = propagate._period_unitary(sc, sched, 256)
             res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x", -1))))
         assert 6 < res[0] / res[1] < 10
 

@@ -111,7 +111,7 @@ class TestAmplitude:
 
 def phase(shape):
     """phi(t) = int_0^t V on the DEFAULT_N_QUAD + 1 quadrature nodes."""
-    return shapes._sampled(shape, DEFAULT_N_QUAD)[2]
+    return shapes._sampled(shape, DEFAULT_N_QUAD)
 
 
 class TestPhaseIntegral:
@@ -187,12 +187,12 @@ class TestComputeParams:
 
     @staticmethod
     def count_quadratures(monkeypatch):
-        """Clear the memo and record the n_quad of every _params_at call."""
+        """Clear the cache and record the n_quad of every _sampled call."""
         calls = []
-        params_at = shapes._params_at
-        monkeypatch.setattr(shapes, "_params_at", lambda shape, n_quad: (
-            calls.append(n_quad), params_at(shape, n_quad))[1])
-        compute_params.cache_clear()
+        sampled = shapes._sampled
+        monkeypatch.setattr(shapes, "_sampled", lambda shape, n_quad: (
+            calls.append(n_quad), sampled(shape, n_quad))[1])
+        shapes._params_at.cache_clear()
         return calls
 
     def test_effham_takes_one_quadrature_pair(self, monkeypatch, capsys):
@@ -205,12 +205,25 @@ class TestComputeParams:
         assert calls == [DEFAULT_N_QUAD, 2 * DEFAULT_N_QUAD]
 
     def test_convergence_error_raised_on_every_call(self, monkeypatch):
+        # the quadratures are kept, the failed check is not
         calls = self.count_quadratures(monkeypatch)
         shape = hermitian(0.05, gamma=1.99)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 compute_params(shape)
-        assert len(calls) == 4
+        assert calls == [DEFAULT_N_QUAD, 2 * DEFAULT_N_QUAD]
+
+    def test_call_forms_share_one_quadrature_pair(self, monkeypatch):
+        # the default, positional and keyword n_quad reach one cache, and a
+        # halved n_quad takes the kept quadrature as its finer one
+        calls = self.count_quadratures(monkeypatch)
+        shape = gaussian(0.10)
+        params = [compute_params(shape), compute_params(shape, 4096),
+                  compute_params(shape, n_quad=4096)]
+        assert calls == [4096, 8192]
+        assert params[0] == params[1] == params[2]
+        compute_params(shape, 2048)
+        assert calls == [4096, 8192, 2048]
 
 
 class TestGammaSolve:
@@ -223,6 +236,15 @@ class TestGammaSolve:
         g1 = solve_hermitian_gamma(0.05, tol=1e-10)
         g2 = solve_hermitian_gamma(0.10, tol=1e-10)
         assert abs(g1 - g2) < 1e-8
+
+    def test_root_bitwise_unchanged_by_its_check(self):
+        assert solve_hermitian_gamma(0.05) == 0.9609317216993076
+
+    def test_unconverged_root_refused(self):
+        # at width 0.004 the bisection lands 9.5e-8 off the width-independent
+        # root, on a quadrature that fails its doubling check
+        with pytest.raises(ConvergenceError, match="n_quad=8192"):
+            solve_hermitian_gamma(0.004)
 
 
 class TestSerialization:
