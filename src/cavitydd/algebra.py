@@ -10,6 +10,7 @@ so ``CouplingSet.scaled`` sets the expansion parameter J tau_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -105,9 +106,27 @@ class CouplingSet:
         return self.a0.shape[0]
 
     def scaled(self, factor: float) -> "CouplingSet":
-        """Uniformly rescaled couplings, J tau_p times factor."""
-        return CouplingSet(factor * self.a0, factor * self.ax,
-                           factor * self.ay, factor * self.az)
+        """Uniformly rescaled couplings, J tau_p times factor.
+
+        A real factor with |factor| <= 1 scales the anti-Hermitian part of
+        Hs by |factor| and its tolerance, HERMITICITY_TOL max(1, |Hs|), by
+        no less, so the check this set passed holds again (up to roundoff
+        of order eps |Hs|) and is skipped; any other factor is checked.
+
+        Raises
+        ------
+        ValueError
+            If factor is not finite, or the scaled set fails the check.
+        """
+        if not np.isfinite(factor):
+            raise ValueError("coupling scale factor must be finite")
+        ops = [factor * m for m in (self.a0, self.ax, self.ay, self.az)]
+        if not (isinstance(factor, Real) and abs(factor) <= 1):
+            return CouplingSet(*ops)
+        out = object.__new__(CouplingSet)
+        for field, m in zip(("a0", "ax", "ay", "az"), ops):
+            object.__setattr__(out, field, m)
+        return out
 
 
 @dataclass(frozen=True)

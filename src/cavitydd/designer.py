@@ -18,12 +18,17 @@ construction, and only the one- or two-dimensional nonlinear system
 The pulse phase is affine in the free coefficients x, phi = phi0 + x P,
 with phi0 and P tabulated once per (spec, n_quad) on the quadrature nodes,
 so the constraints of a whole stack of free vectors come from one array
-evaluation of the shared quadrature in shapes (in chunks of _CHUNK rows,
-which bounds its temporaries).  The same pass gives the exact Jacobian:
-ds/dx_j and dalpha/dx_j are single integrals of P_j against weights built
-from cos phi, sin phi and their cumulative integrals, which the quadrature
-forms for alpha anyway.  The solver is a damped Newton iteration run in
-lockstep over the stack: every line-search halving is one stacked call,
+evaluation of the quadrature in shapes, in chunks of rows sized by an entry
+budget (_CHUNK_ENTRIES, 15 rows at 512 panels), whose buffers are reused
+from chunk to chunk.  The same pass gives the exact Jacobian: ds/dx_j and
+dalpha/dx_j are single integrals of P_j against weights built from cos phi,
+sin phi and, for Q, their cumulative integrals, which alpha needs anyway;
+an S row forms neither the cumulative integrals nor alpha.  The integrands
+of a chunk's s, alpha and Jacobian are stacked and integrated by one
+Simpson call, which gives each value bit for bit as its own call would.
+The solver is a damped Newton iteration run in lockstep over the stack:
+every Newton step is one stacked solve (row by row only when a singular
+Jacobian makes it fail), every line-search halving is one stacked call,
 each accepted row keeps the Jacobian evaluated with it, and a start leaves
 the stack as soon as it converges or fails.
 
@@ -125,10 +130,16 @@ def _fourier_shape(raw: np.ndarray) -> shapes.PulseShape:
     return shapes.fourier(raw / (2 * np.pi))
 
 
-# rows per stacked constraint evaluation: bounds the (rows, n_quad + 1)
-# quadrature temporaries, so a seed stack costs no more peak memory than
+# entries (rows x nodes) per stacked constraint evaluation: bounds its
+# quadrature buffers, at 15 rows of the 512-panel seed stage and one row of
+# the 4096-panel polish, so a seed stack costs little more peak memory than
 # a single start
-_CHUNK = 4
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _chunk_rows(n_quad: int) -> int:
+    """Rows per chunk of a stacked constraint evaluation at n_quad panels."""
+    return max(1, _CHUNK_ENTRIES // (n_quad + 1))
 
 
 @lru_cache(maxsize=8)
@@ -202,28 +213,70 @@ def _constraints(spec: DesignSpec, xs: np.ndarray,
     h = 1.0 / n_quad
     f = np.empty((len(xs), n_nl))
     jac = np.empty((len(xs), n_nl, n_nl))
-    for i in range(0, len(xs), _CHUNK):
-        chunk = xs[i:i + _CHUNK]
-        rows = slice(i, i + _CHUNK)
+    size = min(len(xs), _chunk_rows(n_quad))
+    # per chunk row: the planes [cos phi, sin phi, (alpha's integrand,)
+    # w_i P_j], all but the first integrated by one Simpson call, and the
+    # phase, which is reused as scratch once its sines are taken; flat
+    # buffers, so that every chunk's arrays are contiguous
+    n_planes = 1 + n_nl + n_nl * n_nl
+    planes = np.empty(n_planes * size * (n_quad + 1))
+    phase = np.empty(size * (n_quad + 1))
+    cum = np.empty(2 * size * (n_quad + 1)) if spec.family == "Q" else None
+    for i in range(0, len(xs), size):
+        chunk = xs[i:i + size]
+        rows = slice(i, i + len(chunk))
+        entries = len(chunk) * (n_quad + 1)
+        buf = planes[:n_planes * entries].reshape(n_planes, len(chunk), -1)
+        phi = phase[:entries].reshape(len(chunk), -1)
         # summed term by term and reduced row by row, not by matmul, so that
         # a row's values do not depend on how many rows share its chunk
-        phi = phi0 + sum(chunk[:, j, None] * p[j] for j in range(len(p)))
-        (s, alpha), (cos_sin, cum) = shapes._phase_params(phi, h)
-        f[rows, 0] = s
-        # weights w_i with df_i/dx_j = int w_i P_j, one axis per constraint
-        w = cos_sin[:1]
+        np.multiply(chunk[:, :1], p[0], out=phi)
+        for j in range(1, len(p)):
+            phi += chunk[:, j, None] * p[j]
+        np.add(phi0, phi, out=phi)
+        cos_phi, sin_phi = buf[0], buf[1]
+        np.cos(phi, out=cos_phi)
+        np.sin(phi, out=sin_phi)
+        # weights w_i with df_i/dx_j = int w_i P_j, one per constraint
+        w = [cos_phi]
         if spec.family == "Q":
-            f[rows, 1] = alpha
-            cos_g, sin_g = cos_sin * (2 * cum - cum[..., -1:])
-            w = np.stack([w[0], cos_g + sin_g])
-        jac[rows] = shapes._simpson(w[..., None, :] * p[:n_nl],
-                                    h).transpose(1, 0, 2)
+            c = shapes._cumulative_simpson(
+                buf[:2], h, out=cum[:2 * entries].reshape(2, len(chunk), -1))
+            np.multiply(sin_phi, c[0], out=buf[2])
+            buf[2] -= np.multiply(cos_phi, c[1], out=phi)
+            # cos phi (2 C - C(1)) + sin phi (2 S - S(1)), in place in c
+            end = c[..., -1:].copy()
+            c *= 2
+            c -= end
+            c *= buf[:2]
+            w.append(np.add(c[0], c[1], out=phi))
+        for plane, (w_i, p_j) in enumerate(product(w, p[:n_nl]),
+                                           start=1 + n_nl):
+            np.multiply(w_i, p_j, out=buf[plane])
+        vals = shapes._simpson(buf[1:], h)
+        f[rows] = vals[:n_nl].T
+        jac[rows] = vals[n_nl:].reshape(n_nl, n_nl, -1).transpose(2, 0, 1)
     return f, jac
 
 
+@lru_cache(maxsize=8)
+def _peak_cosines(n_coeffs: int) -> list[np.ndarray]:
+    """cos(2 pi m (t - 1/2)) for m = 1 .. n_coeffs - 1 on _peak's 4097
+    nodes, each formed as shapes._raw_envelope forms it."""
+    omp = 2 * np.pi
+    x = np.linspace(0.0, 1.0, 4097) - 0.5
+    return [np.cos(m * omp * x) for m in range(1, n_coeffs)]
+
+
 def _peak(raw: np.ndarray) -> float:
-    t = np.linspace(0.0, 1.0, 4097)
-    return float(np.max(np.abs(shapes._raw_envelope(_fourier_shape(raw), t))))
+    """max|V| on 4097 nodes, summed term by term as shapes._raw_envelope
+    sums it."""
+    omp = 2 * np.pi
+    c = _fourier_shape(raw).coeffs
+    v = np.full(4097, omp * c[0])
+    for c_m, cos_m in zip(c[1:], _peak_cosines(len(c))):
+        v += omp * c_m * cos_m
+    return float(np.max(np.abs(v)))
 
 
 def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
@@ -263,13 +316,17 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
             rows = rows[~cut]
         if rows.size == 0 or it == max_iter:
             break
-        # a singular Jacobian leaves its row NaN, which ends that start below
-        dx = np.full((rows.size, n_nl), np.nan)
-        for i, r in enumerate(rows):
-            try:
-                dx[i] = np.linalg.solve(jac[r], -f[r])
-            except np.linalg.LinAlgError:
-                pass
+        try:
+            dx = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # row by row: a singular Jacobian leaves its row NaN, which ends
+            # that start alone below
+            dx = np.full((rows.size, n_nl), np.nan)
+            for i, r in enumerate(rows):
+                try:
+                    dx[i] = np.linalg.solve(jac[r], -f[r])
+                except np.linalg.LinAlgError:
+                    pass
         usable = (np.all(np.isfinite(dx), axis=1)
                   & (np.linalg.norm(dx, axis=1) <= 1e4))
         live[rows[~usable]] = False

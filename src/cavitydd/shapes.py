@@ -175,25 +175,35 @@ def _simpson(y: np.ndarray, h: float):
                     + 2 * y[..., 2:-1:2].sum(axis=-1))
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+def _cumulative_simpson(y: np.ndarray, h: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative integral along the last axis of a uniform grid via local
-    cubics (O(h^4) global).
+    cubics (O(h^4) global), written to out (C-contiguous, not aliasing y)
+    when given.
 
     Each panel [x_i, x_{i+1}] integrates the cubic through the four
-    surrounding nodes; the end panels use one-sided stencils.
+    surrounding nodes; the end panels use one-sided stencils.  The panel
+    increments are formed in out[..., 1:] and summed there in place.
     """
     n = y.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples")
-    inc = np.empty(y.shape[:-1] + (n - 1,))
-    inc[..., 0] = h * (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2]
+    if out is None:
+        out = np.empty(y.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    # the interior stencil over the flattened samples: the ones that
+    # straddle two rows land on each row's first two entries and its last,
+    # which are set below
+    flat = np.reshape(y, -1)
+    out.reshape(-1)[2:-1] = h * (-flat[:-3] + 13 * flat[1:-2]
+                                 + 13 * flat[2:-1] - flat[3:]) / 24.0
+    out[..., 0] = 0.0
+    out[..., 1] = h * (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2]
                        + y[..., 3]) / 24.0
-    inc[..., 1:-1] = h * (-y[..., :-3] + 13 * y[..., 1:-2] + 13 * y[..., 2:-1]
-                          - y[..., 3:]) / 24.0
-    inc[..., -1] = h * (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2]
+    out[..., -1] = h * (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2]
                         + 9 * y[..., -1]) / 24.0
-    out = np.zeros(y.shape)
-    out[..., 1:] = np.cumsum(inc, axis=-1)
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -241,33 +251,23 @@ class ShapeParams:
     area: float
 
 
-def _phase_params(phi: np.ndarray, h: float):
-    """(s, alpha) from phase samples phi on a uniform grid of spacing h
-    along the last axis; any leading axes are a stack of pulses.
+@lru_cache(maxsize=256)
+def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
+    """(s, alpha, zeta, area) at n_quad panels, kept per (shape, n_quad).
 
-    Also returns the samples they are built from, stacked as
-    [cos phi, sin phi] and [C, S] with C and S the cumulative integrals of
-    cos phi and sin phi, which the designer's Jacobian and zeta reuse.
+    alpha = int [sin phi C - cos phi S] with C and S the cumulative
+    integrals of cos phi and sin phi, and zeta = int C.
     """
+    phi = _sampled(shape, n_quad)
+    h = 1 / n_quad
     cos_sin = np.empty((2,) + phi.shape)
     cos_phi, sin_phi = cos_sin
     np.cos(phi, out=cos_phi)
     np.sin(phi, out=sin_phi)
-    s = _simpson(sin_phi, h)
-    cum = _cumulative_simpson(cos_sin, h)
-    c_cum, s_cum = cum
-    alpha = _simpson(sin_phi * c_cum - cos_phi * s_cum, h)
-    return (s, alpha), (cos_sin, cum)
-
-
-@lru_cache(maxsize=256)
-def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
-    """(s, alpha, zeta, area) at n_quad panels, kept per (shape, n_quad)."""
-    phi = _sampled(shape, n_quad)
-    h = 1 / n_quad
-    (s, alpha), (_, cum) = _phase_params(phi, h)
-    zeta = _simpson(cum[0], h)
-    return ShapeParams(s=s, alpha=alpha, zeta=zeta, area=float(phi[-1]))
+    c_cum, s_cum = _cumulative_simpson(cos_sin, h)
+    return ShapeParams(s=_simpson(sin_phi, h),
+                       alpha=_simpson(sin_phi * c_cum - cos_phi * s_cum, h),
+                       zeta=_simpson(c_cum, h), area=float(phi[-1]))
 
 
 def compute_params(shape: PulseShape,
@@ -313,8 +313,8 @@ def solve_hermitian_gamma(width_ratio: float,
     A root whose quadrature fails compute_params's check raises.
     """
     def s_of(gam: float) -> float:
-        shp = hermitian(width_ratio, gamma=gam)
-        return _params_at(shp, n_quad).s
+        # uncached: a bisection point is never asked for again
+        return _params_at.__wrapped__(hermitian(width_ratio, gam), n_quad).s
 
     lo, hi = bracket
     f_lo, f_hi = s_of(lo), s_of(hi)

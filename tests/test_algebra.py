@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavitydd import algebra
 from cavitydd.algebra import (HERMITICITY_TOL, CouplingSet, ModelParams,
                               SIGMA_X, anticomm, assemble, comm, expm_herm,
-                              jaynes_cummings, kron, lowering, op_norm)
+                              is_hermitian, jaynes_cummings, kron, lowering,
+                              op_norm)
 from conftest import chemical_shift, random_couplings
 
 
@@ -97,13 +99,15 @@ class TestValidation:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
            size=st.sampled_from((1e-3, 1.0, 30.0)),
-           leak=st.floats(0.1, 2.0), factor=st.floats(1e-3, 1.0))
+           leak=st.floats(0.1, 2.0), factor=st.floats(-1.0, 1.0),
+           grow=st.floats(1.0, 1e3, exclude_min=True))
     def test_constructed_sets_exponentiate_and_scale_down(self, seed, dim,
                                                           size, leak,
-                                                          factor):
+                                                          factor, grow):
         # each operator A gets an anti-Hermitian part with ||A - A^dag|| at
         # `leak` times the tolerance A would have alone, so the sets straddle
-        # the check
+        # the check; scaling by |factor| <= 1 skips the check, which the
+        # scaled set must pass, and scaling by more than 1 runs it
         rng = np.random.default_rng(seed)
         ops = []
         base = random_couplings(rng, dim, scale=size)
@@ -116,7 +120,12 @@ class TestValidation:
         except ValueError:
             return
         expm_herm(assemble(cs))
-        cs.scaled(factor)
+        expm_herm(assemble(cs.scaled(factor)))
+        try:
+            up = cs.scaled(grow)
+        except ValueError:
+            return
+        expm_herm(assemble(up))
 
     def test_model_params(self):
         with pytest.raises(ValueError):
@@ -189,3 +198,24 @@ def test_coupling_scaling():
     assert np.allclose(assemble(half), 0.5 * assemble(cs))
     assert op_norm(assemble(half)) == pytest.approx(
         0.5 * op_norm(assemble(cs)), rel=1e-12)
+
+
+def test_scaling_down_skips_the_hermiticity_check(monkeypatch):
+    cs = random_couplings(np.random.default_rng(13), 3)
+    calls = []
+    monkeypatch.setattr(algebra, "is_hermitian",
+                        lambda a: calls.append(a) or is_hermitian(a))
+    for factor in (0.4, -1.0, 0.0, np.float64(0.04), 1):
+        cs.scaled(factor)
+    assert calls == []
+    # a factor above 1 in size, or a complex one, is checked
+    cs.scaled(2.0)
+    cs.scaled(-1.5)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="is not Hermitian"):
+        cs.scaled(0.5j)
+    assert len(calls) == 3
+    for factor in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            cs.scaled(factor)
+    assert len(calls) == 3

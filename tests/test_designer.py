@@ -156,12 +156,14 @@ def test_designed_coefficients_pinned(spec):
 class TestStackedConstraints:
     @settings(derandomize=True, max_examples=24, deadline=None)
     @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
-           extra=st.integers(0, 1), n_quad=st.sampled_from((256, 1024)),
-           rows=st.sampled_from((1, designer._CHUNK, designer._CHUNK + 1)),
+           extra=st.integers(0, 1), n_quad=st.sampled_from((256, 512, 1024)),
+           rows=st.sampled_from(("one", "chunk", "chunk + 1")),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_match_scalar_quadrature(self, family, order, extra, n_quad,
                                           rows, seed):
         spec = DesignSpec(family, order, extra_terms=extra)
+        chunk = designer._chunk_rows(n_quad)
+        rows = {"one": 1, "chunk": chunk, "chunk + 1": chunk + 1}[rows]
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-8.0, 8.0, size=(rows, spec.n_nonlinear + extra))
         got, jac = designer._constraints(spec, xs, n_quad)
@@ -177,6 +179,41 @@ class TestStackedConstraints:
         alone, jac_alone = designer._constraints(spec, xs[-1:], n_quad)
         assert np.array_equal(alone[0], got[-1])
         assert np.array_equal(jac_alone[0], jac[-1])
+
+    @pytest.mark.parametrize("n_quad, rows", ((512, 15), (4096, 1),
+                                              (256, 31)))
+    def test_chunk_rows_by_entry_budget(self, n_quad, rows):
+        assert designer._chunk_rows(n_quad) == rows
+
+    @pytest.mark.parametrize("spec", [DesignSpec("S", 1),
+                                      DesignSpec("S", 2, 1),
+                                      DesignSpec("Q", 1),
+                                      DesignSpec("Q", 2, 1)], ids=str)
+    @pytest.mark.parametrize("n_quad", (512, 4096))
+    def test_fused_quadrature_matches_separate_simpson_calls(self, spec,
+                                                             n_quad):
+        # one Simpson call over the stacked planes of a chunk gives every
+        # value and Jacobian entry bit for bit as its own call would
+        rng = np.random.default_rng(n_quad)
+        xs = rng.uniform(-8.0, 8.0, size=(designer._chunk_rows(n_quad) + 2,
+                                          spec.n_nonlinear + spec.extra_terms))
+        f, jac = designer._constraints(spec, xs, n_quad)
+        phi0, p = designer._phase_basis(spec, n_quad)
+        h = 1.0 / n_quad
+        for x, f_row, jac_row in zip(xs, f, jac):
+            phi = phi0 + sum(x[j] * p[j] for j in range(len(p)))
+            cos_sin = np.array([np.cos(phi), np.sin(phi)])
+            cos_phi, sin_phi = cos_sin
+            want = [shapes._simpson(sin_phi, h)]
+            w = [cos_phi]
+            if spec.family == "Q":
+                c, s = shapes._cumulative_simpson(cos_sin, h)
+                want.append(shapes._simpson(sin_phi * c - cos_phi * s, h))
+                w.append(cos_phi * (2 * c - c[-1]) + sin_phi * (2 * s - s[-1]))
+            assert np.array_equal(f_row, want)
+            assert np.array_equal(jac_row, [[shapes._simpson(w_i * p_j, h)
+                                             for p_j in p[:len(w)]]
+                                            for w_i in w])
 
     @settings(derandomize=True, max_examples=32, deadline=None)
     @given(family=st.sampled_from("SQ"), order=st.integers(1, 2),
@@ -214,6 +251,39 @@ def test_q1_design_row_count(monkeypatch):
     monkeypatch.setattr(designer, "_constraints", counted)
     design(DesignSpec("Q", 1))
     assert sum(rows) < 1500
+
+
+@pytest.mark.parametrize("n_coeffs", (2, 4, 9))
+def test_peak_matches_envelope_bitwise(n_coeffs):
+    # the cached cosines are summed as shapes._raw_envelope sums them; the
+    # peak is mostly at t = 1/2, where every cosine is 1, so many draws
+    t = np.linspace(0.0, 1.0, 4097)
+    rng = np.random.default_rng(n_coeffs)
+    for raw in rng.uniform(-8.0, 8.0, size=(50, n_coeffs)):
+        raw[0] = np.pi
+        v = shapes._raw_envelope(designer._fourier_shape(raw), t)
+        assert designer._peak(raw) == float(np.max(np.abs(v)))
+
+
+def test_singular_jacobian_ends_only_its_own_start(monkeypatch):
+    # a singular row fails the stacked solve; the row-by-row solve then ends
+    # that start, and the other converges as it does alone
+    spec = DesignSpec("S", 1)
+    x0 = np.array([[2.0], [4.0]])
+    alone, _, ok_alone, peak_alone = designer._newton(spec, x0[:1], 512,
+                                                      1e-11, bound=None)
+    constraints = designer._constraints
+
+    def singular_at_4(spec, xs, n_quad):
+        f, jac = constraints(spec, xs, n_quad)
+        jac[xs[:, 0] == 4.0] = 0.0
+        return f, jac
+
+    monkeypatch.setattr(designer, "_constraints", singular_at_4)
+    x, _, ok, peak = designer._newton(spec, x0, 512, 1e-11, bound=None)
+    assert ok_alone[0] and list(ok) == [True, False]
+    assert np.array_equal(x[0], alone[0]) and peak[0] == peak_alone[0]
+    assert np.array_equal(x[1], x0[1])
 
 
 @pytest.mark.parametrize("spec", [DesignSpec("S", 1), DesignSpec("Q", 2, 1)],

@@ -50,7 +50,10 @@ class TestSchedule:
 
 def step_loop_pulse_unitary(hs, k_op, shape, sign, steps):
     """Reference CF4 pulse unitary: one step at a time, two scalar envelope
-    evaluations and two expm_herm exponentials per step."""
+    evaluations and two expm_herm exponentials per step.  The factors'
+    own departures from unitarity add up over the steps (to 1.8e-12 at
+    1024 steps), so, as the propagator does, one Newton-Schulz step
+    U (3 - U^dagger U) / 2 ends the product; it is then unitary to 1e-13."""
     h = 1 / steps
     u = np.eye(hs.shape[0], dtype=complex)
     for k in range(steps):
@@ -61,6 +64,9 @@ def step_loop_pulse_unitary(hs, k_op, shape, sign, steps):
         hb = hs + v2 * k_op
         u = expm_herm(propagate._CF4_W2 * ha + propagate._CF4_W1 * hb, h) \
             @ expm_herm(propagate._CF4_W1 * ha + propagate._CF4_W2 * hb, h) @ u
+    eye = np.eye(len(u))
+    u = u @ (3 * eye - u.conj().T @ u) / 2
+    assert op_norm(u.conj().T @ u - eye) <= 1e-13
     return u
 
 

@@ -126,6 +126,37 @@ class TestPhaseIntegral:
             np.pi / 2, abs=1e-10)
 
 
+def row_cumulative_simpson(y, h):
+    """The local-cubic cumulative integral, each stencil taken along the
+    rows."""
+    inc = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    inc[..., 0] = h * (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2]
+                       + y[..., 3]) / 24.0
+    inc[..., 1:-1] = h * (-y[..., :-3] + 13 * y[..., 1:-2] + 13 * y[..., 2:-1]
+                          - y[..., 3:]) / 24.0
+    inc[..., -1] = h * (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2]
+                        + 9 * y[..., -1]) / 24.0
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(inc, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4,), (5,), (3, 4), (2, 3, 17),
+                                   (2, 15, 513)])
+def test_cumulative_simpson_matches_row_stencils_bitwise(shape):
+    # the interior stencil taken over the flattened samples, into a given
+    # buffer or a fresh one, rounds as the stencils along the rows do
+    y = np.random.default_rng(len(shape)).normal(size=shape)
+    want = row_cumulative_simpson(y, 0.37)
+    assert np.array_equal(shapes._cumulative_simpson(y, 0.37), want)
+    out = np.full((2,) + shape, np.nan)
+    got = shapes._cumulative_simpson(y, 0.37, out=out[1])
+    assert np.shares_memory(got, out) and np.array_equal(out[1], want)
+    # the rows are formed flattened, so a strided out is refused
+    with pytest.raises(ValueError, match="C-contiguous"):
+        shapes._cumulative_simpson(y, 0.37, out=np.empty(shape + (2,))[..., 0])
+
+
 class TestComputeParams:
     def test_delta_row_exact(self):
         p = compute_params(delta())
@@ -239,6 +270,13 @@ class TestGammaSolve:
 
     def test_root_bitwise_unchanged_by_its_check(self):
         assert solve_hermitian_gamma(0.05) == 0.9609317216993076
+
+    def test_bisection_leaves_the_cache_alone(self):
+        # the bisection points are used once each and are not kept; only
+        # the final check's quadrature pair is
+        shapes._params_at.cache_clear()
+        solve_hermitian_gamma(0.05)
+        assert shapes._params_at.cache_info().currsize <= 2
 
     def test_unconverged_root_refused(self):
         # at width 0.004 the bisection lands 9.5e-8 off the width-independent
