@@ -10,7 +10,6 @@ so ``CouplingSet.scaled`` sets the expansion parameter J tau_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -46,7 +45,12 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return op_norm(a - a.conj().T) < HERMITICITY_TOL * max(1.0, op_norm(a))
+    """|a - a^dagger| < HERMITICITY_TOL max(1, |a|); an exactly zero
+    difference passes without the SVDs (NaN or inf is nonzero)."""
+    diff = a - a.conj().T
+    if not diff.any():
+        return True
+    return op_norm(diff) < HERMITICITY_TOL * max(1.0, op_norm(a))
 
 
 def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -79,8 +83,9 @@ class CouplingSet:
     for a bare qubit).  The joint system Hamiltonian is assembled as
     Hs = sigma_x Ax + sigma_y Ay + sigma_z Az + A0; it is Hermitian iff every
     A_k is, and it is Hs that is checked here, with the test expm_herm
-    applies, so every set that constructs can be exponentiated.  The pulse
-    propagator relies on this check and does not repeat it.
+    applies, so every set that constructs, scaled copies included, can be
+    exponentiated.  The pulse propagator relies on this check and does not
+    repeat it.
     """
 
     a0: np.ndarray
@@ -106,27 +111,18 @@ class CouplingSet:
         return self.a0.shape[0]
 
     def scaled(self, factor: float) -> "CouplingSet":
-        """Uniformly rescaled couplings, J tau_p times factor.
-
-        A real factor with |factor| <= 1 scales the anti-Hermitian part of
-        Hs by |factor| and its tolerance, HERMITICITY_TOL max(1, |Hs|), by
-        no less, so the check this set passed holds again (up to roundoff
-        of order eps |Hs|) and is skipped; any other factor is checked.
+        """Uniformly rescaled couplings, J tau_p times factor, checked as
+        every set is.
 
         Raises
         ------
         ValueError
-            If factor is not finite, or the scaled set fails the check.
+            If factor is not finite, or the scaled set is not Hermitian.
         """
         if not np.isfinite(factor):
             raise ValueError("coupling scale factor must be finite")
-        ops = [factor * m for m in (self.a0, self.ax, self.ay, self.az)]
-        if not (isinstance(factor, Real) and abs(factor) <= 1):
-            return CouplingSet(*ops)
-        out = object.__new__(CouplingSet)
-        for field, m in zip(("a0", "ax", "ay", "az"), ops):
-            object.__setattr__(out, field, m)
-        return out
+        return CouplingSet(*(factor * m for m in
+                             (self.a0, self.ax, self.ay, self.az)))
 
 
 @dataclass(frozen=True)

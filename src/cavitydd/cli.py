@@ -22,6 +22,9 @@ from .algebra import IDENTITY_2, PAULI, ModelParams, expm_herm, jaynes_cummings
 from .errors import ConvergenceError
 from .shapes import resolve_shape
 
+# operator-basis coefficient parts within this of zero are printed as zero
+_ROUNDOFF = 1e-10
+
 
 @dataclass
 class ExperimentConfig:
@@ -146,7 +149,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-10) -> str:
+def _format_operator(h: np.ndarray, dim_rest: int) -> str:
     """Coefficients of H over sigma_mu (x) |n><m| oscillator matrix units."""
     labels = [("1", IDENTITY_2)] + [(f"sigma_{a}", PAULI[a]) for a in "xyz"]
     lines = []
@@ -156,9 +159,8 @@ def _format_operator(h: np.ndarray, dim_rest: int, tol: float = 1e-10) -> str:
         for n in range(dim_rest):
             for m in range(dim_rest):
                 c = block[n, m]
-                if abs(c) > tol:
-                    # a part within tol of zero is roundoff, printed as zero
-                    real, imag = (x if abs(x) > tol else 0.0
+                if abs(c) > _ROUNDOFF:
+                    real, imag = (x if abs(x) > _ROUNDOFF else 0.0
                                   for x in (c.real, c.imag))
                     lines.append(f"  {name} (x) |{n}><{m}| : {real:+.6e}"
                                  f"{imag:+.6e}j")

@@ -70,6 +70,8 @@ ZETA_FLAG_THRESHOLD = shapes.ZETA_FLAG_THRESHOLD
 # Newton seed grid for each free (raw-unit) coefficient; the winning
 # low-power branches sit within a few units of the raised-cosine profile
 _SEEDS = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
+# Newton iterations per start
+_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def _peak(raw: np.ndarray) -> float:
 
 
 def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
-            bound: float | None = np.inf, max_iter: int = 60):
+            bound: float | None = np.inf):
     """Damped Newton on the nonlinear constraints, run in lockstep on every
     row of the stack x0.
 
@@ -303,7 +305,7 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
     ok = np.zeros(len(x), dtype=bool)
     live = np.ones(len(x), dtype=bool)
     peak = np.full(len(x), np.inf)
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
         for r in done:
             peak[r] = _peak(_coeffs_from_free(spec, x[r]))
@@ -314,7 +316,7 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
             cut = _rms(spec, x[rows]) > min(bound, peak.min())
             live[rows[cut]] = False
             rows = rows[~cut]
-        if rows.size == 0 or it == max_iter:
+        if rows.size == 0 or it == _MAX_ITER:
             break
         try:
             dx = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
@@ -395,10 +397,11 @@ def design(spec: DesignSpec, tol: float = 1e-12,
         raise ConvergenceError(
             f"no Newton start converged for {spec}; try more quadrature nodes "
             "or a different seed")
-    _, x_best, _ = min(found, key=lambda r: r[2])
+    _, x_best, peak_best = min(found, key=lambda r: r[2])
 
     if spec.extra_terms > 0:
-        x_best = _minimize_peak(spec, x_best, coarse, max(tol, 1e-11))
+        x_best = _minimize_peak(spec, x_best, peak_best, coarse,
+                                max(tol, 1e-11))
 
     # polish the winner at full and verify at doubled resolution
     x, f, ok, peak = _newton(spec, x_best[None], n_quad, tol)
@@ -440,18 +443,12 @@ def design(spec: DesignSpec, tol: float = 1e-12,
     )
 
 
-def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, n_quad: int,
-                   tol: float) -> np.ndarray:
-    """Compass search over the surplus coefficients, re-solving the
-    constraints at every probe; minimizes max|V|."""
+def _minimize_peak(spec: DesignSpec, x: np.ndarray, best: float,
+                   n_quad: int, tol: float) -> np.ndarray:
+    """Compass search over the surplus coefficients from the converged root
+    x of peak best, re-solving the constraints at every probe; minimizes
+    max|V|."""
     n_nl = spec.n_nonlinear
-    x = np.array(x_start, dtype=float)
-
-    def solved_peak(xv, bound=np.inf):
-        xs, _, _, peak = _newton(spec, xv[None], n_quad, tol, bound)
-        return xs[0], peak[0]
-
-    x, best = solved_peak(x)
     step = 2.0 * np.pi
     while step > 1e-3:
         moved = False
@@ -459,9 +456,9 @@ def _minimize_peak(spec: DesignSpec, x_start: np.ndarray, n_quad: int,
             for sgn in (+1.0, -1.0):
                 probe = x.copy()
                 probe[j] += sgn * step
-                xs, pk = solved_peak(probe, best)
-                if pk < best - 1e-12:
-                    x, best, moved = xs, pk, True
+                xs, _, _, pk = _newton(spec, probe[None], n_quad, tol, best)
+                if pk[0] < best - 1e-12:
+                    x, best, moved = xs[0], pk[0], True
         if not moved:
             step /= 2
     return x

@@ -48,15 +48,19 @@ CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
 
 def write_csv(path: str, trace: EvolutionTrace) -> None:
     """Atomically write the CSV rows of the stroboscopic worst-case
-    observables (temp file + rename)."""
+    observables (temp file + rename), with the mode 0o666 & ~umask that a
+    plain open gives a new file rather than mkstemp's 0o600."""
     rows = map("{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
                range(len(trace.times)), trace.times.tolist(),
                trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
                trace.leakage_max.tolist())
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(CSV_HEADER + "\n")
             fh.writelines(rows)
         os.replace(tmp, path)

@@ -20,10 +20,10 @@ Lagrange combination; when the bound asks for a node per factor, the
 distinct coefficients are the nodes and the factors exact.  The Lagrange
 weights of a pulse are formed once, and each block of factors is one real
 matrix product of its weights with the (re, im) view of the exact factors.
-Below dimension _BLOCK_DIM a block is _BLOCK factors, doubled while it holds
-at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256 at dim 8),
-so that a small pulse is one pairwise tree product; from dimension
-_BLOCK_DIM on it is _BLOCK factors, the association order of the figures.
+A block is the longest power of two of factors, never fewer than _BLOCK,
+that holds at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256
+at dim 8, 64 at dim 16, _BLOCK from dim 18 on, as in the figures), so that a
+small pulse is one pairwise tree product.
 One Newton-Schulz step U (3 - U^dagger U) / 2 ends the product, taking its
 accumulated roundoff off unitarity.
 Hs is Hermitian because ``CouplingSet`` validates its operators where they
@@ -46,21 +46,22 @@ Exact symmetries cut the pulses that are integrated at all:
 * Which pulse to integrate.  Otherwise the orbit member S^dagger K' S with
   real generators is integrated (x before y), so on the Jaynes-Cummings
   model all of +-x and +-y come from one +x pulse per step count.
-* Real half-product.  When Hs and K are real and the CF4 coefficient list
-  is a palindrome (every package envelope is symmetric about t = 1/2), each
-  factor is a complex symmetric matrix and the second half of the product
-  is the transpose of the first half W: U = W^T W, with W built from the
+* Real half-product.  When Hs and K are real, each factor is a complex
+  symmetric matrix; every ``PulseShape`` is even about t = 1/2, so the CF4
+  coefficient list is a palindrome and the second half of the product is
+  the transpose of the first half W: U = W^T W, with W built from the
   first ``steps`` coefficients by a real eigendecomposition of its nodes
   and the Newton-Schulz step (time-symmetric splitting; Blanes, Casas,
   Oteo & Ros, Phys. Rep. 470, 151 (2009)); real combinations of the node
   factors stay complex symmetric.  Odd step counts need nothing special,
   because the middle step is itself symmetric.
-* Fallback.  Every other pulse (complex Hs or K, an asymmetric envelope)
-  takes the general complex product of all 2*steps factors.
+* Fallback.  Every other pulse (complex Hs or K) takes the general complex
+  product of all 2*steps factors.
 
 The step count (>= 32) is validated, and the step-halving check made, in
-``_checked_period_unitary``, which every entry point passes and none can
-skip; exact delta-pulse schedules skip only the check.  The expansion
+``_checked_period_unitary``, which every entry point passes and no schedule
+skips; for an exact delta-pulse schedule both products are the same
+operations and the difference is exactly 0.0.  The expansion
 parameters tested elsewhere in this package never enter here: the propagator
 integrates the lab-frame Hamiltonian directly, so it is an independent
 oracle for them.
@@ -107,12 +108,11 @@ LEAK_THRESHOLD = 1e-6
 # reduced block of a trace: deep enough to amortise the Python overhead,
 # shallow enough to keep peak memory flat
 _BLOCK = 32
-# most matrix entries in a block of CF4 factors longer than _BLOCK, and the
-# dimension from which blocks stay _BLOCK long: below it a pulse's factors
-# are formed and multiplied in fewer, longer blocks
+# most matrix entries in a block of CF4 factors longer than _BLOCK: at small
+# dimensions a pulse's factors are formed and multiplied in fewer, longer
+# blocks
 _BLOCK_ENTRIES = 1 << 14
-_BLOCK_DIM = 16
-# relative tolerance of the symmetry and palindrome tests
+# tolerance of the symmetry tests (relative to |Hs|) and of pulse reuse
 _SYMMETRY_TOL = 1e-12
 # interpolation error bound of one CF4 factor
 _INTERP_TOL = 1e-17
@@ -143,11 +143,11 @@ def _symmetries(hs: np.ndarray) -> list:
 
 
 def _block_length(dim: int) -> int:
-    """CF4 factors per block at this dimension: _BLOCK from _BLOCK_DIM on,
-    and below it the longest power of two, never fewer than _BLOCK, whose
-    block holds at most _BLOCK_ENTRIES entries."""
+    """CF4 factors per block at this dimension: the longest power of two,
+    never fewer than _BLOCK, whose block holds at most _BLOCK_ENTRIES
+    entries."""
     block = _BLOCK
-    while dim < _BLOCK_DIM and 2 * block * dim * dim <= _BLOCK_ENTRIES:
+    while 2 * block * dim * dim <= _BLOCK_ENTRIES:
         block *= 2
     return block
 
@@ -203,12 +203,10 @@ def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
     # CF4 factor coefficients in time order: step k applies
     # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
     coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
-    if (not hs.imag.any() and not k_op.imag.any()
-            and np.abs(coef - coef[::-1]).max()
-            <= _SYMMETRY_TOL * np.abs(coef).max()):
+    if not hs.imag.any() and not k_op.imag.any():
         # real symmetric generators make every factor a complex symmetric
-        # matrix, and the palindromic coefficients make the second half of
-        # the product the transpose of the first half W
+        # matrix, and the palindromic coefficients of an even envelope make
+        # the second half of the product the transpose of the first half W
         w = _cf4_product(hs.real, k_op.real, coef[:steps], h)
         return w.T @ w
     return _cf4_product(hs, k_op, coef, h)
@@ -264,14 +262,12 @@ def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     """(U(T), |U(steps) - U(steps/2)|): the one step-count validation and
     step-halving check behind every entry point.
 
-    The difference is 0.0 for the exact delta-pulse schedules; above
-    SELF_CHECK_TOL a ConvergenceError asks for more steps.
+    The difference is exactly 0.0 for the exact delta-pulse schedules;
+    above SELF_CHECK_TOL a ConvergenceError asks for more steps.
     """
     if steps_per_pulse < MIN_STEPS_PER_PULSE:
         raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
     u = _period_unitary(couplings, schedule, steps_per_pulse)
-    if schedule.shape.is_delta:
-        return u, 0.0
     halving = op_norm(u - _period_unitary(couplings, schedule,
                                           steps_per_pulse // 2))
     if halving > SELF_CHECK_TOL:
@@ -287,8 +283,8 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
 
     The integration is repeated at half the step count and the two answers
     must agree to SELF_CHECK_TOL (Richardson check); otherwise a
-    ConvergenceError asks for more steps.  Delta-pulse schedules are exact
-    and skip the check.
+    ConvergenceError asks for more steps.  For the exact delta-pulse
+    schedules the two answers are the same, and the check passes.
     """
     return _checked_period_unitary(couplings, schedule, steps_per_pulse)[0]
 

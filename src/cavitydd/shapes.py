@@ -299,8 +299,9 @@ def compute_params(shape: PulseShape,
     # "not all(r < tol)" so that a NaN residual fails too
     if not all(r < PARAM_CONVERGENCE_TOL for r in resid.values()):
         raise ConvergenceError(
-            f"quadrature not converged at n_quad={n_quad}: residuals {resid}; "
-            "increase n_quad")
+            f"quadrature not converged at n_quad={n_quad}: residuals "
+            + ", ".join(f"{k} = {v:.2e}" for k, v in resid.items())
+            + "; increase n_quad")
     return fine
 
 

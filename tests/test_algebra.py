@@ -106,8 +106,9 @@ class TestValidation:
                                                           factor, grow):
         # each operator A gets an anti-Hermitian part with ||A - A^dag|| at
         # `leak` times the tolerance A would have alone, so the sets straddle
-        # the check; scaling by |factor| <= 1 skips the check, which the
-        # scaled set must pass, and scaling by more than 1 runs it
+        # the check; scaling by |factor| <= 1 shrinks the anti-Hermitian
+        # part with the tolerance, so the scaled set passes again, and
+        # scaling by more than 1 may fail
         rng = np.random.default_rng(seed)
         ops = []
         base = random_couplings(rng, dim, scale=size)
@@ -200,22 +201,63 @@ def test_coupling_scaling():
         0.5 * op_norm(assemble(cs)), rel=1e-12)
 
 
-def test_scaling_down_skips_the_hermiticity_check(monkeypatch):
+def test_scaled_sets_are_checked(monkeypatch):
+    # every scaled copy is checked as a constructed set is
     cs = random_couplings(np.random.default_rng(13), 3)
     calls = []
     monkeypatch.setattr(algebra, "is_hermitian",
                         lambda a: calls.append(a) or is_hermitian(a))
-    for factor in (0.4, -1.0, 0.0, np.float64(0.04), 1):
+    for factor in (0.4, -1.0, 0.0, np.float64(0.04), 1, 2.0, -1.5):
         cs.scaled(factor)
-    assert calls == []
-    # a factor above 1 in size, or a complex one, is checked
-    cs.scaled(2.0)
-    cs.scaled(-1.5)
-    assert len(calls) == 2
+    assert len(calls) == 7
     with pytest.raises(ValueError, match="is not Hermitian"):
         cs.scaled(0.5j)
-    assert len(calls) == 3
+    assert len(calls) == 8
+    # a non-finite factor is refused before the check
     for factor in (float("nan"), float("inf"), -np.inf):
         with pytest.raises(ValueError, match="must be finite"):
             cs.scaled(factor)
-    assert len(calls) == 3
+    assert len(calls) == 8
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+       size=st.sampled_from((1e-3, 1.0, 30.0)),
+       kind=st.sampled_from(("exact", "straddling", "non-finite")),
+       leak=st.floats(0.5, 2.0), bad=st.sampled_from((np.nan, np.inf,
+                                                       -np.inf)))
+def test_is_hermitian_matches_the_spectral_test(seed, dim, size, kind, leak,
+                                                bad):
+    # the exactly-zero shortcut gives the spectral test's verdict, or its
+    # error, on exactly Hermitian, straddling and non-finite matrices
+    rng = np.random.default_rng(seed)
+    m = size * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    a = (m + m.conj().T) / 2
+    if kind == "straddling":
+        k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        k = (k - k.conj().T) / (2 * op_norm(k - k.conj().T))
+        a = a + leak * HERMITICITY_TOL * max(1.0, op_norm(a)) * k
+    elif kind == "non-finite":
+        a[rng.integers(dim), rng.integers(dim)] = bad
+    with np.errstate(invalid="ignore"):
+        try:
+            spectral = op_norm(a - a.conj().T) \
+                < HERMITICITY_TOL * max(1.0, op_norm(a))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                is_hermitian(a)
+            return
+        assert is_hermitian(a) == spectral
+
+
+def test_exactly_hermitian_input_skips_the_svds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "op_norm",
+                        lambda a: calls.append(a) or op_norm(a))
+    cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0.3, g=0.1,
+                                     n_max=8))
+    assert is_hermitian(assemble(cs))
+    assert is_hermitian(assemble(cs.scaled(0.37)))
+    assert calls == []
+    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert len(calls) == 2

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,24 @@ class TestCsv:
         write_csv(str(p2), tr)
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", (0o022, 0o077))
+    def test_file_mode_follows_umask(self, small_grid, tmp_path, umask):
+        # the mode a plain open gives a new file, also when it replaces an
+        # existing file, and not the temp file's 0o600
+        tr = make_trace(small_grid, periods=1, n_max=4)
+        old = os.umask(umask)
+        try:
+            fresh = tmp_path / "fresh.csv"
+            write_csv(str(fresh), tr)
+            existing = tmp_path / "existing.csv"
+            existing.write_text("")
+            existing.chmod(0o644)
+            write_csv(str(existing), tr)
+        finally:
+            os.umask(old)
+        for path in (fresh, existing):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_leakage_column(self, small_grid):
         tr = make_trace(small_grid, periods=3)

@@ -131,7 +131,7 @@ class TestPulseUnitary:
             <= 1e-12
 
     @pytest.mark.parametrize("dim, block", ((2, 4096), (4, 1024), (6, 256),
-                                            (8, 256), (14, 64), (16, 32),
+                                            (8, 256), (14, 64), (16, 64),
                                             (18, 32), (40, 32)))
     def test_block_length_by_dimension(self, dim, block):
         assert propagate._block_length(dim) == block
@@ -305,6 +305,22 @@ class TestPropagatePeriod:
         u = propagate_period(cs, sched)
         assert op_norm(u - np.eye(2)) < 1e-12
 
+    def test_delta_schedule_makes_the_halving_check(self, monkeypatch):
+        # an exact schedule is integrated twice too; the two products are the
+        # same operations, so the reported difference is exactly 0.0
+        calls = []
+        period_unitary = propagate._period_unitary
+        monkeypatch.setattr(
+            propagate, "_period_unitary",
+            lambda cs, sched, steps: calls.append(steps)
+            or period_unitary(cs, sched, steps))
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.002,
+                                         n_max=3))
+        sched = build_schedule(parse_sequence("8a"), delta())
+        tr = run_trace(cs, sched, 1, [(1.0, 0.0)], steps_per_pulse=64)
+        assert calls == [64, 32]
+        assert tr.halving_diff == 0.0
+
     @pytest.mark.parametrize("shape", ["G05", "G10", "H05", "H10", "S1",
                                        "S2", "Q1", "Q2"])
     def test_fourth_order_convergence(self, shape):
@@ -362,7 +378,7 @@ class TestPropagatePeriod:
                                    match="steps_per_pulse must be >= 32"):
                     propagate_period(cs, sched, steps_per_pulse=steps)
         # 32 steps pass the rule, and the halving check then runs: it fails
-        # for G10 at this step size, and an exact delta pulse skips it
+        # for G10 at this step size, and an exact delta pulse passes it
         with pytest.raises(ConvergenceError):
             propagate_period(cs, soft, steps_per_pulse=32)
         assert op_norm(propagate_period(cs, hard, steps_per_pulse=32)

@@ -256,6 +256,14 @@ class TestComputeParams:
         compute_params(shape, 2048)
         assert calls == [4096, 8192, 2048]
 
+    def test_unconverged_quadrature_message(self):
+        # the residuals print as plain numbers, not numpy scalar reprs
+        with pytest.raises(ConvergenceError) as err:
+            compute_params(resolve_shape("G10"), 64)
+        assert str(err.value) == (
+            "quadrature not converged at n_quad=64: residuals s = 3.59e-06, "
+            "alpha = 2.80e-06, zeta = 2.41e-07; increase n_quad")
+
 
 class TestGammaSolve:
     def test_recovers_reference_gamma(self):
