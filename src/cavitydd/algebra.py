@@ -153,20 +153,33 @@ def jaynes_cummings(params: ModelParams) -> CouplingSet:
     Builds A0 = omega_r b'b, Ax = -g (b + b')/2, Ay = i g (b' - b)/2,
     Az = (omega_0/2) 1, all truncated to n_max + 1 levels, with frequencies
     converted from 2*pi/tau_p units to angular frequency in units of 1/tau_p.
+
+    Raises
+    ------
+    ValueError
+        If a finite frequency overflows its operator, or twice it.
     """
     unit = 2 * np.pi
     dim = params.n_max + 1
     b = lowering(dim)
     bd = b.conj().T
-    omr = params.omega_r * unit
-    om0 = params.omega_0 * unit
-    g = params.g * unit
-    return CouplingSet(
-        a0=omr * (bd @ b),
-        ax=-g * (b + bd) / 2,
-        ay=1j * g * (bd - b) / 2,
-        az=(om0 / 2) * np.eye(dim, dtype=complex),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        omr = params.omega_r * unit
+        om0 = params.omega_0 * unit
+        g = params.g * unit
+        a0 = omr * (bd @ b)
+        ax = -g * (b + bd) / 2
+        ay = 1j * g * (bd - b) / 2
+        az = (om0 / 2) * np.eye(dim, dtype=complex)
+        # an entry of Hs sums two operator entries, so a frequency whose
+        # doubled entries overflow is refused by name
+        for name, ops in (("omega_r", (a0,)), ("g", (ax, ay)),
+                          ("omega_0", (az,))):
+            if not all(np.isfinite(2 * m).all() for m in ops):
+                raise ValueError(
+                    f"{name} = {getattr(params, name):g} overflows the "
+                    f"coupling operators at n_max = {params.n_max}")
+    return CouplingSet(a0=a0, ax=ax, ay=ay, az=az)
 
 
 def assemble(couplings: CouplingSet) -> np.ndarray:

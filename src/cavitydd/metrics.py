@@ -49,7 +49,8 @@ CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
 def write_csv(path: str, trace: EvolutionTrace) -> None:
     """Atomically write the CSV rows of the stroboscopic worst-case
     observables (temp file + rename), with the mode 0o666 & ~umask that a
-    plain open gives a new file rather than mkstemp's 0o600."""
+    plain open gives a new file rather than mkstemp's 0o600.  An OSError
+    names ``path``, not the temp file."""
     rows = map("{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
                range(len(trace.times)), trace.times.tolist(),
                trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
@@ -57,14 +58,18 @@ def write_csv(path: str, trace: EvolutionTrace) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(CSV_HEADER + "\n")
             fh.writelines(rows)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # the error names the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

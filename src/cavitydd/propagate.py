@@ -74,13 +74,18 @@ integration segments; free-evolution delays are exact exponentials of Hs.
 ``run_trace`` is the one place the stroboscopic observables are computed.
 Every initial state is q (x) |level>, so U^k psi = q_0 U^k e_0 + q_1 U^k e_1
 with e_a = |a> (x) |level>: only these two columns are evolved.  The powers
-U^0 .. U^(_BLOCK-1) are built once, and each block of _BLOCK periods is one
-stacked product with U^k0 e_a, after which U^k0 advances by U^_BLOCK.  Per
-period three Gram tensors of the two evolved columns, summed over the
-oscillator levels with weights 1, n and the top two levels, are contracted
-with state tensors built once, giving the fidelity, <n> and leakage of every
-initial state, then the worst case over them.  The cost per period does not
-grow with the number of states, and no power or state is kept per period.
+U^0 .. U^(_BLOCK-1) are built once, and U^k0 advances by U^_BLOCK from one
+block of _BLOCK periods to the next.  The columns of the _CHUNK periods of
+a few blocks are one stacked product of the powers with the U^k0 e_a of
+their blocks, written into buffers sized once per call, and reduced
+together in real arithmetic: the four column components x_p, p = (i, a),
+give per level the 16 real numbers of the Hermitian products x_p x_q*
+(|x_p|^2, and Re and Im for p < q), one real product with the level weights
+1, n and the top two levels sums them into three Hermitian Gram tensors, and
+real products with per-state tables built once give the fidelity, <n> and
+leakage of every initial state, then the worst case over them.  The last
+products are linear in the number of states; no power or state is kept per
+period.
 """
 
 from __future__ import annotations
@@ -105,9 +110,12 @@ MIN_STEPS_PER_PULSE = 32
 SELF_CHECK_TOL = 1e-8
 LEAK_THRESHOLD = 1e-6
 # the fewest CF4 factors formed and multiplied at a time, and periods per
-# reduced block of a trace: deep enough to amortise the Python overhead,
-# shallow enough to keep peak memory flat
+# block of a trace, the powers U^0 .. U^(_BLOCK-1) that one U^k0 advances
 _BLOCK = 32
+# periods per reduced chunk of a trace, a few blocks: deep enough to
+# amortise the per-call overhead of the reductions, small enough that the
+# chunk buffers (at most 0.7 MB at dim 18) add little to peak memory
+_CHUNK = 8 * _BLOCK
 # most matrix entries in a block of CF4 factors longer than _BLOCK: at small
 # dimensions a pulse's factors are formed and multiplied in fewer, longer
 # blocks
@@ -289,6 +297,45 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
     return _checked_period_unitary(couplings, schedule, steps_per_pulse)[0]
 
 
+# the upper triangle p < q of a 4x4 Hermitian matrix on the index (i, a),
+# row by row: np.triu_indices(4, 1) written out, since its first call at
+# import raised peak RSS by 0.27 MB (numpy 2.4)
+_UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+
+
+def _products(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (16, ...) the 16 real numbers of the Hermitian
+    products x_p x_q* of the rows x_p = re_p + i im_p of (4, ...) arrays:
+    |x_p|^2, then Re and Im of x_p x_q* for p < q in ``_UPPER`` order."""
+    np.multiply(re, re, out=out[:4])
+    out[:4] += im * im
+    k = 4
+    for p in range(3):
+        pairs = slice(k, k + 3 - p)
+        np.multiply(re[p], re[p + 1:], out=out[pairs])
+        out[pairs] += im[p] * im[p + 1:]
+        pairs = slice(k + 6, k + 9 - p)
+        np.multiply(im[p], re[p + 1:], out=out[pairs])
+        out[pairs] -= re[p] * im[p + 1:]
+        k += 3 - p
+
+
+def _state_tables(qs: np.ndarray):
+    """(S, 16) real tables that turn the ``_products`` of a Hermitian Gram g
+    on the index (i, a) into Re sum_pq g_pq t_pq for each state q_s: the
+    fidelity tensor t_pq = q_si* q_sa q_sb* q_sj, and the population tensor
+    t_pq = delta_ij q_sa q_sb* for the occupation and leakage.  Both are
+    Hermitian, so a pair p < q adds 2 Re(g_pq t_pq)."""
+    v = (qs.conj()[:, :, None] * qs[:, None, :]).reshape(-1, 4)
+    fid = v[:, :, None] * v.conj()[:, None, :]
+    pop = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
+                    qs.conj()).reshape(-1, 4, 4)
+    p, q = _UPPER
+    return [np.concatenate([t[:, range(4), range(4)].real, 2 * t[:, p, q].real,
+                            -2 * t[:, p, q].imag], axis=1)
+            for t in (fid, pop)]
+
+
 @dataclass
 class EvolutionTrace:
     """Stroboscopic record over n periods, reduced over the initial states.
@@ -315,13 +362,16 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     The one-period propagator is computed once and reused (the schedule is
     periodic, so U(nT) = [U(T)]^n).  Only the two columns U^k e_a,
     e_a = |a> (x) |k_osc>, are evolved: a block of _BLOCK periods is the
-    stacked product of the precomputed U^0 .. U^(_BLOCK-1) with U^k0 e_a.
-    Their Gram tensors, contracted with per-state tensors built once, give
-    every initial state's fidelity, occupation and top-two-level population,
-    reduced to the worst case over the states; memory does not grow with
-    n_periods beyond the output columns, which are allocated before U(T) is
-    built.  Emits a warning when the top two oscillator levels accumulate
-    more than LEAK_THRESHOLD population.
+    stacked product of the precomputed U^0 .. U^(_BLOCK-1) with U^k0 e_a,
+    and the blocks of a chunk of _CHUNK periods are one such product.  The
+    real Hermitian products of the columns, summed over the oscillator
+    levels and contracted with per-state tables built once, give every
+    initial state's fidelity, occupation and top-two-level population,
+    reduced to the worst case over the states; the chunk buffers are sized
+    once, for at most _CHUNK periods, so memory does not grow with n_periods
+    beyond the output columns, which are allocated before U(T) is built.
+    Emits a warning when the top two oscillator levels accumulate more than
+    LEAK_THRESHOLD population.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
@@ -357,35 +407,47 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
         powers[j] = u @ powers[j - 1]
     u_block = u @ powers[-1]
 
-    # the columns e_0, e_1, and the state tensors on the Gram index
-    # ((i, a), (j, b)): q4[s] = q_si* q_sa q_sb* q_sj for the fidelity and
-    # q2[s] = delta_ij q_sa q_sb* for the occupation and leakage
-    cols = [oscillator_level, d + oscillator_level]
-    q4 = np.einsum("si,sa,sb,sj->siajb", qs.conj(), qs, qs.conj(),
-                   qs).reshape(len(qs), 16)
-    q2 = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
-                   qs.conj()).reshape(len(qs), 16)
+    fid_table, pop_table = _state_tables(qs)
     # level weights of the three Gram tensors: 1, n, and the top two levels
     weights = np.stack([np.ones(d), np.arange(d),
                         np.arange(d) >= max(0, d - 2)])
+    stacked = powers.reshape(_BLOCK * dim, dim)
+    # the chunk buffers, sized once for the blocks of the first chunk: U^k0
+    # e_a at the start k0 of each block, the evolved columns, their (re, im)
+    # on ((i, a), (b, m), n) for period c0 + b _BLOCK + m, the products, and
+    # their three level sums
+    blocks = -(-min(_CHUNK, n_periods + 1) // _BLOCK)
+    size = blocks * _BLOCK
+    starts = np.empty((dim, blocks, 2), dtype=complex)
+    evolved = np.empty((_BLOCK * dim, 2 * blocks), dtype=complex)
+    x = np.empty((2, 2, 2, blocks, _BLOCK, d))
+    prods = np.empty((16, size, d))
+    g = np.empty((3, 16 * size))
 
     u_power = np.eye(dim, dtype=complex)    # U^k0 at the block start k0
-    for k0 in range(0, n_periods + 1, _BLOCK):
-        nb = min(_BLOCK, n_periods + 1 - k0)
-        # phi[m, (i, a), n] = <i, n| U^(k0+m) |e_a>
-        phi = (powers[:nb].reshape(nb * dim, dim) @ u_power[:, cols]
-               ).reshape(nb, 2, d, 2)
-        phi = phi.transpose(0, 1, 3, 2).reshape(nb, 4, d)
-        # g[m, w, (i, a), (j, b)] = sum_n weights[w, n] phi[m, (i, a), n]
-        #                                  phi[m, (j, b), n]*
-        g = ((phi[:, None] * weights[:, None]).reshape(nb, 12, d)
-             @ phi.conj().transpose(0, 2, 1)).reshape(nb, 3, 16)
-        block = slice(k0, k0 + nb)
-        fmin[block] = (g[:, 0] @ q4.T).real.min(axis=1)
-        nl = (g[:, 1:].reshape(2 * nb, 16) @ q2.T).real.reshape(nb, 2, -1)
-        nmax[block], lmax[block] = nl.max(axis=2).T
-        last = k0 + nb > n_periods
-        u_power = (powers[nb - 1] if last else u_block) @ u_power
+    for c0 in range(0, n_periods + 1, size):
+        nc = min(size, n_periods + 1 - c0)
+        for b in range(-(-nc // _BLOCK)):
+            # the columns e_0, e_1 of U^k0
+            starts[:, b] = u_power[:, oscillator_level::d]
+            nb = min(_BLOCK, n_periods + 1 - c0 - b * _BLOCK)
+            last = c0 + b * _BLOCK + nb > n_periods
+            u_power = (powers[nb - 1] if last else u_block) @ u_power
+        # evolved[(m, i, n), (b, a)] = <i, n| U^(c0 + b _BLOCK + m) |e_a>;
+        # a final partial chunk also reduces the stale blocks after it
+        np.matmul(stacked, starts.reshape(dim, 2 * blocks), out=evolved)
+        cols = evolved.reshape(_BLOCK, 2, d, blocks, 2).transpose(
+            1, 4, 3, 0, 2)
+        x[0], x[1] = cols.real, cols.imag
+        re, im = x.reshape(2, 4, size, d)
+        _products(re, im, prods)
+        # g[w, (f, k)] = sum_n weights[w, n] prods[f, k, n]
+        np.matmul(weights, prods.reshape(-1, d).T, out=g)
+        fid, occ, top = g.reshape(3, 16, size)[:, :, :nc]
+        chunk = slice(c0, c0 + nc)
+        fmin[chunk] = (fid_table @ fid).min(axis=0)
+        nmax[chunk] = (pop_table @ occ).max(axis=0)
+        lmax[chunk] = (pop_table @ top).max(axis=0)
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
     max_leak = float(lmax.max())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,21 @@ class TestValidation:
             ModelParams(n_max=0)
         with pytest.raises(ValueError):
             ModelParams(g=float("inf"))
+
+    # a finite frequency whose operator, or twice it, overflows is refused
+    # by name, with no RuntimeWarning on the way
+    @pytest.mark.parametrize("name, value", [("g", 1e308), ("omega_r", 1e307),
+                                             ("omega_0", 1e308)])
+    def test_overflowing_frequency_named(self, name, value):
+        message = f"{name} = {value:g} overflows the coupling operators"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} at "
+                                             "n_max = 8$"):
+            jaynes_cummings(ModelParams(**{name: value}))
+
+    def test_largest_frequencies_build_a_finite_hamiltonian(self):
+        cs = jaynes_cummings(ModelParams(omega_r=1e306, omega_0=1e307,
+                                         g=1e306))
+        assert np.isfinite(assemble(cs)).all()
 
     def test_model_params_has_no_delta_shift(self):
         # the builder never read a chemical-shift offset, so none is taken

@@ -253,6 +253,34 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, name", [("--g", "g"),
+                                            ("--omega-r", "omega_r")])
+    def test_simulate_refuses_an_overflowing_frequency(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       flag, name):
+        # finite, but its coupling operator overflows: one error line that
+        # names the parameter, no RuntimeWarning and no file
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
+                   "--periods", "1", flag, "1e308"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {name} = 1e+308 overflows the "
+                                "coupling operators at n_max = 8\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_names_the_output_path_of_a_missing_directory(
+            self, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "x.csv"
+        rc = main(["simulate", "--sequence", "4p", "--shape", "delta",
+                   "--periods", "1", "--n-max", "2", "--grid", "4",
+                   "--output", str(out_csv)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out_csv}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_takes_no_taup(self, tmp_path, monkeypatch, capsys):
         # every run is at taup = 1; an old flag or config line fails loudly
         # rather than being ignored

@@ -107,6 +107,23 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_errors_name_the_path_and_leave_no_temp_file(self, small_grid,
+                                                         tmp_path):
+        # the temp file is an implementation detail: a missing directory and
+        # a directory in the way are both reported at the path asked for
+        tr = make_trace(small_grid, periods=1, n_max=4)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        for path, error in ((tmp_path / "missing" / "x.csv",
+                             FileNotFoundError),
+                            (taken, IsADirectoryError)):
+            with pytest.raises(error) as exc:
+                write_csv(str(path), tr)
+            assert exc.value.filename == str(path)
+            assert exc.value.filename2 is None
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
+
     @pytest.mark.parametrize("umask", (0o022, 0o077))
     def test_file_mode_follows_umask(self, small_grid, tmp_path, umask):
         # the mode a plain open gives a new file, also when it replaces an

@@ -434,11 +434,15 @@ class TestRunTrace:
         assert np.allclose(tr.fidelity_min, 1)
 
     # block edges: empty trace, one period, a block short / full / one over,
-    # and a partial third block
+    # and a partial third block; then the same at chunk edges
     @pytest.mark.parametrize("n_periods", (0, 1, propagate._BLOCK - 1,
                                            propagate._BLOCK,
                                            propagate._BLOCK + 1,
-                                           2 * propagate._BLOCK + 3))
+                                           2 * propagate._BLOCK + 3,
+                                           propagate._CHUNK - 1,
+                                           propagate._CHUNK,
+                                           propagate._CHUNK + 1,
+                                           2 * propagate._CHUNK + 3))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(derandomize=True, max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
@@ -462,6 +466,42 @@ class TestRunTrace:
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert got.shape == ref.shape == (3, n_periods + 1)
         assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(1, 9),
+           d=st.integers(1, 5))
+    def test_real_tables_match_the_complex_contractions(self, seed, n_states,
+                                                        d):
+        # the real tables on the 16 products of a Hermitian Gram g give
+        # Re sum_pq g_pq q4_pq and Re sum_pq g_pq q2_pq, the complex
+        # contractions with the state tensors on ((i, a), (j, b))
+        rng = np.random.default_rng(seed)
+        qs = rng.normal(size=(n_states, 2)) + 1j * rng.normal(
+            size=(n_states, 2))
+        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+        q4 = np.einsum("si,sa,sb,sj->siajb", qs.conj(), qs, qs.conj(),
+                       qs).reshape(n_states, 16)
+        q2 = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
+                       qs.conj()).reshape(n_states, 16)
+        fid_table, pop_table = propagate._state_tables(qs)
+        # a Gram of random columns x (4, d), summed by _products over the
+        # levels, and a random Hermitian matrix read directly, both with
+        # entries of modulus <= 1 like the Grams of unitary columns
+        x = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        x /= np.linalg.norm(x)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m /= 2 * np.abs(m).max()
+        prods = np.empty((16, d))
+        propagate._products(x.real, x.imag, prods)
+        p, q = propagate._UPPER
+        for g, parts in ((x @ x.conj().T, prods.sum(axis=1)),
+                         (m + m.conj().T, None)):
+            if parts is None:
+                parts = np.concatenate([g.diagonal().real, g[p, q].real,
+                                        g[p, q].imag])
+            for table, tensor in ((fid_table, q4), (pop_table, q2)):
+                ref = (tensor @ g.ravel()).real
+                assert np.max(np.abs(table @ parts - ref)) <= 1e-14
 
     def test_matches_per_period_reference_at_figure_scale(self, g10):
         # the fig-1 model: n_max 8, the 56-state grid, 100 periods, and a
