@@ -17,9 +17,15 @@ evaluation gives all 2*steps of them.  The factor exp(-i h (Hs/2 + c K)) has
 The fewest nodes with that <= _INTERP_TOL (7 for the figure shapes) get exact
 factors from one stacked eigendecomposition, and every factor is their
 Lagrange combination; when the bound asks for a node per factor, the
-distinct coefficients are the nodes and the factors exact.  The Lagrange
-weights of a pulse are formed once, and each block of factors is one real
-matrix product of its weights with the (re, im) view of the exact factors.
+distinct coefficients are the nodes and the factors exact.  The
+coefficients, the nodes and the Lagrange weights do not depend on Hs: they
+are formed once per (shape, step count, real half-product or full list,
+|K|) and kept, read-only, in a bounded cache (``_interpolation``), so that
++-x and +-y pulses, every oscillator dimension and every coupling scale of
+an order check share them.  A ``verify`` benchmark pass forms them 6
+times for its 62 pulse products, a ``figures`` pass 4 times for 12, and the
+one ``longrun`` pair twice for 2.  Each block of factors is one real matrix
+product of its weights with the (re, im) view of the exact factors.
 A block is the longest power of two of factors, never fewer than _BLOCK,
 that holds at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256
 at dim 8, 64 at dim 16, _BLOCK from dim 18 on, as in the figures), so that a
@@ -31,10 +37,11 @@ are built; K is Hermitian by construction, so each generator is too.
 
 Exact symmetries cut the pulses that are integrated at all:
 
-* Symmetry tests.  Once per period unitary, two diagonal candidates are
-  tested against the assembled Hs and kept when |S Hs S^dagger - Hs|_F <=
-  1e-12 max(1, |Hs|): the parity R = sigma_z (x) (-1)^n and the excitation
-  rotation V = exp(-i pi N/2), N = sigma_z/2 (x) 1 + 1 (x) n, with V^dagger.
+* Symmetry tests.  Once per checked pair of period unitaries, two
+  diagonal candidates are tested against the assembled Hs and kept when
+  |S Hs S^dagger - Hs|_F <= 1e-12 max(1, |Hs|): the parity
+  R = sigma_z (x) (-1)^n and the excitation rotation V = exp(-i pi N/2),
+  N = sigma_z/2 (x) 1 + 1 (x) n, with V^dagger.
   The Frobenius norm bounds the spectral one, so no symmetry that a
   spectral test would drop is kept, and the scale |Hs| is the one SVD.
   The Jaynes-Cummings Hs keeps all three; a counter-rotating term keeps R
@@ -60,11 +67,16 @@ Exact symmetries cut the pulses that are integrated at all:
 
 The step count (>= 32) is validated, and the step-halving check made, in
 ``_checked_period_unitary``, which every entry point passes and no schedule
-skips; for an exact delta-pulse schedule both products are the same
-operations and the difference is exactly 0.0.  The expansion
-parameters tested elsewhere in this package never enter here: the propagator
-integrates the lab-frame Hamiltonian directly, so it is an independent
-oracle for them.
+skips.  Its two unitaries come from one pass (``_period_unitaries``): Hs,
+the symmetry tests, the orbit matching and the delay exponentials are formed
+once, and each integrated pulse is integrated at ``steps`` and ``steps //
+2``.  For an exact delta-pulse schedule both products are the same
+operations and the difference is exactly 0.0.  A soft-pulse schedule with
+eps |Hs| tau_p > SELF_CHECK_TOL is refused with a ConvergenceError before
+any pulse is integrated: its roundoff alone exceeds what the check
+certifies.  The expansion parameters tested elsewhere in this package never
+enter here: the propagator integrates the lab-frame Hamiltonian directly, so
+it is an independent oracle for them.
 
 The schedule of one period (``ControlSchedule``, from
 ``sequences.build_schedule``) is the sequence's elements with the shape and
@@ -92,6 +104,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,9 +144,10 @@ def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return s[:, None] * a * s.conj()
 
 
-def _symmetries(hs: np.ndarray) -> list:
+def _symmetries(hs: np.ndarray, scale: float) -> list:
     """Diagonals of the identity and of every candidate S that is a symmetry
-    of hs, |S hs S^dagger - hs|_F <= _SYMMETRY_TOL max(1, |hs|_2).
+    of hs, |S hs S^dagger - hs|_F <= _SYMMETRY_TOL max(1, scale), with
+    scale = |hs|_2.
 
     The candidates are the parity R = sigma_z (x) (-1)^n and the excitation
     rotation V = exp(-i pi N / 2), N = sigma_z/2 (x) 1 + 1 (x) n, and
@@ -144,7 +158,7 @@ def _symmetries(hs: np.ndarray) -> list:
     n = np.arange(hs.shape[0] // 2)
     parity = np.concatenate([(-1.0) ** n, -(-1.0) ** n])
     rot = np.array([1, -1j, -1, 1j])[np.concatenate([n + 1, n]) % 4]
-    tol = _SYMMETRY_TOL * max(1.0, op_norm(hs))
+    tol = _SYMMETRY_TOL * max(1.0, scale)
     return [np.ones(hs.shape[0])] + [
         s for s in (parity, rot, rot.conj())
         if np.linalg.norm(_diag_conj(s, hs) - hs) <= tol]
@@ -160,12 +174,25 @@ def _block_length(dim: int) -> int:
     return block
 
 
-def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
-                 h: float) -> np.ndarray:
-    """Time-ordered product of exp(-i h (Hs/2 + c K)) over ``coef``, each
-    factor interpolated in c (see the module docstring)."""
+@lru_cache(maxsize=16)
+def _interpolation(shape: PulseShape, steps: int, half: bool,
+                   k_norm: float):
+    """(nodes, weights) of a pulse's CF4 factors, read-only: the
+    interpolation nodes in c, and the Lagrange weights of every factor
+    coefficient (the first ``steps`` if ``half``, else all 2*steps) at
+    them.  They depend on the shape, the step count and |K| = ``k_norm``
+    alone, so every pulse, coupling scale and dimension shares them (see
+    the module docstring)."""
+    h = 1 / steps
+    t0 = np.arange(steps)[:, None] * h
+    amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
+    # CF4 factor coefficients in time order: step k applies
+    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
+    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
+    if half:
+        coef = coef[:steps]
     lo, hi = coef.min(), coef.max()
-    a = h * op_norm(k_op) * (hi - lo) / 4
+    a = h * k_norm * (hi - lo) / 4
     n, err = 1, 2 * a
     while err > _INTERP_TOL and n < coef.size:
         n += 1
@@ -175,12 +202,6 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
             (2 * np.arange(n) + 1) * np.pi / (2 * n))
     else:
         nodes = np.unique(coef)
-    dim = hs.shape[0]
-    w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
-    # the exact factors as rows of (re, im) pairs, so that a block's factors
-    # are one real product of their Lagrange weights with these rows
-    exact = ((v * np.exp(-1j * h * w)[:, None, :])
-             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), -1).view(float)
     # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of the whole
     # pulse, multiplied in ratio by ratio, so that they are exactly 1 and 0
     # at a node
@@ -191,9 +212,23 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
         ratio = (coef[:, None] - x) / gaps[:, m]
         ratio[:, m] = 1.0
         weights *= ratio
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _cf4_product(hs: np.ndarray, k_op: np.ndarray, nodes: np.ndarray,
+                 weights: np.ndarray, h: float) -> np.ndarray:
+    """Time-ordered product of exp(-i h (Hs/2 + c K)) over the factors whose
+    Lagrange weights at ``nodes`` are the rows of ``weights``."""
+    dim = hs.shape[0]
+    w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
+    # the exact factors as rows of (re, im) pairs, so that a block's factors
+    # are one real product of their Lagrange weights with these rows
+    exact = ((v * np.exp(-1j * h * w)[:, None, :])
+             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), -1).view(float)
     block = _block_length(dim)
     u = np.eye(dim, dtype=complex)
-    for b in range(0, coef.size, block):
+    for b in range(0, len(weights), block):
         f = (weights[b:b + block] @ exact).view(complex).reshape(-1, dim, dim)
         # pairwise tree product, later factors on the left
         while len(f) > 1:
@@ -205,79 +240,100 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, coef: np.ndarray,
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                    steps: int) -> np.ndarray:
-    h = 1 / steps
-    t0 = np.arange(steps)[:, None] * h
-    amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
-    # CF4 factor coefficients in time order: step k applies
-    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
-    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
-    if not hs.imag.any() and not k_op.imag.any():
-        # real symmetric generators make every factor a complex symmetric
-        # matrix, and the palindromic coefficients of an even envelope make
-        # the second half of the product the transpose of the first half W
-        w = _cf4_product(hs.real, k_op.real, coef[:steps], h)
-        return w.T @ w
-    return _cf4_product(hs, k_op, coef, h)
+    # real symmetric generators make every factor a complex symmetric
+    # matrix, and the palindromic coefficients of an even envelope make the
+    # second half of the product the transpose of the first half W
+    half = not hs.imag.any() and not k_op.imag.any()
+    if half:
+        hs, k_op = hs.real, k_op.real
+    u = _cf4_product(hs, k_op,
+                     *_interpolation(shape, steps, half, op_norm(k_op)),
+                     1 / steps)
+    return u.T @ u if half else u
 
 
 def _symmetric_pulse(hs: np.ndarray, k_op: np.ndarray, syms: list,
-                     pulses: list, shape: PulseShape,
-                     steps: int) -> np.ndarray:
-    """Pulse unitary of the control operator K'.
+                     pulses: list, shape: PulseShape, counts) -> list:
+    """Unitaries of the pulse with control operator K', one per step count
+    of ``counts``.
 
-    It is S U S^dagger of an integrated pulse (K, U) when a symmetry S in
-    ``syms`` (diagonals, the identity first) maps K to K'.  Otherwise the
-    first orbit member S^dagger K' S with real generators, or K' itself if
-    there is none, is integrated and appended to ``pulses``.
+    They are S U S^dagger of an integrated pulse (K, U) when a symmetry S
+    in ``syms`` (diagonals, the identity first) maps K to K'.  Otherwise
+    the first orbit member S^dagger K' S with real generators, or K' itself
+    if there is none, is integrated at every count and appended to
+    ``pulses``.
     """
-    for k, u in pulses:
+    for k, us in pulses:
         for s in syms:
             if np.linalg.norm(_diag_conj(s, k) - k_op) <= _SYMMETRY_TOL:
-                return _diag_conj(s, u)
+                return [_diag_conj(s, u) for u in us]
     members = [(s, _diag_conj(s.conj(), k_op)) for s in syms]
     real = [m for m in members if not (hs.imag.any() or m[1].imag.any())]
     s, k = (real or members)[0]
-    u = _pulse_unitary(hs, k, shape, steps)
-    pulses.append((k, u))
-    return _diag_conj(s, u)
+    us = [_pulse_unitary(hs, k, shape, n) for n in counts]
+    pulses.append((k, us))
+    return [_diag_conj(s, u) for u in us]
 
 
-def _period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
-                    steps: int) -> np.ndarray:
+def _period_unitaries(couplings: CouplingSet, schedule: ControlSchedule,
+                      counts) -> list:
+    """U(T) at each step count of ``counts``, from one set-up: Hs, its
+    symmetries, the orbit matching and the delay exponentials are formed
+    once, and each integrated pulse is integrated at every count.
+
+    A schedule with soft pulses is refused with a ConvergenceError when
+    eps |Hs| tau_p (tau_p = 1) exceeds SELF_CHECK_TOL: each exact CF4 factor
+    is unitary only to about eps h |Hs|, so a pulse's roundoff alone can
+    exceed the tolerance of the step-halving check, which could then not
+    vouch for U(T); far above it the factors are no longer near unitary
+    and the products overflow (max|u| 4e145 at |Hs| = 1.8e21 and 256
+    steps).
+    """
     hs = assemble(couplings)
+    scale = op_norm(hs)
     shape = schedule.shape
+    soft = not shape.is_delta and any(
+        not isinstance(e, Delay) for e in schedule.elements)
+    roundoff = np.finfo(float).eps * scale
+    if soft and roundoff > SELF_CHECK_TOL:
+        raise ConvergenceError(
+            f"|Hs| = {scale:.3e} is too large for the step-halving check: "
+            f"the roundoff eps |Hs| tau_p = {roundoff:.3e} of a pulse "
+            f"exceeds {SELF_CHECK_TOL:g}")
     eye = np.eye(couplings.dim, dtype=complex)
-    syms = _symmetries(hs)
-    pulses = []     # (K, U) of every pulse unitary integrated so far
-    u = np.eye(2 * couplings.dim, dtype=complex)
-    cache: dict = {}    # one unitary per distinct element
+    syms = _symmetries(hs, scale)
+    pulses = []     # (K, its unitaries) of every pulse integrated so far
+    factors: dict = {}  # the unitaries of each distinct element
+    us = [np.eye(2 * couplings.dim, dtype=complex) for _ in counts]
     for e in schedule.elements:
-        if e not in cache:
+        if e not in factors:
             if isinstance(e, Delay):
-                cache[e] = expm_herm(hs, e.duration)
+                factors[e] = [expm_herm(hs, e.duration)] * len(counts)
             elif shape.is_delta:
-                cache[e] = kron(-1j * e.sign * PAULI[e.axis], eye)
+                factors[e] = [kron(-1j * e.sign * PAULI[e.axis], eye)] \
+                    * len(counts)
             else:
                 k_op = kron(e.sign * PAULI[e.axis] / 2, eye)
-                cache[e] = _symmetric_pulse(hs, k_op, syms, pulses, shape,
-                                            steps)
-        u = cache[e] @ u
-    return u
+                factors[e] = _symmetric_pulse(hs, k_op, syms, pulses, shape,
+                                              counts)
+        us = [f @ u for f, u in zip(factors[e], us)]
+    return us
 
 
 def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
                             steps_per_pulse: int):
     """(U(T), |U(steps) - U(steps/2)|): the one step-count validation and
-    step-halving check behind every entry point.
+    step-halving check behind every entry point, both unitaries from one
+    pass of ``_period_unitaries``.
 
     The difference is exactly 0.0 for the exact delta-pulse schedules;
     above SELF_CHECK_TOL a ConvergenceError asks for more steps.
     """
     if steps_per_pulse < MIN_STEPS_PER_PULSE:
         raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
-    u = _period_unitary(couplings, schedule, steps_per_pulse)
-    halving = op_norm(u - _period_unitary(couplings, schedule,
-                                          steps_per_pulse // 2))
+    u, u_half = _period_unitaries(couplings, schedule,
+                                  (steps_per_pulse, steps_per_pulse // 2))
+    halving = op_norm(u - u_half)
     if halving > SELF_CHECK_TOL:
         raise ConvergenceError(
             f"step-halving check failed: |U - U_half| = {halving:.3e} > "

@@ -270,6 +270,43 @@ class TestCommands:
                                 "coupling operators at n_max = 8\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("g, norm", [("1e16", "1.777e+17"),
+                                         ("1e20", "1.777e+21"),
+                                         ("1e307", "1.777e+308")])
+    def test_simulate_refuses_couplings_beyond_the_halving_check(
+            self, tmp_path, monkeypatch, capsys, g, norm):
+        # finite couplings whose pulse roundoff eps |Hs| tau_p exceeds the
+        # step-halving tolerance: one named convergence error, before any
+        # pulse is integrated, so no product overflows and nothing warns
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
+                   "--periods", "1", "--g", g])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"numerical convergence failure: |Hs| = {norm} is too large for "
+            "the step-halving check: the roundoff eps |Hs| tau_p = ")
+        assert captured.err.endswith(" of a pulse exceeds 1e-08\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_refuses_an_overflowing_pulse_with_warnings_as_errors(
+            self, tmp_path):
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        src = os.path.join(REPO_ROOT, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitydd", "simulate", "--sequence", "4p",
+             "--shape", "G10", "--g", "1e20", "--periods", "1", "--output",
+             str(tmp_path / "big.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical convergence failure: |Hs| = "
+                                      "1.777e+21 is too large")
+        assert "Warning" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_names_the_output_path_of_a_missing_directory(
             self, tmp_path, capsys):
         out_csv = tmp_path / "missing" / "x.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitydd import propagate
+from cavitydd import propagate, sequences
 from cavitydd.algebra import (PAULI, CouplingSet, ModelParams, assemble,
                               expm_herm, jaynes_cummings, kron, lowering,
                               op_norm)
@@ -191,6 +191,11 @@ def drawn_couplings(model, seed, n_max):
     return CouplingSet(cs.a0, cs.ax + lam * (b + b.T), cs.ay, cs.az)
 
 
+def period_unitary(cs, schedule, steps):
+    """The unchecked U(T) at one step count."""
+    return propagate._period_unitaries(cs, schedule, (steps,))[0]
+
+
 def general_period_unitary(cs, schedule, steps):
     """Reference U(T): every distinct pulse of the schedule by the step
     loop, with no symmetry and no half-product."""
@@ -219,7 +224,8 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("model, kept", (("jc", 4), ("parity", 2),
                                              ("generic", 1)))
     def test_symmetries_kept(self, model, kept):
-        syms = propagate._symmetries(assemble(drawn_couplings(model, 3, 4)))
+        hs = assemble(drawn_couplings(model, 3, 4))
+        syms = propagate._symmetries(hs, op_norm(hs))
         assert len(syms) == kept
         assert np.all(syms[0] == 1)
 
@@ -231,7 +237,7 @@ class TestSymmetryReduction:
         hs = assemble(drawn_couplings("jc", 3, 4))
         flip = kron(PAULI["x"], np.eye(5, dtype=complex))
         broken = hs + scale * op_norm(hs) * flip
-        assert len(propagate._symmetries(broken)) == kept
+        assert len(propagate._symmetries(broken, op_norm(broken))) == kept
 
     # odd step counts put the middle step in the first half-product
     @pytest.mark.parametrize("steps", (17, 27, 257))
@@ -244,7 +250,7 @@ class TestSymmetryReduction:
         cs = drawn_couplings(model, seed, n_max)
         sched = build_schedule(parse_sequence(seq),
                                PROPERTY_SHAPES[shape])
-        reduced = propagate._period_unitary(cs, sched, steps)
+        reduced = period_unitary(cs, sched, steps)
         assert op_norm(reduced - general_period_unitary(cs, sched, steps)) \
             <= 1e-12
 
@@ -259,9 +265,8 @@ class TestSymmetryReduction:
         sh = PROPERTY_SHAPES[shape]
         # unchecked: the identity holds at any step count, and 32 steps do
         # not pass the halving check on these shapes
-        u1 = propagate._period_unitary(
-            cs, build_schedule(parse_sequence(once), sh), 32)
-        u2 = propagate._period_unitary(
+        u1 = period_unitary(cs, build_schedule(parse_sequence(once), sh), 32)
+        u2 = period_unitary(
             cs, build_schedule(parse_sequence(f"{once} {once}"), sh), 32)
         assert op_norm(u2 - u1 @ u1) <= 1e-12
 
@@ -288,6 +293,95 @@ class TestSymmetryReduction:
         assert calls == [(np.float64, 3, 7)] * 2
 
 
+def cached_and_fresh(hs, k_op, shape, steps):
+    """A pulse unitary built from cached interpolation data, and the same
+    pulse after the cache is cleared."""
+    propagate._pulse_unitary(hs, k_op, shape, steps)
+    hits = propagate._interpolation.cache_info().hits
+    cached = propagate._pulse_unitary(hs, k_op, shape, steps)
+    assert propagate._interpolation.cache_info().hits == hits + 1
+    propagate._interpolation.cache_clear()
+    return cached, propagate._pulse_unitary(hs, k_op, shape, steps)
+
+
+class TestOnePassSetUp:
+    def test_order_check_samples_each_envelope_once_per_step_count(
+            self, monkeypatch, q1_shape):
+        # the verify order check: four coupling scales, every pulse of 8a
+        # from one +x half-product, at 256 and 128 steps
+        calls = []
+        amplitude = propagate.amplitude
+        monkeypatch.setattr(propagate, "amplitude",
+                            lambda shape, t: calls.append(t.shape)
+                            or amplitude(shape, t))
+        propagate._interpolation.cache_clear()
+        cs = jaynes_cummings(ModelParams(omega_r=0, omega_0=0, g=0.1,
+                                         n_max=3))
+        sequences.order_check(parse_sequence("8a"), cs, q1_shape,
+                              (0.4, 0.2, 0.1, 0.04))
+        assert calls == [(256, 2), (128, 2)]
+
+    def test_one_symmetry_test_per_checked_pair(self, monkeypatch, g10):
+        calls = []
+        symmetries = propagate._symmetries
+        monkeypatch.setattr(propagate, "_symmetries",
+                            lambda hs, scale: calls.append(scale)
+                            or symmetries(hs, scale))
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.002,
+                                         n_max=3))
+        propagate_period(cs, build_schedule(parse_sequence("8s"), g10))
+        assert len(calls) == 1
+
+    def test_interpolation_data_is_read_only(self, g10):
+        nodes, weights = propagate._interpolation(g10, 64, True, 0.5)
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    # odd step counts put the middle step in the real half-product
+    @pytest.mark.parametrize("steps", (17, 64, 257))
+    @pytest.mark.parametrize("model", ("jc", "generic"))
+    @pytest.mark.parametrize("axis", ("x", "y"))
+    def test_cached_product_matches_a_cold_one(self, model, axis, steps,
+                                               h05):
+        # "jc" with an x pulse takes the real half-product, the rest the
+        # general product
+        hs = assemble(drawn_couplings(model, 2, 2))
+        k_op = kron(PAULI[axis] / 2, np.eye(3, dtype=complex))
+        cached, fresh = cached_and_fresh(hs, k_op, h05, steps)
+        assert np.array_equal(cached, fresh)
+
+    @pytest.mark.parametrize("model", ("jc", "generic"))
+    def test_cached_product_with_a_node_per_factor(self, model, g10):
+        # the strong control of test_as_many_nodes_as_factors_gives_exact_
+        # factors, whose distinct coefficients are the nodes
+        hs = assemble(drawn_couplings(model, 4, 2))
+        k_op = 100 * kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
+        cached, fresh = cached_and_fresh(hs, k_op, g10, 16)
+        assert np.array_equal(cached, fresh)
+        assert len(propagate._interpolation(
+            g10, 16, model == "jc", 50.0)[0]) > 7
+
+    @pytest.mark.parametrize("steps", (32, 33, 64))
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 3),
+           model=st.sampled_from(("jc", "parity", "generic")),
+           shape=st.sampled_from(sorted(PROPERTY_SHAPES) + ["delta"]),
+           seq=st.lists(st.sampled_from(("X", "-X", "Y", "-Y", "Z", "-Z",
+                                         "d(0.25)", "d(0.5)")),
+                        min_size=1, max_size=6).map(" ".join))
+    def test_paired_pass_matches_separate_passes(self, steps, seed, n_max,
+                                                 model, shape, seq):
+        # soft and delta pulses, with and without delays
+        cs = drawn_couplings(model, seed, n_max)
+        sh = delta() if shape == "delta" else PROPERTY_SHAPES[shape]
+        sched = build_schedule(parse_sequence(seq), sh)
+        u, u_half = propagate._period_unitaries(cs, sched,
+                                                (steps, steps // 2))
+        assert np.array_equal(u, period_unitary(cs, sched, steps))
+        assert np.array_equal(u_half, period_unitary(cs, sched, steps // 2))
+
+
 class TestPropagatePeriod:
     def test_control_off_diagonal_phases(self):
         # no coupling, pure oscillator drift over a delay
@@ -306,19 +400,20 @@ class TestPropagatePeriod:
         assert op_norm(u - np.eye(2)) < 1e-12
 
     def test_delta_schedule_makes_the_halving_check(self, monkeypatch):
-        # an exact schedule is integrated twice too; the two products are the
-        # same operations, so the reported difference is exactly 0.0
+        # an exact schedule is integrated at both step counts too; the two
+        # products are the same operations, so the reported difference is
+        # exactly 0.0
         calls = []
-        period_unitary = propagate._period_unitary
+        period_unitaries = propagate._period_unitaries
         monkeypatch.setattr(
-            propagate, "_period_unitary",
-            lambda cs, sched, steps: calls.append(steps)
-            or period_unitary(cs, sched, steps))
+            propagate, "_period_unitaries",
+            lambda cs, sched, counts: calls.append(counts)
+            or period_unitaries(cs, sched, counts))
         cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=0.002,
                                          n_max=3))
         sched = build_schedule(parse_sequence("8a"), delta())
         tr = run_trace(cs, sched, 1, [(1.0, 0.0)], steps_per_pulse=64)
-        assert calls == [64, 32]
+        assert calls == [(64, 32)]
         assert tr.halving_diff == 0.0
 
     @pytest.mark.parametrize("shape", ["G05", "G10", "H05", "H10", "S1",
@@ -328,8 +423,8 @@ class TestPropagatePeriod:
         cs = random_couplings(rng, 3, scale=0.5)
         sched = build_schedule(parse_sequence("X"), resolve_shape(shape))
         # the unchecked U(T): the test measures the unconverged differences
-        u64, u128, u256 = (propagate._period_unitary(cs, sched, n)
-                           for n in (64, 128, 256))
+        u64, u128, u256 = propagate._period_unitaries(cs, sched,
+                                                      (64, 128, 256))
         d1 = op_norm(u128 - u64)
         d2 = op_norm(u256 - u128)
         assert 10 < d1 / d2 < 24
@@ -413,8 +508,7 @@ def unchecked_period_unitary():
     which few steps do not converge: the trace loop is under test."""
     return mock.patch.object(
         propagate, "_checked_period_unitary",
-        lambda cs, sched, steps: (propagate._period_unitary(cs, sched, steps),
-                                  0.0))
+        lambda cs, sched, steps: (period_unitary(cs, sched, steps), 0.0))
 
 
 TRACE_SCHEDULES = {"xbarx+G10": ("xbarx", gaussian(0.10)),
@@ -461,7 +555,7 @@ class TestRunTrace:
         with unchecked_period_unitary():
             tr = run_trace(cs, sched, n_periods, qs, oscillator_level=level,
                            steps_per_pulse=16)
-        u = propagate._period_unitary(cs, sched, 16)
+        u = period_unitary(cs, sched, 16)
         ref = per_period_columns(u, qs, dim, level, n_periods)
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert got.shape == ref.shape == (3, n_periods + 1)
@@ -529,7 +623,7 @@ class TestRunTrace:
                 unchecked_period_unitary():
             tr = run_trace(cs, sched, n_periods, qs, oscillator_level=3,
                            steps_per_pulse=16)
-        u = propagate._period_unitary(cs, sched, 16)
+        u = period_unitary(cs, sched, 16)
         ref = per_period_columns(u, qs, 5, 3, n_periods)
         got = np.array([tr.fidelity_min, tr.n_mean_max, tr.leakage_max])
         assert np.max(np.abs(got - ref)) <= 1e-12

@@ -207,7 +207,7 @@ class TestExpandPulse:
             sc = cs.scaled(lam)
             # unchecked: some drawn couplings need more than 256 steps to
             # pass the halving check, far below the residuals compared here
-            u = propagate._period_unitary(sc, sched, 256)
+            u = propagate._period_unitaries(sc, sched, (256,))[0]
             res.append(op_norm(u - expansion_sum(sc, p, PulseSpec("x", -1))))
         assert 6 < res[0] / res[1] < 10
 
