@@ -22,9 +22,16 @@ coefficients, the nodes and the Lagrange weights do not depend on Hs: they
 are formed once per (shape, step count, real half-product or full list,
 |K|) and kept, read-only, in a bounded cache (``_interpolation``), so that
 +-x and +-y pulses, every oscillator dimension and every coupling scale of
-an order check share them.  A ``verify`` benchmark pass forms them 6
-times for its 62 pulse products, a ``figures`` pass 4 times for 12, and the
-one ``longrun`` pair twice for 2.  Each block of factors is one real matrix
+an order check share them.  The pulse unitary itself is kept too, read-only,
+in a second bounded cache (``_integrated_pulse``, 16 entries) keyed by the
+exact bytes of Hs and K as complex128, the dimension, the shape and the step
+count: a hit needs byte-equal operators and returns bitwise the product a
+fresh integration gives, and an entry holds three dim^2 complex arrays
+(15 KB at dim 18).  A ``figures`` benchmark pass forms the interpolation
+data 4 times and integrates 4 pulses for its 12 pulse unitaries (figs 1, 3
+and 5 share the G10 +x pulse, figs 2, 4 and 6 the S1 one); a ``verify``
+pass forms the data 6 times for its 62 integrated pulses, and the one
+``longrun`` pair twice for 2.  Each block of factors is one real matrix
 product of its weights with the (re, im) view of the exact factors.
 A block is the longest power of two of factors, never fewer than _BLOCK,
 that holds at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256
@@ -240,6 +247,23 @@ def _cf4_product(hs: np.ndarray, k_op: np.ndarray, nodes: np.ndarray,
 
 def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                    steps: int) -> np.ndarray:
+    """The CF4 unitary of one pulse, read-only, kept by the exact bytes of
+    Hs and K as complex128 (see ``_integrated_pulse``)."""
+    hs = np.asarray(hs, dtype=complex)
+    return _integrated_pulse(hs.tobytes(),
+                             np.asarray(k_op, dtype=complex).tobytes(),
+                             hs.shape[0], shape, steps)
+
+
+@lru_cache(maxsize=16)
+def _integrated_pulse(hs_bytes: bytes, k_bytes: bytes, dim: int,
+                      shape: PulseShape, steps: int) -> np.ndarray:
+    """The pulse unitary of the (dim, dim) complex128 Hs and K given by
+    their bytes.  A hit needs byte-equal inputs, so it returns bitwise the
+    product a fresh integration gives; an entry holds three dim^2 complex
+    arrays (15 KB at dim 18)."""
+    hs = np.frombuffer(hs_bytes, dtype=complex).reshape(dim, dim)
+    k_op = np.frombuffer(k_bytes, dtype=complex).reshape(dim, dim)
     # real symmetric generators make every factor a complex symmetric
     # matrix, and the palindromic coefficients of an even envelope make the
     # second half of the product the transpose of the first half W
@@ -249,7 +273,10 @@ def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
     u = _cf4_product(hs, k_op,
                      *_interpolation(shape, steps, half, op_norm(k_op)),
                      1 / steps)
-    return u.T @ u if half else u
+    if half:
+        u = u.T @ u
+    u.flags.writeable = False
+    return u
 
 
 def _symmetric_pulse(hs: np.ndarray, k_op: np.ndarray, syms: list,
@@ -287,7 +314,9 @@ def _period_unitaries(couplings: CouplingSet, schedule: ControlSchedule,
     exceed the tolerance of the step-halving check, which could then not
     vouch for U(T); far above it the factors are no longer near unitary
     and the products overflow (max|u| 4e145 at |Hs| = 1.8e21 and 256
-    steps).
+    steps).  Any delay d with eps |Hs| d above SELF_CHECK_TOL is refused
+    the same way: both step counts take the same exponential of it, so the
+    check could not see its roundoff.
     """
     hs = assemble(couplings)
     scale = op_norm(hs)
@@ -300,6 +329,12 @@ def _period_unitaries(couplings: CouplingSet, schedule: ControlSchedule,
             f"|Hs| = {scale:.3e} is too large for the step-halving check: "
             f"the roundoff eps |Hs| tau_p = {roundoff:.3e} of a pulse "
             f"exceeds {SELF_CHECK_TOL:g}")
+    for e in schedule.elements:
+        if isinstance(e, Delay) and roundoff * e.duration > SELF_CHECK_TOL:
+            raise ConvergenceError(
+                f"|Hs| = {scale:.3e} is too large for the delay "
+                f"d({e.duration:g}): its roundoff eps |Hs| d = "
+                f"{roundoff * e.duration:.3e} exceeds {SELF_CHECK_TOL:g}")
     eye = np.eye(couplings.dim, dtype=complex)
     syms = _symmetries(hs, scale)
     pulses = []     # (K, its unitaries) of every pulse integrated so far

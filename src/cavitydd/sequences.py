@@ -206,16 +206,19 @@ def expand_pulse(couplings: CouplingSet, params: ShapeParams, pulse: PulseSpec,
     d = couplings.dim
     idd = np.eye(d, dtype=complex)
 
+    # each sigma (x) A product once; the sums keep their order
+    i_a0, i_am = _on(None, a0), _on(None, am)
+    along = _on(nu, an) + _on(rho, ar)
+    across = _on(nu, ar) - _on(rho, an)
+    transverse_sq = an @ an + ar @ ar
     x0 = kron(-1j * PAULI[mu], idd)
-    x1 = (-_on(None, am) - _on(mu, a0)
-          + 1j * s * (_on(nu, an) + _on(rho, ar)))
+    x1 = -i_am - _on(mu, a0) + 1j * s * along
     x2 = (0.5j * (_on(None, anticomm(a0, am)) + _on(mu, a0 @ a0 + am @ am))
-          + zeta * (comm(_on(None, a0), _on(nu, ar) - _on(rho, an))
-                    + 1j * anticomm(_on(None, am), _on(nu, an) + _on(rho, ar)))
-          + (s / 2) * (anticomm(_on(None, a0), _on(nu, an) + _on(rho, ar))
-                       - 1j * comm(_on(None, am), _on(nu, ar) - _on(rho, an)))
-          + alpha * (_on(None, an @ an + ar @ ar) + 1j * _on(mu, comm(an, ar)))
-          + (s ** 2 / 2) * (_on(None, comm(ar, an)) + 1j * _on(mu, an @ an + ar @ ar)))
+          + zeta * (comm(i_a0, across) + 1j * anticomm(i_am, along))
+          + (s / 2) * (anticomm(i_a0, along) - 1j * comm(i_am, across))
+          + alpha * (_on(None, transverse_sq) + 1j * _on(mu, comm(an, ar)))
+          + (s ** 2 / 2) * (_on(None, comm(ar, an))
+                            + 1j * _on(mu, transverse_sq)))
     return (x0, x1, x2) if sign > 0 else (-x0, -x1, -x2)
 
 

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from cavitydd import CouplingSet, designer, gaussian, hermitian, shapes
+from cavitydd import (CouplingSet, designer, gaussian, hermitian, propagate,
+                      shapes)
+
+
+@pytest.fixture(autouse=True)
+def cold_propagator_caches():
+    """Every test starts with empty pulse-unitary and interpolation caches,
+    so that what it counts does not depend on the tests run before it."""
+    propagate._integrated_pulse.cache_clear()
+    propagate._interpolation.cache_clear()
 
 
 def random_couplings(rng, dim, scale=0.35):

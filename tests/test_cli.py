@@ -4,7 +4,9 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from cavitydd import designer, propagate, sequences
@@ -290,6 +292,23 @@ class TestCommands:
         assert captured.err.endswith(" of a pulse exceeds 1e-08\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_simulate_refuses_a_delay_beyond_the_halving_check(
+            self, tmp_path, monkeypatch, capsys):
+        # an exact delta schedule takes the same delay exponential at both
+        # step counts, so its halving difference is 0.0 whatever the delay's
+        # roundoff eps |Hs| d; past the tolerance the delay is refused
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--sequence", "X d(1.0) -X d(1.0)",
+                   "--shape", "delta", "--g", "1e20", "--periods", "1"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical convergence failure: |Hs| = 1.777e+21 is too large "
+            "for the delay d(1): its roundoff eps |Hs| d = 3.946e+05 exceeds "
+            "1e-08\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_refuses_an_overflowing_pulse_with_warnings_as_errors(
             self, tmp_path):
         env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
@@ -365,6 +384,36 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == ("error: out of memory: Unable to allocate "
                                 "72.8 TiB for an array\n")
+
+    def test_figure_protocols_share_one_pulse_per_step_count(
+            self, tmp_path, monkeypatch):
+        # figs 1, 3 and 5 run 4p, 8a and 8s of G10 pulses on one model, so
+        # one process integrates the +x pulse once at 256 and once at 128
+        # steps, not three times; each trace is bitwise the one integrated
+        # afresh
+        products, traces = [], []
+        cf4_product, run_trace = propagate._cf4_product, propagate.run_trace
+        monkeypatch.setattr(propagate, "_cf4_product",
+                            lambda *args: products.append(args[-1])
+                            or cf4_product(*args))
+
+        def recorded(*args, **kwargs):
+            traces.append((args, kwargs, run_trace(*args, **kwargs)))
+            return traces[-1][2]
+
+        monkeypatch.setattr(propagate, "run_trace", recorded)
+        for k in (1, 3, 5):
+            assert main(["simulate", "--config",
+                         os.path.join(REPO_ROOT, "figs", f"fig{k}.cfg"),
+                         "--output", str(tmp_path / f"fig{k}.csv")]) == 0
+        assert products == [1 / 256, 1 / 128]
+        assert len(traces) == 3
+        for args, kwargs, cached in traces:
+            propagate._integrated_pulse.cache_clear()
+            fresh = run_trace(*args, **kwargs)
+            for field in fields(cached):
+                assert np.array_equal(getattr(cached, field.name),
+                                      getattr(fresh, field.name))
 
     def test_effham_report(self, capsys):
         rc = main(["effham", "--sequence", "8a", "--shape", "G10",

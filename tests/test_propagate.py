@@ -152,6 +152,7 @@ class TestPulseUnitary:
         budgeted = propagate._pulse_unitary(hs, k_op, sh, steps)
         with mock.patch.object(propagate, "_BLOCK_ENTRIES", 0):
             assert propagate._block_length(2 * n_max + 2) == propagate._BLOCK
+            propagate._integrated_pulse.cache_clear()
             fixed = propagate._pulse_unitary(hs, k_op, sh, steps)
         assert op_norm(budgeted - fixed) <= 1e-13
 
@@ -295,12 +296,15 @@ class TestSymmetryReduction:
 
 def cached_and_fresh(hs, k_op, shape, steps):
     """A pulse unitary built from cached interpolation data, and the same
-    pulse after the cache is cleared."""
+    pulse after the cache is cleared.  The pulse-unitary cache is cleared
+    before each product, so that both are integrated."""
     propagate._pulse_unitary(hs, k_op, shape, steps)
     hits = propagate._interpolation.cache_info().hits
+    propagate._integrated_pulse.cache_clear()
     cached = propagate._pulse_unitary(hs, k_op, shape, steps)
     assert propagate._interpolation.cache_info().hits == hits + 1
     propagate._interpolation.cache_clear()
+    propagate._integrated_pulse.cache_clear()
     return cached, propagate._pulse_unitary(hs, k_op, shape, steps)
 
 
@@ -378,8 +382,49 @@ class TestOnePassSetUp:
         sched = build_schedule(parse_sequence(seq), sh)
         u, u_half = propagate._period_unitaries(cs, sched,
                                                 (steps, steps // 2))
+        # each separate pass integrates its pulses afresh
+        propagate._integrated_pulse.cache_clear()
         assert np.array_equal(u, period_unitary(cs, sched, steps))
+        propagate._integrated_pulse.cache_clear()
         assert np.array_equal(u_half, period_unitary(cs, sched, steps // 2))
+
+
+def jc_pulse(g):
+    """Hs of the figure model at coupling g, and its +x control operator."""
+    cs = jaynes_cummings(ModelParams(omega_r=0.117, omega_0=0, g=g, n_max=3))
+    return assemble(cs), kron(PAULI["x"] / 2, np.eye(4, dtype=complex))
+
+
+class TestPulseCache:
+    def test_cached_unitary_is_read_only(self, g10):
+        hs, k_op = jc_pulse(0.0002)
+        for _ in range(2):
+            u = propagate._pulse_unitary(hs, k_op, g10, 64)
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0.0
+        assert propagate._integrated_pulse.cache_info().hits == 1
+
+    def test_hit_needs_byte_equal_operators(self, g10):
+        # a coupling one ulp away is another Hs, integrated anew
+        g = 0.0002
+        for coupling in (g, g, np.nextafter(g, 1.0)):
+            hs, k_op = jc_pulse(coupling)
+            propagate._pulse_unitary(hs, k_op, g10, 64)
+        info = propagate._integrated_pulse.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_real_and_complex_operands_share_an_entry(self, g10):
+        # the key is the complex128 bytes, whatever dtype the caller passes
+        hs, k_op = jc_pulse(0.0002)
+        u = propagate._pulse_unitary(hs, k_op, g10, 64)
+        assert propagate._pulse_unitary(hs.real, k_op.real, g10, 64) is u
+
+    def test_bounded_to_16_entries(self, g10):
+        hs, k_op = jc_pulse(0.0002)
+        for steps in range(32, 52):
+            propagate._pulse_unitary(hs, k_op, g10, steps)
+            assert propagate._integrated_pulse.cache_info().currsize <= 16
+        assert propagate._integrated_pulse.cache_info().currsize == 16
 
 
 class TestPropagatePeriod:
@@ -398,6 +443,22 @@ class TestPropagatePeriod:
         sched = build_schedule(parse_sequence("X d(1.0) -X d(1.0)"), delta())
         u = propagate_period(cs, sched)
         assert op_norm(u - np.eye(2)) < 1e-12
+
+    @pytest.mark.parametrize("duration, refused", ((0.25, False),
+                                                   (1.0, True)))
+    def test_delay_roundoff_bound(self, duration, refused):
+        # |Hs| = 1e8: the roundoff eps |Hs| d of d(1) is 2.2e-8, above the
+        # tolerance of the halving check, that of d(0.25) 5.6e-9, below it
+        cs = chemical_shift(2e8)
+        sched = build_schedule(
+            parse_sequence(f"X d({duration}) -X d({duration})"), delta())
+        if refused:
+            with pytest.raises(ConvergenceError,
+                               match=r"too large for the delay d\(1\)"):
+                propagate_period(cs, sched)
+        else:
+            u = propagate_period(cs, sched)
+            assert op_norm(u @ u.conj().T - np.eye(2)) < 1e-12
 
     def test_delta_schedule_makes_the_halving_check(self, monkeypatch):
         # an exact schedule is integrated at both step counts too; the two

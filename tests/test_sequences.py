@@ -95,6 +95,19 @@ class TestExpandPulse:
         assert op_norm(x1) == 0
         assert op_norm(x2) == 0
 
+    @pytest.mark.parametrize("axis", "xyz")
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_each_product_formed_once(self, monkeypatch, axis, sign):
+        # X0, and the 13 distinct sigma (x) A products of X1 and X2
+        calls = []
+        kron = sequences.kron
+        monkeypatch.setattr(sequences, "kron",
+                            lambda a, b: calls.append(1) or kron(a, b))
+        cs = random_couplings(np.random.default_rng(3), 3)
+        expand_pulse(cs, compute_params(gaussian(0.10)),
+                     PulseSpec(axis, sign))
+        assert len(calls) == 14
+
     def test_chemical_shift_first_order_selfrefocusing(self):
         # s = 0 shape on the shift model: no first-order term at all
         cs = chemical_shift(0.4)
