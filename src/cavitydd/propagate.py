@@ -11,34 +11,35 @@ evaluated at the two Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h,
 each factor an exact Hermitian exponential.  Within a pulse H = Hs + V(t) K
 with K = sign * sigma_axis/2 (x) 1, and w1 + w2 = 1/2, so every factor's
 generator is Hs/2 + c K with a real coefficient c; one vectorised envelope
-evaluation gives all 2*steps of them.  The factor exp(-i h (Hs/2 + c K)) has
-|d^n/dc^n| <= (h |K|)^n, so its Chebyshev interpolant in c at n nodes on
-[c_min, c_max] errs by at most 2 a^n / n!, a = h |K| (c_max - c_min) / 4.
+evaluation gives the first ``steps`` of them (see "Mirror" below).  The
+factor exp(-i h (Hs/2 + c K)) has |d^n/dc^n| <= (h |K|)^n, so its Chebyshev
+interpolant in c at n nodes on [c_min, c_max] errs by at most 2 a^n / n!,
+a = h |K| (c_max - c_min) / 4.
 The fewest nodes with that <= _INTERP_TOL (7 for the figure shapes) get exact
 factors from one stacked eigendecomposition, and every factor is their
 Lagrange combination; when the bound asks for a node per factor, the
 distinct coefficients are the nodes and the factors exact.  The
 coefficients, the nodes and the Lagrange weights do not depend on Hs: they
-are formed once per (shape, step count, real half-product or full list,
-|K|) and kept, read-only, in a bounded cache (``_interpolation``), so that
-+-x and +-y pulses, every oscillator dimension and every coupling scale of
-an order check share them.  The pulse unitary itself is kept too, read-only,
-in a second bounded cache (``_integrated_pulse``, 16 entries) keyed by the
-exact bytes of Hs and K as complex128, the dimension, the shape and the step
-count: a hit needs byte-equal operators and returns bitwise the product a
-fresh integration gives, and an entry holds three dim^2 complex arrays
-(15 KB at dim 18).  A ``figures`` benchmark pass forms the interpolation
-data 4 times and integrates 4 pulses for its 12 pulse unitaries (figs 1, 3
-and 5 share the G10 +x pulse, figs 2, 4 and 6 the S1 one); a ``verify``
-pass forms the data 6 times for its 62 integrated pulses, and the one
-``longrun`` pair twice for 2.  Each block of factors is one real matrix
-product of its weights with the (re, im) view of the exact factors.
+are formed once per (shape, step count, |K|) and kept, read-only, in a
+bounded cache (``_interpolation``), so that every pulse, real or complex,
+every oscillator dimension and every coupling scale of an order check share
+them.  The pulse unitary itself is kept too, read-only, in a second bounded
+cache (``_integrated_pulse``, 64 entries, at most 1 MB at dim 18) keyed by
+the exact bytes of Hs and K as complex128, the dimension, the shape and the
+step count: a hit needs byte-equal operators and returns bitwise the
+product a fresh integration gives.  A ``figures`` benchmark pass forms the
+interpolation data 4 times and integrates 4 pulses for its 12 pulse
+unitaries (figs 1, 3 and 5 share the G10 +x pulse, figs 2, 4 and 6 the S1
+one); a ``verify`` pass forms the data 4 times and integrates 50 pulses for
+its 62 (12 cache hits), and the one ``longrun`` pair twice for 2.  Each
+block of factors is one real matrix product of its weights with the
+(re, im) view of the exact factors.
 A block is the longest power of two of factors, never fewer than _BLOCK,
 that holds at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256
 at dim 8, 64 at dim 16, _BLOCK from dim 18 on, as in the figures), so that a
 small pulse is one pairwise tree product.
-One Newton-Schulz step U (3 - U^dagger U) / 2 ends the product, taking its
-accumulated roundoff off unitarity.
+One Newton-Schulz step U (3 - U^dagger U) / 2 ends each product of factors,
+taking its accumulated roundoff off unitarity.
 Hs is Hermitian because ``CouplingSet`` validates its operators where they
 are built; K is Hermitian by construction, so each generator is too.
 
@@ -60,17 +61,14 @@ Exact symmetries cut the pulses that are integrated at all:
 * Which pulse to integrate.  Otherwise the orbit member S^dagger K' S with
   real generators is integrated (x before y), so on the Jaynes-Cummings
   model all of +-x and +-y come from one +x pulse per step count.
-* Real half-product.  When Hs and K are real, each factor is a complex
-  symmetric matrix; every ``PulseShape`` is even about t = 1/2, so the CF4
-  coefficient list is a palindrome and the second half of the product is
-  the transpose of the first half W: U = W^T W, with W built from the
-  first ``steps`` coefficients by a real eigendecomposition of its nodes
-  and the Newton-Schulz step (time-symmetric splitting; Blanes, Casas,
-  Oteo & Ros, Phys. Rep. 470, 151 (2009)); real combinations of the node
-  factors stay complex symmetric.  Odd step counts need nothing special,
-  because the middle step is itself symmetric.
-* Fallback.  Every other pulse (complex Hs or K) takes the general complex
-  product of all 2*steps factors.
+* Mirror.  Every ``PulseShape`` is even about t = 1/2, so the CF4
+  coefficient list is a palindrome: the first ``steps`` factors make W, and
+  the mirror W~ multiplies the same exact node factors over the weight rows
+  in reverse order, U = W~ W (time-symmetric splitting; Blanes, Casas,
+  Oteo & Ros, Phys. Rep. 470, 151 (2009)).  When Hs and K are real, the
+  one eigendecomposition is real and every factor complex symmetric, so
+  W~ = W^T.  Odd step counts need nothing special, because the middle step
+  is itself symmetric.
 
 The step count (>= 32) is validated, and the step-halving check made, in
 ``_checked_period_unitary``, which every entry point passes and no schedule
@@ -78,12 +76,13 @@ skips.  Its two unitaries come from one pass (``_period_unitaries``): Hs,
 the symmetry tests, the orbit matching and the delay exponentials are formed
 once, and each integrated pulse is integrated at ``steps`` and ``steps //
 2``.  For an exact delta-pulse schedule both products are the same
-operations and the difference is exactly 0.0.  A soft-pulse schedule with
-eps |Hs| tau_p > SELF_CHECK_TOL is refused with a ConvergenceError before
-any pulse is integrated: its roundoff alone exceeds what the check
-certifies.  The expansion parameters tested elsewhere in this package never
-enter here: the propagator integrates the lab-frame Hamiltonian directly, so
-it is an independent oracle for them.
+operations and the difference is exactly 0.0.  A schedule with an element
+whose roundoff eps |Hs| t (t = 1 for a soft pulse, d for a delay) exceeds
+SELF_CHECK_TOL is refused with a ConvergenceError before any pulse is
+integrated: its roundoff alone exceeds what the check certifies.  The
+expansion parameters tested elsewhere in this package never enter here:
+the propagator integrates the lab-frame Hamiltonian directly, so it is an
+independent oracle for them.
 
 The schedule of one period (``ControlSchedule``, from
 ``sequences.build_schedule``) is the sequence's elements with the shape and
@@ -182,39 +181,36 @@ def _block_length(dim: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _interpolation(shape: PulseShape, steps: int, half: bool,
-                   k_norm: float):
-    """(nodes, weights) of a pulse's CF4 factors, read-only: the
-    interpolation nodes in c, and the Lagrange weights of every factor
-    coefficient (the first ``steps`` if ``half``, else all 2*steps) at
-    them.  They depend on the shape, the step count and |K| = ``k_norm``
-    alone, so every pulse, coupling scale and dimension shares them (see
-    the module docstring)."""
+def _interpolation(shape: PulseShape, steps: int, k_norm: float):
+    """(nodes, weights) of a pulse's first ``steps`` CF4 factors, read-only:
+    the interpolation nodes in c, and the Lagrange weights of each factor
+    coefficient at them.  They depend on the shape, the step count and
+    |K| = ``k_norm`` alone, so every pulse, coupling scale and dimension
+    shares them (see the module docstring)."""
     h = 1 / steps
-    t0 = np.arange(steps)[:, None] * h
+    t0 = np.arange((steps + 1) // 2)[:, None] * h
     amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
     # CF4 factor coefficients in time order: step k applies
     # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
-    coef = (amp @ np.array([[_CF4_W1, _CF4_W2], [_CF4_W2, _CF4_W1]])).ravel()
-    if half:
-        coef = coef[:steps]
+    coef = (amp @ np.array([[_CF4_W1, _CF4_W2],
+                            [_CF4_W2, _CF4_W1]])).ravel()[:steps]
     lo, hi = coef.min(), coef.max()
     a = h * k_norm * (hi - lo) / 4
     n, err = 1, 2 * a
-    while err > _INTERP_TOL and n < coef.size:
+    while err > _INTERP_TOL and n < steps:
         n += 1
         err *= a / n
-    if n < coef.size:
+    if n < steps:
         nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(
             (2 * np.arange(n) + 1) * np.pi / (2 * n))
     else:
         nodes = np.unique(coef)
-    # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of the whole
-    # pulse, multiplied in ratio by ratio, so that they are exactly 1 and 0
+    # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of every
+    # factor, multiplied in ratio by ratio, so that they are exactly 1 and 0
     # at a node
     gaps = nodes[:, None] - nodes
     np.fill_diagonal(gaps, 1.0)
-    weights = np.ones((coef.size, len(nodes)))
+    weights = np.ones((steps, len(nodes)))
     for m, x in enumerate(nodes):
         ratio = (coef[:, None] - x) / gaps[:, m]
         ratio[:, m] = 1.0
@@ -223,20 +219,17 @@ def _interpolation(shape: PulseShape, steps: int, half: bool,
     return nodes, weights
 
 
-def _cf4_product(hs: np.ndarray, k_op: np.ndarray, nodes: np.ndarray,
-                 weights: np.ndarray, h: float) -> np.ndarray:
-    """Time-ordered product of exp(-i h (Hs/2 + c K)) over the factors whose
-    Lagrange weights at ``nodes`` are the rows of ``weights``."""
-    dim = hs.shape[0]
-    w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
+def _cf4_product(exact: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Time-ordered product, first row first, of the factors whose Lagrange
+    weights are the rows of ``weights``, from the ``exact`` node factors."""
+    dim = exact.shape[-1]
     # the exact factors as rows of (re, im) pairs, so that a block's factors
     # are one real product of their Lagrange weights with these rows
-    exact = ((v * np.exp(-1j * h * w)[:, None, :])
-             @ v.conj().transpose(0, 2, 1)).reshape(len(nodes), -1).view(float)
+    rows = exact.reshape(len(exact), -1).view(float)
     block = _block_length(dim)
     u = np.eye(dim, dtype=complex)
     for b in range(0, len(weights), block):
-        f = (weights[b:b + block] @ exact).view(complex).reshape(-1, dim, dim)
+        f = (weights[b:b + block] @ rows).view(complex).reshape(-1, dim, dim)
         # pairwise tree product, later factors on the left
         while len(f) > 1:
             paired = f[1::2] @ f[:-1:2]
@@ -255,7 +248,7 @@ def _pulse_unitary(hs: np.ndarray, k_op: np.ndarray, shape: PulseShape,
                              hs.shape[0], shape, steps)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _integrated_pulse(hs_bytes: bytes, k_bytes: bytes, dim: int,
                       shape: PulseShape, steps: int) -> np.ndarray:
     """The pulse unitary of the (dim, dim) complex128 Hs and K given by
@@ -264,17 +257,17 @@ def _integrated_pulse(hs_bytes: bytes, k_bytes: bytes, dim: int,
     arrays (15 KB at dim 18)."""
     hs = np.frombuffer(hs_bytes, dtype=complex).reshape(dim, dim)
     k_op = np.frombuffer(k_bytes, dtype=complex).reshape(dim, dim)
-    # real symmetric generators make every factor a complex symmetric
-    # matrix, and the palindromic coefficients of an even envelope make the
-    # second half of the product the transpose of the first half W
-    half = not hs.imag.any() and not k_op.imag.any()
-    if half:
+    real = not hs.imag.any() and not k_op.imag.any()
+    if real:
         hs, k_op = hs.real, k_op.real
-    u = _cf4_product(hs, k_op,
-                     *_interpolation(shape, steps, half, op_norm(k_op)),
-                     1 / steps)
-    if half:
-        u = u.T @ u
+    h = 1 / steps
+    nodes, weights = _interpolation(shape, steps, op_norm(k_op))
+    w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
+    exact = (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    u = _cf4_product(exact, weights)
+    # the second half mirrors the first; with real generators every factor
+    # is complex symmetric and the mirror is W^T
+    u = (u.T if real else _cf4_product(exact, weights[::-1])) @ u
     u.flags.writeable = False
     return u
 
@@ -308,33 +301,26 @@ def _period_unitaries(couplings: CouplingSet, schedule: ControlSchedule,
     symmetries, the orbit matching and the delay exponentials are formed
     once, and each integrated pulse is integrated at every count.
 
-    A schedule with soft pulses is refused with a ConvergenceError when
-    eps |Hs| tau_p (tau_p = 1) exceeds SELF_CHECK_TOL: each exact CF4 factor
-    is unitary only to about eps h |Hs|, so a pulse's roundoff alone can
-    exceed the tolerance of the step-halving check, which could then not
-    vouch for U(T); far above it the factors are no longer near unitary
-    and the products overflow (max|u| 4e145 at |Hs| = 1.8e21 and 256
-    steps).  Any delay d with eps |Hs| d above SELF_CHECK_TOL is refused
-    the same way: both step counts take the same exponential of it, so the
-    check could not see its roundoff.
+    An element whose roundoff eps |Hs| t exceeds SELF_CHECK_TOL, t = 1 for
+    a soft pulse, 0 for a delta pulse and d for a delay d, is refused with
+    a ConvergenceError.  Each exact CF4 factor is unitary only to about
+    eps h |Hs|, so a pulse's roundoff alone can exceed the tolerance of the
+    step-halving check, which could then not vouch for U(T); far above it
+    the products overflow (max|u| 4e145 at |Hs| = 1.8e21 and 256 steps).
+    Both step counts take the same exponential of a delay, so the check
+    could not see its roundoff.
     """
     hs = assemble(couplings)
     scale = op_norm(hs)
     shape = schedule.shape
-    soft = not shape.is_delta and any(
-        not isinstance(e, Delay) for e in schedule.elements)
     roundoff = np.finfo(float).eps * scale
-    if soft and roundoff > SELF_CHECK_TOL:
-        raise ConvergenceError(
-            f"|Hs| = {scale:.3e} is too large for the step-halving check: "
-            f"the roundoff eps |Hs| tau_p = {roundoff:.3e} of a pulse "
-            f"exceeds {SELF_CHECK_TOL:g}")
     for e in schedule.elements:
-        if isinstance(e, Delay) and roundoff * e.duration > SELF_CHECK_TOL:
+        t = e.duration if isinstance(e, Delay) else float(not shape.is_delta)
+        if roundoff * t > SELF_CHECK_TOL:
             raise ConvergenceError(
-                f"|Hs| = {scale:.3e} is too large for the delay "
-                f"d({e.duration:g}): its roundoff eps |Hs| d = "
-                f"{roundoff * e.duration:.3e} exceeds {SELF_CHECK_TOL:g}")
+                f"|Hs| = {scale:.3e} is too large for the step-halving check: "
+                f"the roundoff eps |Hs| t = {roundoff * t:.3e} of "
+                f"{e.label()} exceeds {SELF_CHECK_TOL:g}")
     eye = np.eye(couplings.dim, dtype=complex)
     syms = _symmetries(hs, scale)
     pulses = []     # (K, its unitaries) of every pulse integrated so far

@@ -75,6 +75,9 @@ class Delay:
         if not (self.duration >= 0 and np.isfinite(self.duration)):
             raise ValueError("delay duration must be a finite nonnegative number")
 
+    def label(self) -> str:
+        return f"d({self.duration:g})"
+
 
 @dataclass(frozen=True)
 class Sequence:
@@ -84,9 +87,7 @@ class Sequence:
     name: str | None = None
 
     def label(self) -> str:
-        toks = [e.label() if isinstance(e, PulseSpec) else f"d({e.duration:g})"
-                for e in self.elements]
-        return " ".join(toks)
+        return " ".join(e.label() for e in self.elements)
 
 
 def _p(axis: str, sign: int = 1) -> PulseSpec:

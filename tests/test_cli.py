@@ -277,9 +277,10 @@ class TestCommands:
                                          ("1e307", "1.777e+308")])
     def test_simulate_refuses_couplings_beyond_the_halving_check(
             self, tmp_path, monkeypatch, capsys, g, norm):
-        # finite couplings whose pulse roundoff eps |Hs| tau_p exceeds the
-        # step-halving tolerance: one named convergence error, before any
-        # pulse is integrated, so no product overflows and nothing warns
+        # finite couplings whose pulse roundoff eps |Hs| t, t = tau_p,
+        # exceeds the step-halving tolerance: one named convergence error,
+        # before any pulse is integrated, so no product overflows and
+        # nothing warns
         monkeypatch.chdir(tmp_path)
         rc = main(["simulate", "--sequence", "4p", "--shape", "G10",
                    "--periods", "1", "--g", g])
@@ -288,8 +289,8 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith(
             f"numerical convergence failure: |Hs| = {norm} is too large for "
-            "the step-halving check: the roundoff eps |Hs| tau_p = ")
-        assert captured.err.endswith(" of a pulse exceeds 1e-08\n")
+            "the step-halving check: the roundoff eps |Hs| t = ")
+        assert captured.err.endswith(" of Y exceeds 1e-08\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_refuses_a_delay_beyond_the_halving_check(
@@ -305,8 +306,8 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == (
             "numerical convergence failure: |Hs| = 1.777e+21 is too large "
-            "for the delay d(1): its roundoff eps |Hs| d = 3.946e+05 exceeds "
-            "1e-08\n")
+            "for the step-halving check: the roundoff eps |Hs| t = 3.946e+05 "
+            "of d(1) exceeds 1e-08\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_refuses_an_overflowing_pulse_with_warnings_as_errors(
@@ -394,8 +395,8 @@ class TestCommands:
         products, traces = [], []
         cf4_product, run_trace = propagate._cf4_product, propagate.run_trace
         monkeypatch.setattr(propagate, "_cf4_product",
-                            lambda *args: products.append(args[-1])
-                            or cf4_product(*args))
+                            lambda exact, weights: products.append(
+                                len(weights)) or cf4_product(exact, weights))
 
         def recorded(*args, **kwargs):
             traces.append((args, kwargs, run_trace(*args, **kwargs)))
@@ -406,7 +407,7 @@ class TestCommands:
             assert main(["simulate", "--config",
                          os.path.join(REPO_ROOT, "figs", f"fig{k}.cfg"),
                          "--output", str(tmp_path / f"fig{k}.csv")]) == 0
-        assert products == [1 / 256, 1 / 128]
+        assert products == [256, 128]
         assert len(traces) == 3
         for args, kwargs, cached in traces:
             propagate._integrated_pulse.cache_clear()
