@@ -19,7 +19,7 @@ The pulse phase is affine in the free coefficients x, phi = phi0 + x P,
 with phi0 and P tabulated once per (spec, n_quad) on the quadrature nodes,
 so the constraints of a whole stack of free vectors come from one array
 evaluation of the quadrature in shapes, in chunks of rows sized by an entry
-budget (_CHUNK_ENTRIES, 15 rows at 512 panels), whose buffers are reused
+budget (_CHUNK_ENTRIES, 63 rows at 128 panels), whose buffers are reused
 from chunk to chunk.  The same pass gives the exact Jacobian: ds/dx_j and
 dalpha/dx_j are single integrals of P_j against weights built from cos phi,
 sin phi and, for Q, their cumulative integrals, which alpha needs anyway;
@@ -28,24 +28,29 @@ of a chunk's s, alpha and Jacobian are stacked and integrated by one
 Simpson call, which gives each value bit for bit as its own call would.
 The solver is a damped Newton iteration run in lockstep over the stack:
 every Newton step is one stacked solve (row by row only when a singular
-Jacobian makes it fail), every line-search halving is one stacked call,
-each accepted row keeps the Jacobian evaluated with it, and a start leaves
-the stack as soon as it converges or fails.
+Jacobian makes it fail), the line search tries its halvings in a few
+rounds of growing length, each round one stacked call over every row and
+halving in it, each accepted row keeps the Jacobian evaluated with it, and
+a start leaves the stack as soon as it converges or fails.
 
 The system has many roots; Newton is run from a small deterministic seed
-grid, all seeds at once, at an eighth of the polish resolution (at least
-512 panels), which only has to bring each start into its branch's basin;
-the root with the smallest peak amplitude max|V| is kept (the low-power
-branch).  Most starts head for a far branch or never converge, so a start
-is cut once it can no longer win: the raw coefficients are affine in x, and
-by Parseval max|V| >= RMS(V) = sqrt(A0^2 + sum_m A_m^2 / 2), so a row whose
-iterate's RMS exceeds the smallest peak among the rows converged so far (an
+grid, all seeds at once, at 128 panels, which only has to bring each start
+into its branch's basin; the root with the smallest peak amplitude max|V|
+is kept (the low-power branch).  A coarse quadrature can also make a root
+of its own, so the winner's constraints are evaluated at twice the panels,
+and while they exceed _SEED_CHECK the seed stage is rerun at twice the
+panels, up to 512 (Q6's 128-panel winner, of peak 2200, misses by 8e-2 at
+256 panels, where the seed stage finds the true root).  Most starts head
+for a far branch or never converge, so a start is cut once it can no
+longer win: the raw coefficients are affine in x, and by Parseval
+max|V| >= RMS(V) = sqrt(A0^2 + sum_m A_m^2 / 2), so a row whose iterate's
+RMS exceeds the smallest peak among the rows converged so far (an
 upper bound of the final best) is dropped.  This is a heuristic, not a
 proof: an iterate's RMS is not that of the root it would reach, and an
 iterate could pass through a large |x| and come back.  The guards are the
 re-derivation of the shipped literals and a test that brackets every root
 of S1 and S2 with |x| <= 100 by a sign scan.  Surplus coefficients
-(extra_terms > 0) are tuned at the same coarse resolution by a
+(extra_terms > 0) are tuned at the seed stage's final resolution by a
 deterministic compass search that minimizes max|V| subject to the same
 constraints; a probe's solve is cut the same way against the current best
 peak, below which alone a probe is accepted.  The winner is polished at the
@@ -72,6 +77,16 @@ ZETA_FLAG_THRESHOLD = shapes.ZETA_FLAG_THRESHOLD
 _SEEDS = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
 # Newton iterations per start
 _MAX_ITER = 60
+# line-search halvings lambda = 2^-k, k = 0 .. 39, tried in rounds of these
+# sizes, each round one stacked constraint call: most rows accept lambda = 1
+_ROUNDS = (1, 1, 2, 4, 8, 16, 8)
+# panels of the seed stage: it starts at the first and doubles, up to the
+# second (both at most n_quad), while its winner's constraints at twice its
+# panels exceed _SEED_CHECK; a finer seed stage would cost more than the
+# polish (Q8's winners fail the check up to 4096 panels, and its polish
+# fails)
+_SEED_PANELS = (128, 512)
+_SEED_CHECK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -133,9 +148,9 @@ def _fourier_shape(raw: np.ndarray) -> shapes.PulseShape:
 
 
 # entries (rows x nodes) per stacked constraint evaluation: bounds its
-# quadrature buffers, at 15 rows of the 512-panel seed stage and one row of
-# the 4096-panel polish, so a seed stack costs little more peak memory than
-# a single start
+# quadrature buffers, at 63 rows of the 128-panel seed stage and one row of
+# the 4096-panel polish, so a seed stack, or a line-search round of many
+# halvings, costs little more peak memory than a single start
 _CHUNK_ENTRIES = 1 << 13
 
 
@@ -289,12 +304,16 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
     Each row is one start: its first n_nl free coefficients move and the
     rest are held fixed.  Per iteration a row is tested for convergence,
     fails on a singular exact Jacobian or a non-finite or > 1e4 step, and
-    takes the step halved (at most 40 times) until the residual norm
-    strictly drops, failing if it never does; the accepted point brings
-    its Jacobian from the same evaluation.  A row leaves the stack when it
-    converges or fails, and is cut when the RMS of its iterate exceeds the
-    best peak known so far (bound, or the smallest peak of the rows already
-    converged): the root it heads for would likely lose anyway.  bound=None
+    takes the largest of the steps lambda dx, lambda = 2^-k for k < 40,
+    whose residual norm strictly drops, failing if none does; the accepted
+    point brings its Jacobian from the same evaluation.  The halvings are
+    tried in the _ROUNDS, each one stacked evaluation of every remaining
+    row at every lambda of the round; a row's values do not depend on its
+    stack-mates, so it takes bitwise the point that trying one halving at a
+    time would give.  A row leaves the stack when it converges or fails,
+    and is cut when the RMS of its iterate exceeds the best peak known so
+    far (bound, or the smallest peak of the rows already converged): the
+    root it heads for would likely lose anyway.  bound=None
     switches the cut off and runs every start to the end.  Returns the rows,
     their constraint values, a per-row convergence flag and the peak max|V|
     of each converged row (inf for the others).
@@ -334,19 +353,30 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
         live[rows[~usable]] = False
         rows, dx = rows[usable], dx[usable]
         norm_f = np.linalg.norm(f[rows], axis=1)
-        lam = 1.0
-        for _ in range(40):
+        k = 0
+        for size in _ROUNDS:
             if rows.size == 0:
                 break
-            x_try = x[rows]
-            x_try[:, :n_nl] += lam * dx
+            # trial j of row i is x + 2^-(k + j) dx, at x_try[i * size + j]
+            lam = np.array([2.0 ** -j for j in range(k, k + size)])
+            k += size
+            x_try = np.repeat(x[rows], size, axis=0)
+            x_try[:, :n_nl] += (lam[:, None] * dx[:, None]).reshape(-1, n_nl)
             f_try, jac_try = _constraints(spec, x_try, n_quad)
-            better = np.linalg.norm(f_try, axis=1) < norm_f
-            x[rows[better]] = x_try[better]
-            f[rows[better]] = f_try[better]
-            jac[rows[better]] = jac_try[better]
-            rows, dx, norm_f = rows[~better], dx[~better], norm_f[~better]
-            lam /= 2
+            better = (np.linalg.norm(f_try, axis=1).reshape(-1, size)
+                      < norm_f[:, None])
+            # each row takes its largest lambda with a strict decrease; found
+            # with boolean masks, since argmax, any and integer comparisons
+            # would fault in numpy code pages nothing else here touches
+            first = np.zeros(rows.size, dtype=int)
+            for j in range(size - 1, -1, -1):
+                first[better[:, j]] = j
+            hit = ~np.all(~better, axis=1)
+            pick = np.flatnonzero(hit) * size + first[hit]
+            x[rows[hit]] = x_try[pick]
+            f[rows[hit]] = f_try[pick]
+            jac[rows[hit]] = jac_try[pick]
+            rows, dx, norm_f = rows[~hit], dx[~hit], norm_f[~hit]
         live[rows] = False  # no strict decrease within 40 halvings
     return x, f, ok, peak
 
@@ -391,13 +421,22 @@ def design(spec: DesignSpec, tol: float = 1e-12,
     if tol > 1e-6:
         raise ValueError("tol must be <= 1e-6")
     tail = np.zeros(spec.extra_terms)
-    coarse = max(512, n_quad // 8)
-    found = _solve_branches(spec, tail, coarse, max(tol, 1e-11))
-    if not found:
-        raise ConvergenceError(
-            f"no Newton start converged for {spec}; try more quadrature nodes "
-            "or a different seed")
-    _, x_best, peak_best = min(found, key=lambda r: r[2])
+    coarse, finest = (min(n, n_quad) for n in _SEED_PANELS)
+    while True:
+        found = _solve_branches(spec, tail, coarse, max(tol, 1e-11))
+        if not found:
+            raise ConvergenceError(
+                f"no Newton start converged for {spec}; try more quadrature "
+                "nodes or a different seed")
+        _, x_best, peak_best = min(found, key=lambda r: r[2])
+        if coarse >= finest:
+            break
+        # the winner must be a root at twice the panels too, else it may be
+        # an artefact of the coarse quadrature
+        f, _ = _constraints(spec, x_best[None], 2 * coarse)
+        if np.max(np.abs(f)) <= _SEED_CHECK:
+            break
+        coarse *= 2
 
     if spec.extra_terms > 0:
         x_best = _minimize_peak(spec, x_best, peak_best, coarse,

@@ -20,13 +20,14 @@ factors from one stacked eigendecomposition, and every factor is their
 Lagrange combination; when the bound asks for a node per factor, the
 distinct coefficients are the nodes and the factors exact.  The
 coefficients, the nodes and the Lagrange weights do not depend on Hs: they
-are formed once per (shape, step count, |K|) and kept, read-only, in a
-bounded cache (``_interpolation``), so that every pulse, real or complex,
-every oscillator dimension and every coupling scale of an order check share
-them.  The pulse unitary itself is kept too, read-only, in a second bounded
-cache (``_integrated_pulse``, 64 entries, at most 1 MB at dim 18) keyed by
-the exact bytes of Hs and K as complex128, the dimension, the shape and the
-step count: a hit needs byte-equal operators and returns bitwise the
+are formed once per (shape, step count) and (shape, step count, |K|) and
+kept, read-only, in bounded caches (``_coefficients``, ``_interpolation``),
+so that every pulse, real or complex, every oscillator dimension and every
+coupling scale of an order check share them.  The pulse unitary itself is
+kept too, read-only, in a third bounded cache (``_integrated_pulse``, 64
+entries, at most 1 MB at dim 18) keyed by the exact bytes of Hs and K as
+complex128, the dimension, the shape and the step count: a hit needs
+byte-equal operators and returns bitwise the
 product a fresh integration gives.  A ``figures`` benchmark pass forms the
 interpolation data 4 times and integrates 4 pulses for its 12 pulse
 unitaries (figs 1, 3 and 5 share the G10 +x pulse, figs 2, 4 and 6 the S1
@@ -72,17 +73,26 @@ Exact symmetries cut the pulses that are integrated at all:
 
 The step count (>= 32) is validated, and the step-halving check made, in
 ``_checked_period_unitary``, which every entry point passes and no schedule
-skips.  Its two unitaries come from one pass (``_period_unitaries``): Hs,
-the symmetry tests, the orbit matching and the delay exponentials are formed
-once, and each integrated pulse is integrated at ``steps`` and ``steps //
-2``.  For an exact delta-pulse schedule both products are the same
-operations and the difference is exactly 0.0.  A schedule with an element
-whose roundoff eps |Hs| t (t = 1 for a soft pulse, d for a delay) exceeds
-SELF_CHECK_TOL is refused with a ConvergenceError before any pulse is
-integrated: its roundoff alone exceeds what the check certifies.  The
-expansion parameters tested elsewhere in this package never enter here:
-the propagator integrates the lab-frame Hamiltonian directly, so it is an
-independent oracle for them.
+skips.  CF4 errs as h^4, so |U(steps) - U(steps/2)| is about 15 times the
+error of U(steps): the printed halving difference bounds the error of U(T),
+it does not estimate it (on figs 1-6, |U(256) - U(128)| is 14.0-15.0 times
+|U(256) - U(2048)|, which is 1.9e-12 to 2.6e-12).  The check holds only if
+both step counts resolve the pulse: an envelope narrower than the step grid
+falls between the Gauss-Legendre nodes, both products then integrate no
+pulse and agree, so a pulse whose two-point Gauss-Legendre area misses pi
+by more than the tolerance plus twice its change between the two counts is
+refused first (a resolved pulse's area error at the coarse count is about
+that change).  The two unitaries come from one pass
+(``_period_unitaries``): Hs, the symmetry tests, the orbit matching and the
+delay exponentials are formed once, and each integrated pulse is integrated
+at ``steps`` and ``steps // 2``.  For an exact delta-pulse schedule both
+products are the same operations and the difference is exactly 0.0.  A
+schedule with an element whose roundoff eps |Hs| t (t = 1 for a soft pulse,
+d for a delay) exceeds SELF_CHECK_TOL is refused with a ConvergenceError
+before any pulse is integrated: its roundoff alone exceeds what the check
+certifies.  The expansion parameters tested elsewhere in this package
+never enter here: the propagator integrates the lab-frame Hamiltonian
+directly, so it is an independent oracle for them.
 
 The schedule of one period (``ControlSchedule``, from
 ``sequences.build_schedule``) is the sequence's elements with the shape and
@@ -117,7 +127,7 @@ import numpy as np
 from .algebra import CouplingSet, PAULI, assemble, expm_herm, kron, op_norm
 from .errors import ConvergenceError
 from .sequences import ControlSchedule, Delay
-from .shapes import PulseShape, amplitude
+from .shapes import PulseShape, amplitude, shape_to_text
 
 # Gauss-Legendre nodes (offsets in units of the step) and the CF4 weights
 _GL_NODE_1 = 0.5 - np.sqrt(3) / 6
@@ -181,6 +191,21 @@ def _block_length(dim: int) -> int:
 
 
 @lru_cache(maxsize=16)
+def _coefficients(shape: PulseShape, steps: int) -> np.ndarray:
+    """The first ``steps`` CF4 factor coefficients of a pulse in time order,
+    read-only, from one envelope evaluation of its first (steps + 1) // 2
+    steps: step k applies exp(-i h (Hs/2 + c_2k K)) first, then
+    exp(-i h (Hs/2 + c_2k+1 K))."""
+    h = 1 / steps
+    t0 = np.arange((steps + 1) // 2)[:, None] * h
+    amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
+    coef = (amp @ np.array([[_CF4_W1, _CF4_W2],
+                            [_CF4_W2, _CF4_W1]])).ravel()[:steps]
+    coef.flags.writeable = False
+    return coef
+
+
+@lru_cache(maxsize=16)
 def _interpolation(shape: PulseShape, steps: int, k_norm: float):
     """(nodes, weights) of a pulse's first ``steps`` CF4 factors, read-only:
     the interpolation nodes in c, and the Lagrange weights of each factor
@@ -188,12 +213,7 @@ def _interpolation(shape: PulseShape, steps: int, k_norm: float):
     |K| = ``k_norm`` alone, so every pulse, coupling scale and dimension
     shares them (see the module docstring)."""
     h = 1 / steps
-    t0 = np.arange((steps + 1) // 2)[:, None] * h
-    amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
-    # CF4 factor coefficients in time order: step k applies
-    # exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K))
-    coef = (amp @ np.array([[_CF4_W1, _CF4_W2],
-                            [_CF4_W2, _CF4_W1]])).ravel()[:steps]
+    coef = _coefficients(shape, steps)
     lo, hi = coef.min(), coef.max()
     a = h * k_norm * (hi - lo) / 4
     n, err = 1, 2 * a
@@ -352,8 +372,22 @@ def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     """
     if steps_per_pulse < MIN_STEPS_PER_PULSE:
         raise ValueError(f"steps_per_pulse must be >= {MIN_STEPS_PER_PULSE}")
-    u, u_half = _period_unitaries(couplings, schedule,
-                                  (steps_per_pulse, steps_per_pulse // 2))
+    counts = (steps_per_pulse, steps_per_pulse // 2)
+    shape = schedule.shape
+    if not shape.is_delta and not all(isinstance(e, Delay)
+                                      for e in schedule.elements):
+        # the two-point Gauss-Legendre area of the pulse: a step's two
+        # coefficients sum to half its two amplitudes, and the middle step
+        # of an odd count is symmetric
+        area = [2 / n * _coefficients(shape, n).sum() for n in counts]
+        if (max(abs(a - np.pi) for a in area)
+                > SELF_CHECK_TOL + 2 * abs(area[0] - area[1])):
+            raise ConvergenceError(
+                f"the {shape_to_text(shape)} pulse has area {area[0]:.6g} "
+                f"at {counts[0]} steps and {area[1]:.6g} at {counts[1]}, "
+                "not pi, which the step-halving check cannot see: it is too "
+                "narrow for the step grid; increase steps_per_pulse")
+    u, u_half = _period_unitaries(couplings, schedule, counts)
     halving = op_norm(u - u_half)
     if halving > SELF_CHECK_TOL:
         raise ConvergenceError(
@@ -367,8 +401,9 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
     """One-period propagator U(T).
 
     The integration is repeated at half the step count and the two answers
-    must agree to SELF_CHECK_TOL (Richardson check); otherwise a
-    ConvergenceError asks for more steps.  For the exact delta-pulse
+    must agree to SELF_CHECK_TOL, which bounds the error of U(T) about 15
+    times over (see the module docstring); otherwise a ConvergenceError
+    asks for more steps.  For the exact delta-pulse
     schedules the two answers are the same, and the check passes.
     """
     return _checked_period_unitary(couplings, schedule, steps_per_pulse)[0]

@@ -34,6 +34,7 @@ from .errors import ConvergenceError
 HERMITIAN_GAMMA = 0.9609317217
 
 DEFAULT_N_QUAD = 4096
+MIN_WIDTH_RATIO = 1e-300
 PARAM_CONVERGENCE_TOL = 1e-9
 
 # Published reference parameters (s, alpha/2, zeta) for the classic shapes and
@@ -82,8 +83,12 @@ class PulseShape:
         if self.coeffs and not all(map(math.isfinite, self.coeffs)):
             raise ValueError("fourier coefficients must be finite")
         if self.kind in ("gaussian", "hermitian"):
-            if self.width_ratio is None or not (0 < self.width_ratio < 1):
-                raise ValueError("width_ratio must be in (0, 1)")
+            # below MIN_WIDTH_RATIO the peak sqrt(pi)/tau of the raw envelope
+            # overflows its quadrature
+            if self.width_ratio is None or not (
+                    MIN_WIDTH_RATIO <= self.width_ratio < 1):
+                raise ValueError(
+                    f"width_ratio must be in [{MIN_WIDTH_RATIO:g}, 1)")
         if self.kind == "hermitian" and self.gamma is None:
             raise ValueError("hermitian shape needs a gamma")
         if self.kind == "hermitian" and self.gamma == 2:
@@ -151,12 +156,23 @@ _BUILTIN = {
 def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
     """Unnormalized envelope sampled at t."""
     tau = shape.width_ratio
-    x = t - 0.5
-    if shape.kind == "gaussian":
-        return (np.sqrt(np.pi) / tau) * np.exp(-(x / tau) ** 2)
-    if shape.kind == "hermitian":
-        g = (np.sqrt(np.pi) / tau) * np.exp(-(x / tau) ** 2)
-        return g * (1 - shape.gamma * (x / tau) ** 2) / (1 - shape.gamma / 2)
+    # an array also for a 0-d t, so that it can be worked on in place: on
+    # the 16385 nodes of _norm_scale each temporary costs about as much as
+    # the exponential
+    x = np.subtract(t, 0.5, out=np.empty(np.shape(t)))
+    if shape.kind in ("gaussian", "hermitian"):
+        # z^2 = (x / tau)^2 with |x| / tau capped at 100, where exp(-z^2) is
+        # exactly 0 already, so that no width overflows the square (nor
+        # makes a hermitian 0 * inf)
+        z2 = np.minimum(np.abs(x, out=x), 100 * tau, out=x)
+        z2 /= tau
+        z2 *= z2
+        g = np.negative(z2, out=np.empty_like(z2))
+        np.exp(g, out=g)
+        g *= np.sqrt(np.pi) / tau
+        if shape.kind == "gaussian":
+            return g
+        return g * (1 - shape.gamma * z2) / (1 - shape.gamma / 2)
     if shape.kind == "fourier":
         omp = 2 * np.pi
         out = np.full_like(np.asarray(x, dtype=float), omp * shape.coeffs[0])

@@ -310,6 +310,39 @@ class TestCommands:
             "of d(1) exceeds 1e-08\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--sequence", "4p", "--shape", "gaussian:1e-300",
+         "--periods", "1"],
+        ["simulate", "--sequence", "4p", "--shape", "gaussian:1e-5",
+         "--periods", "1"],
+        ["simulate", "--sequence", "4p", "--shape", "hermitian:1e-9",
+         "--periods", "1"],
+        ["ordercheck", "--sequence", "8a", "--shape", "gaussian:1e-5"]],
+        ids=lambda c: " ".join(c[:5]))
+    def test_refuses_a_pulse_narrower_than_the_step_grid(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the envelope falls between the Gauss-Legendre nodes at both step
+        # counts, so both products integrate no pulse and agree; these ran
+        # to exit 0 with the numbers of no pulse (fidelity 0.999988430,
+        # halving diff 3.85e-15, and an order-check exponent of 0.22); the
+        # test runs with RuntimeWarning as an error, so no envelope overflows
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        spec = shape_to_text(resolve_shape(command[4]))
+        assert captured.err == (
+            f"numerical convergence failure: the {spec} pulse has area 0 at "
+            "256 steps and 0 at 128, not pi, which the step-halving check "
+            "cannot see: it is too narrow for the step grid; increase "
+            "steps_per_pulse\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_a_width_whose_envelope_peak_overflows(self, capsys):
+        assert main(["params", "--shape", "gaussian:1e-308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: width_ratio must be in [1e-300, 1)\n")
+
     def test_simulate_refuses_an_overflowing_pulse_with_warnings_as_errors(
             self, tmp_path):
         env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")

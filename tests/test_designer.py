@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitydd import designer, shapes
 from cavitydd.designer import DesignSpec, design, design_named
+from cavitydd.errors import ConvergenceError
 from cavitydd.shapes import amplitude, compute_params
 from conftest import cosine_average
 
@@ -239,8 +242,9 @@ class TestStackedConstraints:
 
 def test_q1_design_row_count(monkeypatch):
     # starts whose iterate RMS already exceeds the best converged peak are
-    # cut: a Q1 design evaluates 779 constraint rows, against 6660 when
-    # every seed runs to the end
+    # cut: a Q1 design evaluates 919 constraint rows (916 in the 128-panel
+    # seed stage, one for its check at 256 panels, two in the polish),
+    # against 11004 when every seed runs to the end
     rows = []
     constraints = designer._constraints
 
@@ -251,6 +255,107 @@ def test_q1_design_row_count(monkeypatch):
     monkeypatch.setattr(designer, "_constraints", counted)
     design(DesignSpec("Q", 1))
     assert sum(rows) < 1500
+
+
+def _newton_one_halving_at_a_time(spec, x0, n_quad, tol, bound=np.inf):
+    # designer._newton with the line search trying one halving per stacked
+    # call, as it did before the halvings were grouped into rounds
+    n_nl = spec.n_nonlinear
+    x = np.array(x0, dtype=float)
+    f, jac = designer._constraints(spec, x, n_quad)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.ones(len(x), dtype=bool)
+    peak = np.full(len(x), np.inf)
+    for it in range(designer._MAX_ITER + 1):
+        done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
+        for r in done:
+            peak[r] = designer._peak(designer._coeffs_from_free(spec, x[r]))
+        ok[done] = True
+        live[done] = False
+        rows = np.flatnonzero(live)
+        if bound is not None:
+            cut = designer._rms(spec, x[rows]) > min(bound, peak.min())
+            live[rows[cut]] = False
+            rows = rows[~cut]
+        if rows.size == 0 or it == designer._MAX_ITER:
+            break
+        dx = np.linalg.solve(jac[rows], -f[rows, :, None])[..., 0]
+        usable = (np.all(np.isfinite(dx), axis=1)
+                  & (np.linalg.norm(dx, axis=1) <= 1e4))
+        live[rows[~usable]] = False
+        rows, dx = rows[usable], dx[usable]
+        norm_f = np.linalg.norm(f[rows], axis=1)
+        lam = 1.0
+        for _ in range(40):
+            if rows.size == 0:
+                break
+            x_try = x[rows]
+            x_try[:, :n_nl] += lam * dx
+            f_try, jac_try = designer._constraints(spec, x_try, n_quad)
+            better = np.linalg.norm(f_try, axis=1) < norm_f
+            x[rows[better]] = x_try[better]
+            f[rows[better]] = f_try[better]
+            jac[rows[better]] = jac_try[better]
+            rows, dx, norm_f = rows[~better], dx[~better], norm_f[~better]
+            lam /= 2
+        live[rows] = False
+    return x, f, ok, peak
+
+
+@pytest.mark.parametrize("n_quad", (128, 512))
+@pytest.mark.parametrize("name", ("Q1", "Q2"))
+@pytest.mark.parametrize("bound", (np.inf, None), ids=("cut", "uncut"))
+def test_line_search_rounds_match_one_halving_at_a_time(name, n_quad, bound):
+    # a row takes the first halving with a strict decrease, and its values
+    # do not depend on its stack-mates, so trying the halvings in rounds
+    # gives bitwise the one-at-a-time search
+    spec = DesignSpec(name[0], int(name[1]))
+    x0 = np.array(list(product(designer._SEEDS, repeat=2)))
+    got = designer._newton(spec, x0, n_quad, 1e-11, bound)
+    want = _newton_one_halving_at_a_time(spec, x0, n_quad, 1e-11, bound)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert got[2].any()
+
+
+@pytest.mark.parametrize("spec, panels", [
+    (DesignSpec("Q", 1), [128]), (DesignSpec("S", 2, 1), [128]),
+    (DesignSpec("Q", 6), [128, 256])], ids=str)
+def test_seed_stage_doubles_until_its_winner_holds(monkeypatch, spec, panels):
+    # Q6's 128-panel winner (peak 2200) misses its constraints at 256
+    # panels by 8e-2; the seed stage then reruns at 256 panels
+    seen = []
+    solve = designer._solve_branches
+
+    def spy(spec, tail, n_quad, tol):
+        seen.append(n_quad)
+        return solve(spec, tail, n_quad, tol)
+
+    monkeypatch.setattr(designer, "_solve_branches", spy)
+    design(spec)
+    assert seen == panels
+
+
+def test_seed_stage_doubles_at_most_to_512_panels(monkeypatch):
+    # a winner that never passes the check is polished from 512 panels, or
+    # from n_quad if that is fewer (256 panels are too few for the
+    # compute_params check, which then fails)
+    seen = []
+    solve = designer._solve_branches
+
+    def spy(spec, tail, n_quad, tol):
+        seen.append(n_quad)
+        return solve(spec, tail, n_quad, tol)
+
+    monkeypatch.setattr(designer, "_solve_branches", spy)
+    monkeypatch.setattr(designer, "_SEED_CHECK", 0.0)
+    r = design(DesignSpec("S", 1))
+    assert seen == [128, 256, 512]
+    assert r.residuals["s"] <= 1e-11
+    seen.clear()
+    with pytest.raises(ConvergenceError, match="n_quad=256"):
+        design(DesignSpec("S", 1), n_quad=256)
+    assert seen == [128, 256]
 
 
 @pytest.mark.parametrize("n_coeffs", (2, 4, 9))

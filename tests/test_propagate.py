@@ -497,6 +497,31 @@ class TestPropagatePeriod:
         u = propagate_period(cs, sched)
         assert op_norm(u - np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("spec, steps, refused", [
+        ("gaussian:1e-5", 256, True), ("gaussian:0.00145", 32, True),
+        ("gaussian:0.2", 32, False), ("H05", 256, False)])
+    def test_area_rule(self, spec, steps, refused):
+        # a resolved pulse's area error at the coarse count is its change
+        # between the counts (gaussian:0.2 misses pi by 1.4e-6 at 16 steps,
+        # and 8a cancels that flip error to below the halving tolerance);
+        # an unresolved one misses pi by more than it changes, and 8a's
+        # halving difference (4e-10 at width 0.00145) cannot see it
+        cs = jaynes_cummings(ModelParams(omega_r=0.117, n_max=3))
+        sched = build_schedule(parse_sequence("8a"), resolve_shape(spec))
+        if refused:
+            with pytest.raises(ConvergenceError, match="too narrow"):
+                propagate_period(cs, sched, steps)
+        else:
+            u = propagate_period(cs, sched, steps)
+            assert op_norm(u @ u.conj().T - np.eye(len(u))) < 1e-12
+
+    def test_area_rule_skips_a_schedule_without_pulses(self):
+        # a delays-only schedule integrates no pulse, whatever its shape
+        cs = jaynes_cummings(ModelParams(n_max=3))
+        sched = build_schedule(parse_sequence("d(1.0)"), gaussian(1e-5))
+        u = propagate_period(cs, sched)
+        assert op_norm(u @ u.conj().T - np.eye(len(u))) < 1e-12
+
     @pytest.mark.parametrize("duration, refused", ((0.25, False),
                                                    (1.0, True)))
     def test_delay_roundoff_bound(self, duration, refused):

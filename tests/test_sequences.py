@@ -343,6 +343,23 @@ class TestEffectiveHamiltonian:
                                       convention)
             assert op_norm(h - h.conj().T) < 1e-12
 
+    @pytest.mark.parametrize("name, shape", [("4p", "G10"), ("8a", "S1"),
+                                             ("8s", "G10")])
+    @pytest.mark.parametrize("convention", ("matched", "printed"))
+    def test_two_periods_compose_to_the_same_hamiltonian(self, name, shape,
+                                                         convention):
+        # exp(-2i T H_eff) is the propagator of the sequence played twice,
+        # so H_eff of the doubled sequence is H_eff (the effham arguments of
+        # the verify benchmark; the two agree to <= 7.9e-16)
+        cs = jaynes_cummings(ModelParams(omega_r=0.02, omega_0=0.03, g=0.02,
+                                         n_max=3))
+        seq = parse_sequence(name)
+        sh = resolve_shape(shape)
+        h = effective_hamiltonian(seq, cs, sh, convention)
+        h2 = effective_hamiltonian(Sequence(elements=seq.elements * 2), cs,
+                                   sh, convention)
+        assert op_norm(h2 - h) <= 1e-14
+
     def test_delays_compose_exactly_without_pulses(self):
         # a pulse-free sequence is free evolution: H_eff = Hs
         cs = random_couplings(np.random.default_rng(3), 3)

@@ -108,6 +108,29 @@ class TestAmplitude:
             v = amplitude(sh, t)
             assert np.allclose(v, v[::-1], atol=1e-9)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(("gaussian", "hermitian")),
+           log_width=st.floats(-300.0, -0.01),
+           gamma=st.sampled_from((shapes.HERMITIAN_GAMMA, -3.0, 1e-4)))
+    def test_capped_envelope_is_the_formula(self, kind, log_width, gamma):
+        # |x| / tau is capped at 100, where exp(-z^2) is exactly 0: every
+        # value the uncapped formula gives without overflowing is unchanged,
+        # and a narrow envelope is finite and zero off its centre
+        tau = 10.0 ** log_width
+        sh = PulseShape(kind=kind, width_ratio=tau,
+                        gamma=gamma if kind == "hermitian" else None)
+        t = np.linspace(0.0, 1.0, 1001)
+        got = shapes._raw_envelope(sh, t)
+        assert np.all(np.isfinite(got))
+        with np.errstate(over="ignore", invalid="ignore"):
+            z2 = ((t - 0.5) / tau) ** 2
+            want = (np.sqrt(np.pi) / tau) * np.exp(-z2)
+            if kind == "hermitian":
+                want = want * (1 - gamma * z2) / (1 - gamma / 2)
+        fine = np.isfinite(want)
+        assert np.array_equal(got[fine], want[fine])
+        assert np.all(got[~fine] == 0.0)
+
 
 def phase(shape):
     """phi(t) = int_0^t V on the DEFAULT_N_QUAD + 1 quadrature nodes."""
