@@ -40,8 +40,9 @@ def anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Spectral (2-) norm."""
-    return float(np.linalg.norm(a, 2))
+    """Spectral (2-) norm: the largest singular value, which is what
+    np.linalg.norm(a, 2) returns, without its dispatch."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def is_hermitian(a: np.ndarray) -> bool:

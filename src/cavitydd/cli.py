@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import designer, metrics, propagate, sequences, shapes
-from .algebra import IDENTITY_2, PAULI, ModelParams, expm_herm, jaynes_cummings
+from .algebra import (IDENTITY_2, PAULI, ModelParams, expm_herm,
+                      jaynes_cummings, op_norm)
 from .errors import ConvergenceError
 from .shapes import resolve_shape
 
@@ -202,7 +203,7 @@ def cmd_effham(args) -> int:
     print("defect |U(T) - exp(-i T H)| per variant:")
     defects = []
     for label, h in candidates:
-        d = float(np.linalg.norm(u - expm_herm(h, period), 2))
+        d = op_norm(u - expm_herm(h, period))
         defects.append(d)
         print(f"  {label:38s} {d:.6e}")
     best = min(defects)

@@ -52,9 +52,12 @@ re-derivation of the shipped literals and a test that brackets every root
 of S1 and S2 with |x| <= 100 by a sign scan.  Surplus coefficients
 (extra_terms > 0) are tuned at the seed stage's final resolution by a
 deterministic compass search that minimizes max|V| subject to the same
-constraints; a probe's solve is cut the same way against the current best
-peak, below which alone a probe is accepted.  The winner is polished at the
-full resolution on a one-row stack, which, with the compute_params check at
+constraints.  The 2 * extra_terms probes of a sweep are one Newton stack,
+each row cut against the current best peak alone, below which alone a
+probe is accepted; the first that improves is taken and the probes after
+it are stacked again from the new point, so the search walks bitwise the
+path of solving one probe at a time.  The winner is polished at the full
+resolution on a one-row stack, which, with the compute_params check at
 twice that, sets the precision.
 """
 
@@ -207,8 +210,14 @@ def _rms(spec: DesignSpec, xs: np.ndarray) -> np.ndarray:
     """RMS of V over the pulse for each row of the stack xs, by Parseval
     sqrt(A0^2 + sum_m A_m^2 / 2): a lower bound of the row's peak max|V|."""
     a, m = _coeff_map(spec)
-    raw = a + xs @ m
-    return np.sqrt(raw[:, 0] ** 2 + 0.5 * np.sum(raw[:, 1:] ** 2, axis=1))
+    # summed term by term, not by matmul, so that a row's RMS does not
+    # depend on the rows stacked with it
+    raw = xs[:, :1] * m[0]
+    for j in range(1, len(m)):
+        raw += xs[:, j, None] * m[j]
+    raw += a
+    return np.sqrt(raw[:, 0] ** 2
+                   + 0.5 * np.add.reduce(raw[:, 1:] ** 2, axis=1))
 
 
 def _constraints(spec: DesignSpec, xs: np.ndarray,
@@ -278,26 +287,32 @@ def _constraints(spec: DesignSpec, xs: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _peak_cosines(n_coeffs: int) -> list[np.ndarray]:
-    """cos(2 pi m (t - 1/2)) for m = 1 .. n_coeffs - 1 on _peak's 4097
-    nodes, each formed as shapes._raw_envelope forms it."""
+    """cos(2 pi m (t - 1/2)) for m = 1 .. n_coeffs - 1 on the first 2049 of
+    4097 nodes, t <= 1/2, each formed as shapes._raw_envelope forms it."""
     omp = 2 * np.pi
-    x = np.linspace(0.0, 1.0, 4097) - 0.5
+    x = np.linspace(0.0, 1.0, 4097)[:2049] - 0.5
     return [np.cos(m * omp * x) for m in range(1, n_coeffs)]
 
 
-def _peak(raw: np.ndarray) -> float:
-    """max|V| on 4097 nodes, summed term by term as shapes._raw_envelope
-    sums it."""
+def _peaks(raw: np.ndarray) -> np.ndarray:
+    """max|V| on 4097 nodes for each row of the stack raw of raw
+    coefficients, with the coefficients of _fourier_shape(row), summed term
+    by term as shapes._raw_envelope sums them.  The nodes are symmetric
+    about t = 1/2 exactly and cos is even, so V is even there too and only
+    t <= 1/2 is summed."""
     omp = 2 * np.pi
-    c = _fourier_shape(raw).coeffs
-    v = np.full(4097, omp * c[0])
-    for c_m, cos_m in zip(c[1:], _peak_cosines(len(c))):
-        v += omp * c_m * cos_m
-    return float(np.max(np.abs(v)))
+    c = raw / (2 * np.pi)
+    c *= 0.5 / c[:, :1]
+    v = np.empty((len(c), 2049))
+    v[:] = omp * c[:, :1]
+    term = np.empty_like(v)
+    for m, cos_m in enumerate(_peak_cosines(c.shape[1]), start=1):
+        v += np.multiply(omp * c[:, m, None], cos_m, out=term)
+    return np.max(np.abs(v, out=v), axis=1)
 
 
 def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
-            bound: float | None = np.inf):
+            bound: float | None = np.inf, shared_bound: bool = True):
     """Damped Newton on the nonlinear constraints, run in lockstep on every
     row of the stack x0.
 
@@ -313,10 +328,12 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
     time would give.  A row leaves the stack when it converges or fails,
     and is cut when the RMS of its iterate exceeds the best peak known so
     far (bound, or the smallest peak of the rows already converged): the
-    root it heads for would likely lose anyway.  bound=None
-    switches the cut off and runs every start to the end.  Returns the rows,
-    their constraint values, a per-row convergence flag and the peak max|V|
-    of each converged row (inf for the others).
+    root it heads for would likely lose anyway.  shared_bound=False cuts
+    each row against bound alone, so that every row takes the path it
+    would take on its own; bound=None switches the cut off and runs every
+    start to the end.  Returns the rows, their constraint values, a per-row
+    convergence flag and the peak max|V| of each converged row (inf for the
+    others).
     """
     n_nl = spec.n_nonlinear
     x = np.array(x0, dtype=float)
@@ -325,14 +342,18 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
     live = np.ones(len(x), dtype=bool)
     peak = np.full(len(x), np.inf)
     for it in range(_MAX_ITER + 1):
-        done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
-        for r in done:
-            peak[r] = _peak(_coeffs_from_free(spec, x[r]))
-        ok[done] = True
-        live[done] = False
-        rows = np.flatnonzero(live)
-        if bound is not None:
-            cut = _rms(spec, x[rows]) > min(bound, peak.min())
+        done = (live & (np.max(np.abs(f), axis=1) < tol)).nonzero()[0]
+        if done.size:
+            peak[done] = _peaks(np.array([_coeffs_from_free(spec, x[r])
+                                          for r in done]))
+            ok[done] = True
+            live[done] = False
+        rows = live.nonzero()[0]
+        limit = bound
+        if shared_bound and bound is not None:
+            limit = min(bound, peak.min())
+        if limit is not None and limit < np.inf:  # no RMS exceeds inf
+            cut = _rms(spec, x[rows]) > limit
             live[rows[cut]] = False
             rows = rows[~cut]
         if rows.size == 0 or it == _MAX_ITER:
@@ -365,18 +386,14 @@ def _newton(spec: DesignSpec, x0: np.ndarray, n_quad: int, tol: float,
             f_try, jac_try = _constraints(spec, x_try, n_quad)
             better = (np.linalg.norm(f_try, axis=1).reshape(-1, size)
                       < norm_f[:, None])
-            # each row takes its largest lambda with a strict decrease; found
-            # with boolean masks, since argmax, any and integer comparisons
-            # would fault in numpy code pages nothing else here touches
-            first = np.zeros(rows.size, dtype=int)
-            for j in range(size - 1, -1, -1):
-                first[better[:, j]] = j
-            hit = ~np.all(~better, axis=1)
-            pick = np.flatnonzero(hit) * size + first[hit]
-            x[rows[hit]] = x_try[pick]
-            f[rows[hit]] = f_try[pick]
-            jac[rows[hit]] = jac_try[pick]
-            rows, dx, norm_f = rows[~hit], dx[~hit], norm_f[~hit]
+            # each row takes its largest lambda with a strict decrease
+            hit = better.any(axis=1)
+            pick = hit.nonzero()[0] * size + better[hit].argmax(axis=1)
+            took = rows[hit]
+            x[took], f[took] = x_try[pick], f_try[pick]
+            jac[took] = jac_try[pick]
+            miss = ~hit
+            rows, dx, norm_f = rows[miss], dx[miss], norm_f[miss]
         live[rows] = False  # no strict decrease within 40 halvings
     return x, f, ok, peak
 
@@ -486,18 +503,32 @@ def _minimize_peak(spec: DesignSpec, x: np.ndarray, best: float,
                    n_quad: int, tol: float) -> np.ndarray:
     """Compass search over the surplus coefficients from the converged root
     x of peak best, re-solving the constraints at every probe; minimizes
-    max|V|."""
-    n_nl = spec.n_nonlinear
+    max|V|.
+
+    A sweep probes x +- step along each surplus coordinate in turn and takes
+    every probe whose peak beats the best so far.  Its probes are solved as
+    one stack, each row cut against best alone; the first that improves is
+    taken and the probes after it are stacked again from the new point, so
+    the search takes bitwise the path of solving one probe at a time.
+    """
+    moves = [(j, sgn) for j in range(spec.n_nonlinear, len(x))
+             for sgn in (+1.0, -1.0)]
     step = 2.0 * np.pi
     while step > 1e-3:
         moved = False
-        for j in range(n_nl, len(x)):
-            for sgn in (+1.0, -1.0):
-                probe = x.copy()
+        todo = moves
+        while todo:
+            probes = np.repeat(x[None], len(todo), axis=0)
+            for probe, (j, sgn) in zip(probes, todo):
                 probe[j] += sgn * step
-                xs, _, _, pk = _newton(spec, probe[None], n_quad, tol, best)
-                if pk[0] < best - 1e-12:
-                    x, best, moved = xs[0], pk[0], True
+            xs, _, _, pk = _newton(spec, probes, n_quad, tol, best,
+                                   shared_bound=False)
+            better = np.flatnonzero(pk < best - 1e-12)
+            if better.size == 0:
+                break
+            i = better[0]
+            x, best, moved = xs[i], pk[i], True
+            todo = todo[i + 1:]
         if not moved:
             step /= 2
     return x

@@ -44,6 +44,10 @@ def bloch_grid(n_sphere: int = 50) -> np.ndarray:
 
 
 CSV_HEADER = "period_index,time_over_taup,fidelity_min,n_mean_max,leakage_max"
+_CSV_ROW = "{},{:.12g},{:.12g},{:.12g},{:.12g}\n"
+# rows formatted and written at a time, so that a long trace's lines are
+# never all held as Python strings and floats at once
+_CSV_CHUNK = 1024
 
 
 def write_csv(path: str, trace: EvolutionTrace) -> None:
@@ -51,10 +55,8 @@ def write_csv(path: str, trace: EvolutionTrace) -> None:
     observables (temp file + rename), with the mode 0o666 & ~umask that a
     plain open gives a new file rather than mkstemp's 0o600.  An OSError
     names ``path``, not the temp file."""
-    rows = map("{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
-               range(len(trace.times)), trace.times.tolist(),
-               trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
-               trace.leakage_max.tolist())
+    columns = (trace.times, trace.fidelity_min, trace.n_mean_max,
+               trace.leakage_max)
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -64,7 +66,11 @@ def write_csv(path: str, trace: EvolutionTrace) -> None:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(CSV_HEADER + "\n")
-            fh.writelines(rows)
+            for start in range(0, len(trace.times), _CSV_CHUNK):
+                part = [c[start:start + _CSV_CHUNK].tolist()
+                        for c in columns]
+                fh.writelines(map(_CSV_ROW.format,
+                                  range(start, start + len(part[0])), *part))
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

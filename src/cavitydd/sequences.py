@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CouplingSet, ModelParams, IDENTITY_2, PAULI, anticomm,
-                      assemble, comm, expm_herm, kron, lowering)
+                      assemble, comm, expm_herm, kron, lowering, op_norm)
 from .shapes import PulseShape, ShapeParams, compute_params
 
 _CYCLIC = {"x": ("x", "y", "z"), "y": ("y", "z", "x"), "z": ("z", "x", "y")}
@@ -380,7 +380,7 @@ def order_check(seq: Sequence, couplings: CouplingSet, shape: PulseShape,
         else:
             target = expm_herm(effective_hamiltonian(seq, scaled, shape),
                                period)
-        defects.append(float(np.linalg.norm(u - target, 2)))
+        defects.append(op_norm(u - target))
 
     pts = [(lam, d) for lam, d in zip(scales, defects) if d > DEFECT_FLOOR]
     floor_limited = len(pts) < len(scales)

@@ -172,12 +172,21 @@ def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
         g *= np.sqrt(np.pi) / tau
         if shape.kind == "gaussian":
             return g
-        return g * (1 - shape.gamma * z2) / (1 - shape.gamma / 2)
+        # g (1 - gamma z^2) / (1 - gamma / 2), in place in z2
+        z2 *= shape.gamma
+        np.subtract(1, z2, out=z2)
+        g *= z2
+        g /= 1 - shape.gamma / 2
+        return g
     if shape.kind == "fourier":
         omp = 2 * np.pi
-        out = np.full_like(np.asarray(x, dtype=float), omp * shape.coeffs[0])
+        out = np.full_like(x, omp * shape.coeffs[0])
+        term = np.empty_like(x)
         for m in range(1, len(shape.coeffs)):
-            out = out + omp * shape.coeffs[m] * np.cos(m * omp * x)
+            # out + omp A_m cos(m omp x), one term in place at a time
+            np.cos(np.multiply(m * omp, x, out=term), out=term)
+            term *= omp * shape.coeffs[m]
+            out += term
         return out
     raise ValueError("delta shape has no pointwise envelope")
 
@@ -189,6 +198,11 @@ def _simpson(y: np.ndarray, h: float):
         raise ValueError("simpson needs an even number of panels")
     return h / 3 * (y[..., 0] + y[..., -1] + 4 * y[..., 1:-1:2].sum(axis=-1)
                     + 2 * y[..., 2:-1:2].sum(axis=-1))
+
+
+# nodes and weights of _cumulative_simpson's first and last panels
+_END_NODES = np.array([[0, 1, 2, 3], [-4, -3, -2, -1]])
+_END_WEIGHTS = np.array([[9.0, 19.0, -5.0, 1.0], [1.0, -5.0, 19.0, 9.0]])
 
 
 def _cumulative_simpson(y: np.ndarray, h: float,
@@ -208,19 +222,50 @@ def _cumulative_simpson(y: np.ndarray, h: float,
         out = np.empty(y.shape)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    # the interior stencil over the flattened samples: the ones that
-    # straddle two rows land on each row's first two entries and its last,
-    # which are set below
+    # the interior stencil h (-y0 + 13 y1 + 13 y2 - y3) / 24 over the
+    # flattened samples, formed in out in that operation order with one
+    # temporary: the ones that straddle two rows land on each row's first
+    # two entries and its last, which are set below
     flat = np.reshape(y, -1)
-    out.reshape(-1)[2:-1] = h * (-flat[:-3] + 13 * flat[1:-2]
-                                 + 13 * flat[2:-1] - flat[3:]) / 24.0
+    acc = out.reshape(-1)[2:-1]
+    np.negative(flat[:-3], out=acc)
+    term = np.multiply(flat[1:-2], 13)
+    acc += term
+    acc += np.multiply(flat[2:-1], 13, out=term)
+    acc -= flat[3:]
+    acc *= h
+    acc /= 24.0
+    # the end stencils h (9 y0 + 19 y1 - 5 y2 + y3) / 24 and its mirror
+    # h (y-4 - 5 y-3 + 19 y-2 + 9 y-1) / 24, both as left-to-right sums of
+    # four weighted terms
+    ends = y[..., _END_NODES]
+    ends *= _END_WEIGHTS
+    panel = np.add(ends[..., 0], ends[..., 1])
+    panel += ends[..., 2]
+    panel += ends[..., 3]
+    panel *= h
+    panel /= 24.0
     out[..., 0] = 0.0
-    out[..., 1] = h * (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2]
-                       + y[..., 3]) / 24.0
-    out[..., -1] = h * (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2]
-                        + 9 * y[..., -1]) / 24.0
+    out[..., 1] = panel[..., 0]
+    out[..., -1] = panel[..., 1]
     np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
+
+
+# panels of _norm_scale's area quadrature of a gaussian or hermitian shape
+_NORM_PANELS = 1 << 14
+
+
+@lru_cache(maxsize=1)
+def _fine_envelope(shape: PulseShape) -> np.ndarray:
+    """Raw envelope, read-only and kept for the last shape, on the finest
+    uniform grid a default compute_params reads: the _NORM_PANELS of
+    _norm_scale for a gaussian or hermitian shape, 2 DEFAULT_N_QUAD panels
+    for a fourier one."""
+    panels = 2 * DEFAULT_N_QUAD if shape.kind == "fourier" else _NORM_PANELS
+    v = _raw_envelope(shape, np.linspace(0.0, 1.0, panels + 1))
+    v.flags.writeable = False
+    return v
 
 
 @lru_cache(maxsize=256)
@@ -229,18 +274,22 @@ def _norm_scale(shape: PulseShape) -> float:
     if shape.kind == "fourier":
         # cosine terms integrate to zero over full periods: area = 2 pi A0
         return 0.5 / shape.coeffs[0]
-    n = 1 << 14
-    t = np.linspace(0.0, 1.0, n + 1)
-    area = _simpson(_raw_envelope(shape, t), 1 / n)
-    return np.pi / area
+    return np.pi / _simpson(_fine_envelope(shape), 1 / _NORM_PANELS)
 
 
 def _sampled(shape: PulseShape, n_quad: int) -> np.ndarray:
     """Phase phi(t), the cumulative integral of the normalized envelope, on
     n_quad+1 uniform nodes."""
-    t = np.linspace(0.0, 1.0, n_quad + 1)
-    return _cumulative_simpson(_norm_scale(shape) * _raw_envelope(shape, t),
-                               1 / n_quad)
+    if n_quad in (DEFAULT_N_QUAD, 2 * DEFAULT_N_QUAD):
+        # a default compute_params: n_quad and the fine grid's panels are
+        # powers of two, so linspace's nodes are every step-th of the fine
+        # grid's, exactly, and the envelope is taken pointwise
+        fine = _fine_envelope(shape)
+        v = fine[::(len(fine) - 1) // n_quad] * _norm_scale(shape)
+    else:
+        v = _raw_envelope(shape, np.linspace(0.0, 1.0, n_quad + 1))
+        v *= _norm_scale(shape)
+    return _cumulative_simpson(v, 1 / n_quad)
 
 
 def amplitude(shape: PulseShape, t):
@@ -276,14 +325,19 @@ def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
     """
     phi = _sampled(shape, n_quad)
     h = 1 / n_quad
-    cos_sin = np.empty((2,) + phi.shape)
-    cos_phi, sin_phi = cos_sin
-    np.cos(phi, out=cos_phi)
-    np.sin(phi, out=sin_phi)
-    c_cum, s_cum = _cumulative_simpson(cos_sin, h)
-    return ShapeParams(s=_simpson(sin_phi, h),
-                       alpha=_simpson(sin_phi * c_cum - cos_phi * s_cum, h),
-                       zeta=_simpson(c_cum, h), area=float(phi[-1]))
+    area = float(phi[-1])
+    # one row each, and alpha's integrand formed in place: two rows of 8193
+    # nodes would make every temporary 131 KB, where glibc's malloc maps
+    # and unmaps its memory
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi, out=phi)
+    c_cum = _cumulative_simpson(cos_phi, h)
+    s_cum = _cumulative_simpson(sin_phi, h)
+    zeta = _simpson(c_cum, h)
+    c_cum *= sin_phi
+    c_cum -= np.multiply(cos_phi, s_cum, out=s_cum)
+    return ShapeParams(s=_simpson(sin_phi, h), alpha=_simpson(c_cum, h),
+                       zeta=zeta, area=area)
 
 
 def compute_params(shape: PulseShape,

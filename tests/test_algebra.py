@@ -278,3 +278,30 @@ def test_exactly_hermitian_input_skips_the_svds(monkeypatch):
     assert calls == []
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
     assert len(calls) == 2
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(dim=st.integers(1, 18), kind=st.sampled_from(("real", "complex")),
+       scale=st.sampled_from((1e-200, 1e-8, 1.0, 1e150)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_op_norm_is_numpys_2_norm_bitwise(dim, kind, scale, seed):
+    # the largest singular value is what np.linalg.norm(a, 2) returns
+    rng = np.random.default_rng(seed)
+    a = scale * rng.normal(size=(dim, dim))
+    if kind == "complex":
+        a = a + 1j * scale * rng.normal(size=(dim, dim))
+    want = float(np.linalg.norm(a, 2))
+    assert np.float64(op_norm(a)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_op_norm_of_zero_and_nan_as_numpy(dtype):
+    zero = np.zeros((4, 4), dtype=dtype)
+    assert op_norm(zero) == float(np.linalg.norm(zero, 2)) == 0.0
+    bad = np.eye(3, dtype=dtype)
+    bad[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.norm(bad, 2)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        op_norm(bad)
+    assert str(got.value) == str(want.value)

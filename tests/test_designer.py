@@ -137,6 +137,15 @@ PINNED_COEFFS = {
                                         0.681675372044182,
                                         -0.28706582728030683,
                                         -0.25610351562500006),
+    # recorded while each compass probe was still solved on its own
+    DesignSpec("S", 2, extra_terms=2): (0.5, 1.2299870819153926,
+                                        0.45967854981462797,
+                                        -0.5139608758507648,
+                                        -0.09521484374999997,
+                                        0.14843750000000003),
+    DesignSpec("Q", 1, extra_terms=1): (0.5, 1.2044613169625553,
+                                        1.695490598587633,
+                                        0.14727928162507747, -0.84375),
 }
 
 
@@ -269,7 +278,8 @@ def _newton_one_halving_at_a_time(spec, x0, n_quad, tol, bound=np.inf):
     for it in range(designer._MAX_ITER + 1):
         done = np.flatnonzero(live & (np.max(np.abs(f), axis=1) < tol))
         for r in done:
-            peak[r] = designer._peak(designer._coeffs_from_free(spec, x[r]))
+            raw = designer._coeffs_from_free(spec, x[r])
+            peak[r] = designer._peaks(raw[None])[0]
         ok[done] = True
         live[done] = False
         rows = np.flatnonzero(live)
@@ -318,6 +328,73 @@ def test_line_search_rounds_match_one_halving_at_a_time(name, n_quad, bound):
     assert got[2].any()
 
 
+def _compass_one_probe_at_a_time(spec, x, best, n_quad, tol):
+    # designer._minimize_peak with every probe solved on a one-row stack,
+    # as it was before a sweep's probes were stacked
+    step = 2.0 * np.pi
+    while step > 1e-3:
+        moved = False
+        for j in range(spec.n_nonlinear, len(x)):
+            for sgn in (+1.0, -1.0):
+                probe = x.copy()
+                probe[j] += sgn * step
+                xs, _, _, pk = designer._newton(spec, probe[None], n_quad,
+                                                tol, best)
+                if pk[0] < best - 1e-12:
+                    x, best, moved = xs[0], pk[0], True
+        if not moved:
+            step /= 2
+    return x
+
+
+@pytest.mark.parametrize("spec", [
+    DesignSpec("S", 1, 1), DesignSpec("S", 2, 1), DesignSpec("Q", 1, 1),
+    DesignSpec("S", 2, 2)], ids=str)
+def test_stacked_compass_search_matches_one_probe_at_a_time(monkeypatch,
+                                                             spec):
+    # a row cut against the best peak alone takes the path it takes on its
+    # own, and the probes after an accepted one are stacked again from the
+    # new point, so the stacked sweeps walk bitwise the sequential path:
+    # the same point, through the same accepted peaks (the bound of each
+    # solve); a sweep's first stack holds all of its 2 * extra_terms probes
+    _, x, best = min(designer._solve_branches(
+        spec, np.zeros(spec.extra_terms), 128, 1e-11), key=lambda r: r[2])
+    calls = []
+    newton = designer._newton
+
+    def spy(spec, x0, n_quad, tol, bound, **kwargs):
+        calls.append((len(x0), bound))
+        return newton(spec, x0, n_quad, tol, bound, **kwargs)
+
+    def accepted_peaks():
+        bounds = [b for _, b in calls]
+        calls.clear()
+        return [b for i, b in enumerate(bounds)
+                if i == 0 or b != bounds[i - 1]]
+
+    monkeypatch.setattr(designer, "_newton", spy)
+    want = _compass_one_probe_at_a_time(spec, x, best, 128, 1e-11)
+    want_peaks = accepted_peaks()
+    got = designer._minimize_peak(spec, x, best, 128, 1e-11)
+    stacks = [n for n, _ in calls]
+    assert np.array_equal(got, want)
+    assert accepted_peaks() == want_peaks and len(want_peaks) > 1
+    assert stacks[0] == max(stacks) == 2 * spec.extra_terms
+
+
+def test_row_independent_cut_needs_no_stack_mates():
+    # shared_bound=False: a row's iterates, values and peak are those it
+    # reaches alone, whatever converges beside it
+    spec = DesignSpec("S", 2, 1)
+    x0 = np.array(list(product(designer._SEEDS, (0.0, 1.5))))
+    stack = designer._newton(spec, x0, 128, 1e-11, 30.0, shared_bound=False)
+    for i, row in enumerate(x0):
+        alone = designer._newton(spec, row[None], 128, 1e-11, 30.0)
+        for a, b in zip(stack, alone):
+            assert np.array_equal(a[i], b[0])
+    assert stack[2].any() and not stack[2].all()
+
+
 @pytest.mark.parametrize("spec, panels", [
     (DesignSpec("Q", 1), [128]), (DesignSpec("S", 2, 1), [128]),
     (DesignSpec("Q", 6), [128, 256])], ids=str)
@@ -360,14 +437,19 @@ def test_seed_stage_doubles_at_most_to_512_panels(monkeypatch):
 
 @pytest.mark.parametrize("n_coeffs", (2, 4, 9))
 def test_peak_matches_envelope_bitwise(n_coeffs):
-    # the cached cosines are summed as shapes._raw_envelope sums them; the
-    # peak is mostly at t = 1/2, where every cosine is 1, so many draws
+    # the cached cosines are summed as shapes._raw_envelope sums them, and
+    # the envelope is even about t = 1/2 on the 4097 nodes; the peak is
+    # mostly at t = 1/2, where every cosine is 1, so many draws, on a stack
+    # and row by row
     t = np.linspace(0.0, 1.0, 4097)
     rng = np.random.default_rng(n_coeffs)
-    for raw in rng.uniform(-8.0, 8.0, size=(50, n_coeffs)):
-        raw[0] = np.pi
+    raws = rng.uniform(-8.0, 8.0, size=(50, n_coeffs))
+    raws[:, 0] = np.pi
+    peaks = designer._peaks(raws)
+    for raw, peak in zip(raws, peaks):
         v = shapes._raw_envelope(designer._fourier_shape(raw), t)
-        assert designer._peak(raw) == float(np.max(np.abs(v)))
+        assert np.array_equal(v, v[::-1])
+        assert peak == designer._peaks(raw[None])[0] == np.max(np.abs(v))
 
 
 def test_singular_jacobian_ends_only_its_own_start(monkeypatch):
@@ -389,6 +471,20 @@ def test_singular_jacobian_ends_only_its_own_start(monkeypatch):
     assert ok_alone[0] and list(ok) == [True, False]
     assert np.array_equal(x[0], alone[0]) and peak[0] == peak_alone[0]
     assert np.array_equal(x[1], x0[1])
+
+
+@pytest.mark.parametrize("spec", [DesignSpec("S", 2, 1), DesignSpec("Q", 1, 1),
+                                  DesignSpec("S", 8, 3)], ids=str)
+def test_rms_of_a_row_does_not_depend_on_its_stack(spec):
+    # summed term by term: a stacked matmul rounds some rows differently
+    # from the one-row product, which could cut a probe that alone survives
+    rng = np.random.default_rng(spec.n_coeffs)
+    for rows in (2, 4, 9, 81):
+        xs = rng.uniform(-10.0, 10.0, size=(rows, spec.n_coeffs - 1
+                                            - spec.order))
+        stacked = designer._rms(spec, xs)
+        alone = [designer._rms(spec, x[None])[0] for x in xs]
+        assert stacked.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("spec", [DesignSpec("S", 1), DesignSpec("Q", 2, 1)],

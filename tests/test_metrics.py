@@ -4,10 +4,11 @@ import stat
 import numpy as np
 import pytest
 
+from cavitydd import metrics
 from cavitydd.algebra import ModelParams, jaynes_cummings
 from cavitydd.metrics import (CARDINAL_STATES, CSV_HEADER, bloch_grid,
                               write_csv)
-from cavitydd.propagate import run_trace
+from cavitydd.propagate import EvolutionTrace, run_trace
 from cavitydd.sequences import build_schedule, parse_sequence
 
 
@@ -86,7 +87,35 @@ class TestObservables:
         assert f[-1] < 1 - 1e-4
 
 
+def one_shot_csv(trace):
+    """The CSV text of trace formatted in one pass, as write_csv formatted
+    it before it wrote its rows in chunks."""
+    return CSV_HEADER + "\n" + "".join(map(
+        "{},{:.12g},{:.12g},{:.12g},{:.12g}\n".format,
+        range(len(trace.times)), trace.times.tolist(),
+        trace.fidelity_min.tolist(), trace.n_mean_max.tolist(),
+        trace.leakage_max.tolist()))
+
+
 class TestCsv:
+    @pytest.mark.parametrize("periods", [
+        0, metrics._CSV_CHUNK - 1, metrics._CSV_CHUNK, metrics._CSV_CHUNK + 1,
+        2 * metrics._CSV_CHUNK + 3])
+    def test_chunked_rows_are_the_one_shot_formatting(self, tmp_path,
+                                                      periods):
+        # periods + 1 rows, with values that take every branch of %.12g
+        rng = np.random.default_rng(periods)
+        n = periods + 1
+        trace = EvolutionTrace(
+            times=np.arange(n) * 0.8, fidelity_min=1 - rng.random(n) * 1e-3,
+            n_mean_max=rng.random(n) * 10.0 ** rng.integers(-20, 3, n),
+            leakage_max=rng.choice([0.0, 1e-300, 0.5, 1e17], n),
+            halving_diff=0.0, unitarity_drift=0.0)
+        path = tmp_path / "trace.csv"
+        write_csv(str(path), trace)
+        assert path.read_text() == one_shot_csv(trace)
+        assert len(path.read_text().splitlines()) == n + 1
+
     def test_schema_and_rows(self, small_grid, tmp_path):
         tr = make_trace(small_grid, periods=5, n_max=4)
         path = tmp_path / "trace.csv"

@@ -180,6 +180,65 @@ def test_cumulative_simpson_matches_row_stencils_bitwise(shape):
         shapes._cumulative_simpson(y, 0.37, out=np.empty(shape + (2,))[..., 0])
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rows=st.sampled_from(((), (1,), (2,), (3, 2))), n=st.integers(4, 300),
+       h=st.sampled_from((1 / 128, 1 / 8192, 0.37)),
+       scale=st.sampled_from((1e-300, 1.0, 1e290)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cumulative_simpson_in_place_is_the_expression(rows, n, h, scale,
+                                                       seed):
+    # the stencils formed in out, in the expression's operation order, give
+    # the expression form's bits on a row and on stacked rows, signed
+    # zeros included
+    rng = np.random.default_rng(seed)
+    y = scale * rng.normal(size=rows + (n,))
+    flat = y.reshape(-1)
+    flat[rng.integers(0, flat.size, 4)] = [0.0, -0.0, 0.0, -0.0]
+    want = row_cumulative_simpson(y, h)
+    assert shapes._cumulative_simpson(y, h).tobytes() == want.tobytes()
+    out = np.empty(y.shape)
+    shapes._cumulative_simpson(y, h, out=out)
+    assert out.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("gaussian", "hermitian", "fourier")),
+       width=st.floats(1e-3, 0.9),
+       tail=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       n_quad=st.sampled_from((64, 1000, 4096, 8192, 16384, 32768)))
+def test_sampled_phase_reads_the_fine_envelope_bitwise(kind, width, tail,
+                                                       n_quad):
+    # a power-of-two n_quad up to the fine grid's panels takes every k-th
+    # fine sample: linspace puts its nodes there exactly, so the phase is
+    # the one of a fresh envelope on its own nodes
+    sh = {"gaussian": gaussian(width), "hermitian": hermitian(width),
+          "fourier": fourier([0.5] + tail)}[kind]
+    v = shapes._raw_envelope(sh, np.linspace(0.0, 1.0, n_quad + 1))
+    v *= shapes._norm_scale(sh)
+    want = shapes._cumulative_simpson(v, 1 / n_quad)
+    assert shapes._sampled(sh, n_quad).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, n_quad, nodes", [
+    (hermitian(0.0731), DEFAULT_N_QUAD, [(1 << 14) + 1]),
+    (fourier([0.5, 0.9, 0.41]), DEFAULT_N_QUAD, [8193]),
+    (fourier([0.5, 0.77, 0.31]), 512, [513, 1025]),
+    (fourier([0.5, 0.77, 0.31]), 1000, [1001, 2001]),
+    (fourier([0.5, 0.77, 0.31]), 3000, [3001, 6001])],
+    ids=("hermitian", "fourier", "512", "1000", "3000"))
+def test_compute_params_envelope_nodes(monkeypatch, shape, n_quad, nodes):
+    # a default compute_params reads the area (of a gaussian or hermitian
+    # shape) and the 4096- and 8192-panel phases from one envelope; any
+    # other n_quad evaluates its own n_quad + 1 and 2 n_quad + 1 nodes
+    shapes._fine_envelope.cache_clear()
+    seen = []
+    raw = shapes._raw_envelope
+    monkeypatch.setattr(shapes, "_raw_envelope", lambda shape, t: (
+        seen.append(np.size(t)), raw(shape, t))[1])
+    compute_params(shape, n_quad)
+    assert seen == nodes
+
+
 class TestComputeParams:
     def test_delta_row_exact(self):
         p = compute_params(delta())
