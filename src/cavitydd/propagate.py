@@ -413,6 +413,10 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
 # row by row: np.triu_indices(4, 1) written out, since its first call at
 # import raised peak RSS by 0.27 MB (numpy 2.4)
 _UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+# the population tensor delta_ij q_a q_b* vanishes where i != j, so its table
+# is zero but in the |x_p|^2 and the Re and Im of the same-qubit pairs (0, 1)
+# and (2, 3)
+_POP_COLUMNS = np.array([0, 1, 2, 3, 4, 9, 10, 15])
 
 
 def _products(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
@@ -520,6 +524,7 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     u_block = u @ powers[-1]
 
     fid_table, pop_table = _state_tables(qs)
+    pop_table = pop_table[:, _POP_COLUMNS]
     # level weights of the three Gram tensors: 1, n, and the top two levels
     weights = np.stack([np.ones(d), np.arange(d),
                         np.arange(d) >= max(0, d - 2)])
@@ -556,10 +561,14 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
         # g[w, (f, k)] = sum_n weights[w, n] prods[f, k, n]
         np.matmul(weights, prods.reshape(-1, d).T, out=g)
         fid, occ, top = g.reshape(3, 16, size)[:, :, :nc]
+        # the population table's columns, moved up to the first 8 rows of
+        # the occupation and top-level sums a row at a time, without a copy
+        for row, col in enumerate(_POP_COLUMNS[5:], 5):
+            occ[row], top[row] = occ[col], top[col]
         chunk = slice(c0, c0 + nc)
         fmin[chunk] = (fid_table @ fid).min(axis=0)
-        nmax[chunk] = (pop_table @ occ).max(axis=0)
-        lmax[chunk] = (pop_table @ top).max(axis=0)
+        nmax[chunk] = (pop_table @ occ[:8]).max(axis=0)
+        lmax[chunk] = (pop_table @ top[:8]).max(axis=0)
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
     max_leak = float(lmax.max())

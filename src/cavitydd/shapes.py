@@ -340,6 +340,14 @@ def _params_at(shape: PulseShape, n_quad: int) -> ShapeParams:
                        zeta=zeta, area=area)
 
 
+def _check_n_quad(n_quad: int) -> None:
+    """Simpson's rule needs an even number of panels, at least 64."""
+    if n_quad < 64:
+        raise ValueError("n_quad must be >= 64")
+    if n_quad % 2:
+        raise ValueError("n_quad must be even")
+
+
 def compute_params(shape: PulseShape,
                    n_quad: int = DEFAULT_N_QUAD) -> ShapeParams:
     """Shape parameters (s, alpha, zeta) by quadrature.
@@ -351,12 +359,13 @@ def compute_params(shape: PulseShape,
 
     Raises
     ------
+    ValueError
+        If n_quad is below 64 or odd.
     ConvergenceError
         If doubling the node count moves any parameter by >= 1e-9, or a
         parameter is not finite.
     """
-    if n_quad < 64:
-        raise ValueError("n_quad must be >= 64")
+    _check_n_quad(n_quad)
     if shape.is_delta:
         return ShapeParams(s=0.0, alpha=0.0, zeta=0.25, area=np.pi)
     coarse = _params_at(shape, n_quad)
@@ -383,6 +392,8 @@ def solve_hermitian_gamma(width_ratio: float,
     Plain bisection on the bracket; s(gamma) is smooth and monotone there.
     A root whose quadrature fails compute_params's check raises.
     """
+    _check_n_quad(n_quad)
+
     def s_of(gam: float) -> float:
         # uncached: a bisection point is never asked for again
         return _params_at.__wrapped__(hermitian(width_ratio, gam), n_quad).s

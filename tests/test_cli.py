@@ -112,6 +112,14 @@ class TestCommands:
     def test_params_rejects_bad_shape(self, capsys):
         assert main(["params", "--shape", "warp:1"]) == 2
 
+    @pytest.mark.parametrize("args", [[], ["--shape", "Q1"],
+                                      ["--shape", "delta"]])
+    def test_params_rejects_odd_n_quad(self, args, capsys):
+        assert main(["params", "--n-quad", "65", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_quad must be even\n"
+
     # a surplus field was once ignored, and the retired kind=... form with
     # a field missing ended in a KeyError traceback
     @pytest.mark.parametrize("spec", ["hermitian:0.05:0.9609317217:junk",

@@ -3,6 +3,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitydd import metrics
 from cavitydd.algebra import ModelParams, jaynes_cummings
@@ -176,3 +177,126 @@ class TestCsv:
         lk = tr.leakage_max
         assert lk.shape == (4,)
         assert np.all(lk >= 0)
+
+
+def values_trace(values):
+    """A trace whose four columns hold values row by row, padded with 0."""
+    flat = np.zeros(-(-len(values) // 4) * 4)
+    flat[:len(values)] = values
+    columns = flat.reshape(-1, 4).T
+    return EvolutionTrace(times=columns[0], fidelity_min=columns[1],
+                          n_mean_max=columns[2], leakage_max=columns[3],
+                          halving_diff=0.0, unitarity_drift=0.0)
+
+
+def assert_formatted_as_python(values):
+    """The vectorised rows, which write_csv uses past one chunk, are the
+    rows '{:.12g}' gives for each value."""
+    trace = values_trace(values)
+    columns = (trace.times, trace.fidelity_min, trace.n_mean_max,
+               trace.leakage_max)
+    got = "".join(metrics._csv_text(columns))
+    assert got == one_shot_csv(trace)[len(CSV_HEADER) + 1:]
+
+
+def not_fast(values):
+    """Where the writer's fast path leaves a value to Python's format."""
+    x = np.asarray(values, dtype=float)[None]
+    out = np.empty((1, metrics._VALUE_WORDS, x.shape[1]), np.uint32)
+    return metrics._fast_words(x, out)[0]
+
+
+def decimal_midpoints(rng, per_exponent=4):
+    """The doubles nearest (k + 1/2) 10^(e - 11), 12-digit k, for every e
+    from -300 to 300: k = 10^11, 10^12 - 1 (9.999999999995e(e)) and
+    per_exponent - 2 drawn from rng."""
+    values = []
+    for e in range(-300, 301):
+        ks = [10**11, 10**12 - 1, *rng.integers(10**11, 10**12,
+                                                per_exponent - 2).tolist()]
+        values += [float(f"{10 * k + 5}e{e - 12}") for k in ks]
+    return np.array(values)
+
+
+# the %g layout switches: fixed below 1e-4 is scientific, 12 integer digits
+# are fixed, and a carry past 9.99999999999... moves a value across
+LAYOUT_EDGES = [
+    1e-5, 9.99999999999e-5, 9.999999999994e-5, 9.999999999996e-5, 1e-4,
+    0.000123456789012, 0.00100000000001, 0.5, 1.0, 10.0, 100.0, 1000.0,
+    123456.789012, 99999999999.9, 999999999999.0, 999999999999.4,
+    999999999999.6, 1e12, 1.00000000001e12, 1e16, 9.9999999999996e5,
+    9.9999999999996e-7, 9.9999999999996e11, 3.0e-5, 7.25e11]
+# three-digit exponents, in and beyond the fast path's range
+WIDE_EXPONENTS = [
+    1e100, 1.5e-100, 9.99999999999e-101, 1.23456789012e-280, 9.87e279,
+    1e-280, 1e280, 4.2e-299, 6.02e299, 2.2250738585072014e-308,
+    1.7976931348623157e308, 5e-324, 1e-320]
+
+
+class TestCsvFormatting:
+    """The vectorised writer's bytes are Python's '{:.12g}' of each double."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=48))
+    def test_any_float(self, values):
+        # hypothesis floats include NaN, +-inf, +-0, subnormals and the
+        # edges of every exponent
+        assert_formatted_as_python(values)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=48))
+    def test_any_bit_pattern(self, bits):
+        # every double, NaN payloads and negative NaN included
+        assert_formatted_as_python(
+            np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_random_doubles_across_exponents(self, tmp_path):
+        # uniform 12-digit mantissas at every decimal exponent, and random
+        # bit patterns: 1536 rows, which write_csv formats in two chunks
+        rng = np.random.default_rng(28)
+        n = 3 * metrics._CSV_CHUNK
+        mantissas = rng.random(n) * 10.0 ** rng.integers(-310, 308, n)
+        signs = rng.choice([-1.0, 1.0], n)
+        bits = rng.integers(0, 2 ** 63, n).view(np.float64)
+        trace = values_trace(np.concatenate([mantissas * signs, bits]))
+        path = tmp_path / "values.csv"
+        write_csv(str(path), trace)
+        assert path.read_bytes() == one_shot_csv(trace).encode()
+
+    def test_decimal_midpoints_and_neighbours(self):
+        # ties at the 12th digit take the exact fallback: the nearest double
+        # lies on either side of the decimal midpoint, and format rounds it
+        # by its exact value
+        mid = decimal_midpoints(np.random.default_rng(5))
+        assert not_fast(mid).all()
+        for values in (mid, np.nextafter(mid, np.inf),
+                       np.nextafter(mid, -np.inf), -mid):
+            assert_formatted_as_python(values)
+
+    def test_powers_of_ten_take_the_fast_path(self):
+        # log10 is one off for some of these, and their scaled values lie
+        # within roundoff of a power of ten: the one correction and the
+        # carry keep them all on the fast path
+        e = np.arange(-279, 280)
+        powers = np.array([float(f"1e{k}") for k in e.tolist()])
+        below = np.nextafter(powers, 0)
+        assert not not_fast(powers).any()
+        assert not not_fast(below).any()
+        assert_formatted_as_python(np.concatenate([powers, below]))
+
+    def test_layout_edges(self):
+        values = np.array(LAYOUT_EDGES)
+        assert_formatted_as_python(np.concatenate(
+            [values, -values, np.nextafter(values, 0),
+             np.nextafter(values, np.inf)]))
+
+    def test_three_digit_exponents(self):
+        values = np.array(WIDE_EXPONENTS)
+        fast = ~not_fast(values)
+        # the fast path formats the range [1e-280, 1e280]
+        assert fast[:7].all() and not fast[7:].any()
+        assert_formatted_as_python(np.concatenate([values, -values]))
+
+    def test_special_values_take_the_fallback(self):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+        assert not_fast(special).all()

@@ -718,6 +718,10 @@ class TestRunTrace:
         q2 = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
                        qs.conj()).reshape(n_states, 16)
         fid_table, pop_table = propagate._state_tables(qs)
+        # run_trace contracts the population table on _POP_COLUMNS alone:
+        # it is exactly zero in the other eight
+        others = np.setdiff1d(np.arange(16), propagate._POP_COLUMNS)
+        assert not pop_table[:, others].any()
         # a Gram of random columns x (4, d), summed by _products over the
         # levels, and a random Hermitian matrix read directly, both with
         # entries of modulus <= 1 like the Grams of unitary columns

@@ -288,6 +288,15 @@ class TestComputeParams:
         with pytest.raises(ValueError):
             compute_params(gaussian(0.1), n_quad=32)
 
+    @pytest.mark.parametrize("shape", [gaussian(0.1), delta()])
+    def test_odd_n_quad_refused_before_any_quadrature(self, monkeypatch,
+                                                      shape):
+        # Simpson's rule takes an even number of panels; an odd one was
+        # refused only inside _cumulative_simpson, after the envelope
+        monkeypatch.setattr(shapes, "_params_at", None)
+        with pytest.raises(ValueError, match="^n_quad must be even$"):
+            compute_params(shape, n_quad=65)
+
     def test_gaussian_delta_limit(self):
         # narrower Gaussians approach the hard-pulse row monotonically
         widths = [0.1, 0.075, 0.05, 0.025]
@@ -367,6 +376,14 @@ class TestGammaSolve:
         shapes._params_at.cache_clear()
         solve_hermitian_gamma(0.05)
         assert shapes._params_at.cache_info().currsize <= 2
+
+    @pytest.mark.parametrize("n_quad, message", [
+        (8193, "n_quad must be even"), (32, "n_quad must be >= 64")])
+    def test_n_quad_refused_before_the_bisection(self, monkeypatch, n_quad,
+                                                 message):
+        monkeypatch.setattr(shapes, "_params_at", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_hermitian_gamma(0.05, n_quad=n_quad)
 
     def test_unconverged_root_refused(self):
         # at width 0.004 the bisection lands 9.5e-8 off the width-independent
