@@ -105,15 +105,15 @@ with e_a = |a> (x) |level>: only these two columns are evolved.  The powers
 U^0 .. U^(_BLOCK-1) are built once, and U^k0 advances by U^_BLOCK from one
 block of _BLOCK periods to the next.  The columns of the _CHUNK periods of
 a few blocks are one stacked product of the powers with the U^k0 e_a of
-their blocks, written into buffers sized once per call, and reduced
-together in real arithmetic: the four column components x_p, p = (i, a),
-give per level the 16 real numbers of the Hermitian products x_p x_q*
-(|x_p|^2, and Re and Im for p < q), one real product with the level weights
-1, n and the top two levels sums them into three Hermitian Gram tensors, and
-real products with per-state tables built once give the fidelity, <n> and
-leakage of every initial state, then the worst case over them.  The last
-products are linear in the number of states; no power or state is kept per
-period.
+their blocks, written into buffers sized once per call.  Complex multiplies
+with their conjugates give per level the 16 real numbers of the Gram
+entries x_p x_q* of the column components x_p, p = (i, a), one real product
+with the level weights 1, n and the top two levels sums them into three Gram
+tensors, and real products with per-state tables built once give the
+fidelity, <n> and leakage of every initial state, then the worst case over
+them.  The population tensor delta_ij q_a q_b* is the same on both qubit
+blocks i, so its Grams are summed over the blocks first and contract 4
+columns.  No power or state is kept per period.
 """
 
 from __future__ import annotations
@@ -215,7 +215,8 @@ def _interpolation(shape: PulseShape, steps: int, k_norm: float):
     h = 1 / steps
     coef = _coefficients(shape, steps)
     lo, hi = coef.min(), coef.max()
-    a = h * k_norm * (hi - lo) / 4
+    # a Python float, whose a^n / n! overflows to inf without a warning
+    a = float(h * k_norm * (hi - lo) / 4)
     n, err = 1, 2 * a
     while err > _INTERP_TOL and n < steps:
         n += 1
@@ -223,18 +224,21 @@ def _interpolation(shape: PulseShape, steps: int, k_norm: float):
     if n < steps:
         nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(
             (2 * np.arange(n) + 1) * np.pi / (2 * n))
+        # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of every
+        # factor, multiplied in ratio by ratio, so that they are exactly 1
+        # and 0 at a node
+        gaps = nodes[:, None] - nodes
+        np.fill_diagonal(gaps, 1.0)
+        weights = np.ones((steps, n))
+        for m, x in enumerate(nodes):
+            ratio = (coef[:, None] - x) / gaps[:, m]
+            ratio[:, m] = 1.0
+            weights *= ratio
     else:
+        # every factor is its node's; the ratios of clustered nodes would
+        # overflow
         nodes = np.unique(coef)
-    # Lagrange weights prod_{m != j} (c - x_m) / (x_j - x_m) of every
-    # factor, multiplied in ratio by ratio, so that they are exactly 1 and 0
-    # at a node
-    gaps = nodes[:, None] - nodes
-    np.fill_diagonal(gaps, 1.0)
-    weights = np.ones((steps, len(nodes)))
-    for m, x in enumerate(nodes):
-        ratio = (coef[:, None] - x) / gaps[:, m]
-        ratio[:, m] = 1.0
-        weights *= ratio
+        weights = (coef[:, None] == nodes).astype(float)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -333,7 +337,8 @@ def _period_unitaries(couplings: CouplingSet, schedule: ControlSchedule,
     hs = assemble(couplings)
     scale = op_norm(hs)
     shape = schedule.shape
-    roundoff = np.finfo(float).eps * scale
+    # a Python float, whose product past the double range is inf, refused
+    roundoff = float(np.finfo(float).eps * scale)
     for e in schedule.elements:
         t = e.duration if isinstance(e, Delay) else float(not shape.is_delta)
         if roundoff * t > SELF_CHECK_TOL:
@@ -409,47 +414,21 @@ def propagate_period(couplings: CouplingSet, schedule: ControlSchedule,
     return _checked_period_unitary(couplings, schedule, steps_per_pulse)[0]
 
 
-# the upper triangle p < q of a 4x4 Hermitian matrix on the index (i, a),
-# row by row: np.triu_indices(4, 1) written out, since its first call at
-# import raised peak RSS by 0.27 MB (numpy 2.4)
-_UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
-# the population tensor delta_ij q_a q_b* vanishes where i != j, so its table
-# is zero but in the |x_p|^2 and the Re and Im of the same-qubit pairs (0, 1)
-# and (2, 3)
-_POP_COLUMNS = np.array([0, 1, 2, 3, 4, 9, 10, 15])
-
-
-def _products(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` (16, ...) the 16 real numbers of the Hermitian
-    products x_p x_q* of the rows x_p = re_p + i im_p of (4, ...) arrays:
-    |x_p|^2, then Re and Im of x_p x_q* for p < q in ``_UPPER`` order."""
-    np.multiply(re, re, out=out[:4])
-    out[:4] += im * im
-    k = 4
-    for p in range(3):
-        pairs = slice(k, k + 3 - p)
-        np.multiply(re[p], re[p + 1:], out=out[pairs])
-        out[pairs] += im[p] * im[p + 1:]
-        pairs = slice(k + 6, k + 9 - p)
-        np.multiply(im[p], re[p + 1:], out=out[pairs])
-        out[pairs] -= re[p] * im[p + 1:]
-        k += 3 - p
-
-
 def _state_tables(qs: np.ndarray):
-    """(S, 16) real tables that turn the ``_products`` of a Hermitian Gram g
-    on the index (i, a) into Re sum_pq g_pq t_pq for each state q_s: the
-    fidelity tensor t_pq = q_si* q_sa q_sb* q_sj, and the population tensor
-    t_pq = delta_ij q_sa q_sb* for the occupation and leakage.  Both are
-    Hermitian, so a pair p < q adds 2 Re(g_pq t_pq)."""
-    v = (qs.conj()[:, :, None] * qs[:, None, :]).reshape(-1, 4)
-    fid = v[:, :, None] * v.conj()[:, None, :]
-    pop = np.einsum("ij,sa,sb->siajb", np.eye(2), qs,
-                    qs.conj()).reshape(-1, 4, 4)
-    p, q = _UPPER
-    return [np.concatenate([t[:, range(4), range(4)].real, 2 * t[:, p, q].real,
-                            -2 * t[:, p, q].imag], axis=1)
-            for t in (fid, pop)]
+    """Real (S, 16) fidelity and (S, 4) population tables of the states q_s
+    on the 16 Gram columns of the evolved x_ia: per qubit block i, |x_i0|^2,
+    |x_i1|^2 and x_i0 x_i1*, then x_0a x_1b* for ab = 00, 01, 10, 11, each
+    complex one as (Re, Im).  With w_ab = q_a q_b*, the fidelity tensor is
+    |q_i|^2 w_ab on block i and q_1 q_0* w_ab on the cross pairs, and the
+    population tensor w_ab on either block; a pair and its transpose add
+    2 Re(g t), so its table is 2 t* as (Re, Im)."""
+    w = qs[:, :, None] * qs.conj()[:, None, :]
+    pop = np.concatenate([w[:, (0, 1), (0, 1)].real,
+                          2 * w[:, 0, 1:].conj().view(float)], axis=1)
+    cross = 2 * (w[:, 1, 0, None, None] * w).conj()
+    fid = np.concatenate([pop * w[:, 0, :1].real, pop * w[:, 1, 1:].real,
+                          cross.reshape(-1, 4).view(float)], axis=1)
+    return fid, pop
 
 
 @dataclass
@@ -480,14 +459,14 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     e_a = |a> (x) |k_osc>, are evolved: a block of _BLOCK periods is the
     stacked product of the precomputed U^0 .. U^(_BLOCK-1) with U^k0 e_a,
     and the blocks of a chunk of _CHUNK periods are one such product.  The
-    real Hermitian products of the columns, summed over the oscillator
-    levels and contracted with per-state tables built once, give every
-    initial state's fidelity, occupation and top-two-level population,
-    reduced to the worst case over the states; the chunk buffers are sized
-    once, for at most _CHUNK periods, so memory does not grow with n_periods
-    beyond the output columns, which are allocated before U(T) is built.
+    Gram entries of the columns, summed over the oscillator levels and
+    contracted with per-state tables built once, give every initial state's
+    fidelity, occupation and top-two-level population, reduced to the worst
+    case over the states; the chunk buffers are sized once, for at most
+    _CHUNK periods, so memory does not grow with n_periods beyond the output
+    columns, which are allocated before U(T) is built.
     Emits a warning when the top two oscillator levels accumulate more than
-    LEAK_THRESHOLD population.
+    LEAK_THRESHOLD population, unless they are every level (d <= 2).
     """
     if n_periods < 0:
         raise ValueError("n_periods must be >= 0")
@@ -516,30 +495,37 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
     u, halving = _checked_period_unitary(couplings, schedule, steps_per_pulse)
 
     dim = 2 * d
-    # U^0 .. U^(_BLOCK-1), and U^_BLOCK to advance a block
-    powers = np.empty((_BLOCK, dim, dim), dtype=complex)
-    powers[0] = np.eye(dim)
+    # U^0 .. U^(_BLOCK-1) on (row, m, column), and U^_BLOCK to advance a
+    # block
+    powers = np.empty((dim, _BLOCK, dim), dtype=complex)
+    powers[:, 0] = np.eye(dim)
     for j in range(1, _BLOCK):
-        powers[j] = u @ powers[j - 1]
-    u_block = u @ powers[-1]
+        powers[:, j] = u @ powers[:, j - 1]
+    u_block = u @ powers[:, -1]
 
     fid_table, pop_table = _state_tables(qs)
-    pop_table = pop_table[:, _POP_COLUMNS]
     # level weights of the three Gram tensors: 1, n, and the top two levels
     weights = np.stack([np.ones(d), np.arange(d),
                         np.arange(d) >= max(0, d - 2)])
-    stacked = powers.reshape(_BLOCK * dim, dim)
+    stacked = powers.reshape(dim * _BLOCK, dim)
     # the chunk buffers, sized once for the blocks of the first chunk: U^k0
-    # e_a at the start k0 of each block, the evolved columns, their (re, im)
-    # on ((i, a), (b, m), n) for period c0 + b _BLOCK + m, the products, and
-    # their three level sums
+    # e_a at the start k0 of each block, the evolved columns and their
+    # conjugates, the Gram columns per level and period, and their level
+    # sums.  Periods c0 + b _BLOCK + m run in (m, b) order, so that each
+    # column x_ia and Gram column is one line, which numpy iterates unbuffered
     blocks = -(-min(_CHUNK, n_periods + 1) // _BLOCK)
     size = blocks * _BLOCK
     starts = np.empty((dim, blocks, 2), dtype=complex)
-    evolved = np.empty((_BLOCK * dim, 2 * blocks), dtype=complex)
-    x = np.empty((2, 2, 2, blocks, _BLOCK, d))
-    prods = np.empty((16, size, d))
-    g = np.empty((3, 16 * size))
+    evolved = np.empty((dim * _BLOCK, 2 * blocks), dtype=complex)
+    conj = np.empty_like(evolved)
+    prods = np.empty((d * size, 16))
+    g = np.empty((3, size, 16))
+    # x[i, (n, m, b), a] = <i, n| U^(c0 + b _BLOCK + m) |e_a>, its conjugate
+    # and (re, im), and the complex Gram columns x_i0 x_i1* and x_0a x_1b*
+    x, xc = (v.reshape(2, d * size, 2) for v in (evolved, conj))
+    parts = evolved.view(float).reshape(2, d * size, 2, 2)
+    same = prods.reshape(-1, 4, 4)[:, :2, 2:].view(complex)[..., 0]
+    cross = prods[:, 8:].view(complex)
 
     u_power = np.eye(dim, dtype=complex)    # U^k0 at the block start k0
     for c0 in range(0, n_periods + 1, size):
@@ -549,30 +535,33 @@ def run_trace(couplings: CouplingSet, schedule: ControlSchedule,
             starts[:, b] = u_power[:, oscillator_level::d]
             nb = min(_BLOCK, n_periods + 1 - c0 - b * _BLOCK)
             last = c0 + b * _BLOCK + nb > n_periods
-            u_power = (powers[nb - 1] if last else u_block) @ u_power
-        # evolved[(m, i, n), (b, a)] = <i, n| U^(c0 + b _BLOCK + m) |e_a>;
-        # a final partial chunk also reduces the stale blocks after it
+            u_power = (powers[:, nb - 1] if last else u_block) @ u_power
+        # evolved[(i, n, m), (b, a)]; a final partial chunk also reduces the
+        # stale blocks after it
         np.matmul(stacked, starts.reshape(dim, 2 * blocks), out=evolved)
-        cols = evolved.reshape(_BLOCK, 2, d, blocks, 2).transpose(
-            1, 4, 3, 0, 2)
-        x[0], x[1] = cols.real, cols.imag
-        re, im = x.reshape(2, 4, size, d)
-        _products(re, im, prods)
-        # g[w, (f, k)] = sum_n weights[w, n] prods[f, k, n]
-        np.matmul(weights, prods.reshape(-1, d).T, out=g)
-        fid, occ, top = g.reshape(3, 16, size)[:, :, :nc]
-        # the population table's columns, moved up to the first 8 rows of
-        # the occupation and top-level sums a row at a time, without a copy
-        for row, col in enumerate(_POP_COLUMNS[5:], 5):
-            occ[row], top[row] = occ[col], top[col]
-        chunk = slice(c0, c0 + nc)
-        fmin[chunk] = (fid_table @ fid).min(axis=0)
-        nmax[chunk] = (pop_table @ occ[:8]).max(axis=0)
-        lmax[chunk] = (pop_table @ top[:8]).max(axis=0)
+        np.conjugate(evolved, out=conj)
+        for i in range(2):
+            for a in range(2):
+                re, im = parts[i, :, a].T
+                np.multiply(re, re, out=prods[:, 4 * i + a])
+                prods[:, 4 * i + a] += im * im
+                # the cross pair (i, a): x_0i x_1a*
+                np.multiply(x[0, :, i], xc[1, :, a], out=cross[:, 2 * i + a])
+            np.multiply(x[i, :, 0], xc[i, :, 1], out=same[:, i])
+        # g[w, (m, b), f] = sum_n weights[w, n] prods[(n, m, b), f]
+        np.matmul(weights, prods.reshape(d, -1), out=g.reshape(3, -1))
+        # the population tensor is the same on both qubit blocks
+        g[1:, :, :4] += g[1:, :, 4:8]
+        # the worst case over the states, back in (b, m) order
+        for out, v in ((fmin, (fid_table @ g[0].T).min(axis=0)),
+                       (nmax, (pop_table @ g[1, :, :4].T).max(axis=0)),
+                       (lmax, (pop_table @ g[2, :, :4].T).max(axis=0))):
+            out[c0:c0 + nc] = v.reshape(_BLOCK, blocks).T.ravel()[:nc]
 
     drift = op_norm(u_power @ u_power.conj().T - np.eye(dim))
     max_leak = float(lmax.max())
-    if max_leak > LEAK_THRESHOLD:
+    # with d <= 2 the top two levels are every level, and the column is 1
+    if d > 2 and max_leak > LEAK_THRESHOLD:
         warnings.warn(
             f"oscillator truncation leakage {max_leak:.2e} exceeds "
             f"{LEAK_THRESHOLD:g}; rerun with n_max >= {d + 3}",

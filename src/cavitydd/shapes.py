@@ -82,6 +82,12 @@ class PulseShape:
                 raise ValueError(f"{name} must be finite")
         if self.coeffs and not all(map(math.isfinite, self.coeffs)):
             raise ValueError("fourier coefficients must be finite")
+        # a peak bound 2 pi sum |A_m| past the narrowest Gaussian's peak
+        # sqrt(pi) / MIN_WIDTH_RATIO overflows the quadratures
+        if self.coeffs and (2 * math.pi * sum(map(abs, self.coeffs))
+                            > math.sqrt(math.pi) / MIN_WIDTH_RATIO):
+            raise ValueError("fourier coefficients must have 2 pi sum |A_m| "
+                             f"<= {math.sqrt(math.pi) / MIN_WIDTH_RATIO:.3g}")
         if self.kind in ("gaussian", "hermitian"):
             # below MIN_WIDTH_RATIO the peak sqrt(pi)/tau of the raw envelope
             # overflows its quadrature
@@ -128,7 +134,8 @@ def fourier(coeffs) -> PulseShape:
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or abs(c[0]) < 1e-15:
         raise ValueError("fourier shape needs coefficients with A0 != 0")
-    c = c * (0.5 / c[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c * (0.5 / c[0])
     return PulseShape(kind="fourier", coeffs=tuple(c.tolist()))
 
 

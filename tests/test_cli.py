@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitydd import designer, propagate, sequences
 from cavitydd.cli import (ExperimentConfig, build_parser, load_config, main,
@@ -604,3 +605,93 @@ def test_readme_library_example_runs():
     text = open(path).read()
     block = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
     exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+
+
+# generated `simulate` inputs: shape specs, sequences with delays and
+# frequencies over the whole double range, each run kept small
+def _magnitudes(low):
+    """m 10^e with e over [low, 307], or over [-4, 0], where runs pass."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(1, 9.99),
+                     st.integers(low, 307) | st.integers(-4, 0))
+
+
+def _signed(magnitudes):
+    return st.one_of(st.just(0.0), st.builds(lambda s, v: s * v,
+                                             st.sampled_from((1, -1)),
+                                             magnitudes))
+
+
+_WIDTHS = st.builds(lambda e: 10.0 ** e, st.floats(-300, 0))
+_SHAPE_SPECS = st.one_of(
+    st.sampled_from(("delta", "G05", "G10", "H05", "S1", "Q1")),
+    st.builds("gaussian:{!r}".format, _WIDTHS),
+    st.builds("hermitian:{!r}".format, _WIDTHS),
+    st.builds(lambda w, gamma: f"hermitian:{w!r}:{gamma!r}", _WIDTHS,
+              st.floats(-4, 4)),
+    st.builds(lambda cs: "fourier:" + ",".join(map(repr, cs)),
+              st.lists(_signed(_magnitudes(-300)), min_size=1, max_size=4)))
+_TOKENS = st.one_of(st.sampled_from(("X", "-X", "Y", "-Y", "Z", "-Z")),
+                    st.builds("d({!r})".format, _signed(_magnitudes(-300))))
+_SEQUENCES = st.one_of(
+    st.sampled_from(sorted(sequences.BUILTIN_SEQUENCES)),
+    st.builds(" ".join, st.lists(_TOKENS, min_size=1, max_size=6)))
+
+
+@pytest.fixture(scope="module")
+def generated_output(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("generated") / "trace.csv")
+
+
+class TestGeneratedInputs:
+    # RuntimeWarnings stay errors (the suite's setting) but for the
+    # package's own truncation-leakage warning, which a run may give
+    @pytest.mark.filterwarnings(
+        "ignore:oscillator truncation leakage:RuntimeWarning")
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(shape=_SHAPE_SPECS, sequence=_SEQUENCES,
+           omega_r=_signed(_magnitudes(-300)),
+           omega_0=_signed(_magnitudes(-300)), g=_signed(_magnitudes(-300)),
+           n_max=st.integers(0, 4), periods=st.integers(0, 3),
+           grid=st.integers(0, 4),
+           steps=st.integers(1, 256) | st.integers(32, 256))
+    def test_simulate_exits_by_the_contract(self, generated_output, shape,
+                                            sequence, omega_r, omega_0, g,
+                                            n_max, periods, grid, steps):
+        # key=value, so that argparse reads a negative number as a value
+        argv = ["simulate", f"--shape={shape}", f"--sequence={sequence}",
+                f"--omega-r={omega_r!r}", f"--omega-0={omega_0!r}",
+                f"--g={g!r}", f"--n-max={n_max}", f"--periods={periods}",
+                f"--grid={grid}", f"--steps-per-pulse={steps}",
+                f"--output={generated_output}"]
+        assert main(argv) in (0, 2, 3)
+
+    # inputs the generated test found, each a traceback under
+    # error::RuntimeWarning before: the interpolation bound 2 a^n / n! of a
+    # pulse whose envelope spans 1e12, the roundoff eps |Hs| d of a delay d,
+    # and the Lagrange ratios of clustered nodes (a node per factor)
+    # overflowed; the last exited 2 with "SVD did not converge" otherwise
+    @pytest.mark.parametrize("argv", [
+        ["--shape=fourier:1.0,1000000000000.0", "--sequence=4p", "--g=0.0",
+         "--n-max=1", "--steps-per-pulse=35"],
+        ["--shape=delta", "--sequence=d(1e+162)", "--g=1e161", "--n-max=2",
+         "--steps-per-pulse=32"],
+        ["--shape=hermitian:0.01:3.0", "--sequence=4p", "--g=0.0",
+         "--n-max=1", "--steps-per-pulse=32"]],
+        ids=("wide-envelope", "long-delay", "clustered-nodes"))
+    def test_found_inputs_exit_3(self, generated_output, argv):
+        argv = ["simulate", "--periods=0", "--grid=0", *argv,
+                f"--output={generated_output}"]
+        assert main(argv) == 3
+
+    # found by the generated test: rescaling the coefficients to A0 = 1/2
+    # overflowed (a traceback under error::RuntimeWarning); so did the
+    # envelope of a finite rescaled 5e307, and inf * 0 of a rescaled inf
+    @pytest.mark.parametrize("spec", ["fourier:0.0001,1e+305",
+                                      "fourier:1,1e308", "fourier:1,nan",
+                                      "fourier:inf,1"])
+    def test_overflowing_fourier_spec_exits_2(self, generated_output, spec,
+                                               capsys):
+        argv = ["simulate", f"--shape={spec}", "--periods=0",
+                f"--output={generated_output}"]
+        assert main(argv) == 2
+        assert "fourier coefficients must" in capsys.readouterr().err

@@ -69,12 +69,21 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="gamma"):
             PulseShape(kind="hermitian", width_ratio=0.05)
 
-    def test_nan_residual_fails_the_doubling_check(self):
-        # a finite but huge cosine coefficient overflows the envelope to
-        # +-inf, so the phase samples and every residual are NaN
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ConvergenceError, match="nan"):
-            compute_params(fourier([1.0, 1e308]))
+    def test_nan_residual_fails_the_doubling_check(self, monkeypatch):
+        # a finite but huge cosine coefficient, which overflowed the
+        # envelope to +-inf, is refused where the shape is built
+        with pytest.raises(ValueError, match="2 pi sum"):
+            fourier([1.0, 1e308])
+        # NaN phase samples make every residual NaN, which fails the check
+        shape = fourier([1.0, 0.0, 0.25])
+        monkeypatch.setattr(shapes, "_sampled",
+                            lambda shape, n: np.full(n + 1, np.nan))
+        shapes._params_at.cache_clear()
+        try:
+            with pytest.raises(ConvergenceError, match="nan"):
+                compute_params(shape)
+        finally:
+            shapes._params_at.cache_clear()
 
 
 class TestAmplitude:
