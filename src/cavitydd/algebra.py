@@ -118,12 +118,16 @@ class CouplingSet:
         Raises
         ------
         ValueError
-            If factor is not finite, or the scaled set is not Hermitian.
+            If factor is not finite or overflows, or the set is not Hermitian.
         """
         if not np.isfinite(factor):
             raise ValueError("coupling scale factor must be finite")
-        return CouplingSet(*(factor * m for m in
-                             (self.a0, self.ax, self.ay, self.az)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = [factor * m for m in (self.a0, self.ax, self.ay, self.az)]
+            # an entry of Hs sums two operator entries, as in jaynes_cummings
+            if not all(np.isfinite(2 * m).all() for m in ops):
+                raise ValueError(f"coupling scale factor {factor:g} overflows")
+        return CouplingSet(*ops)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,10 +34,14 @@ class ExperimentConfig:
 
     sequence: str = "8s"
     shape: str = "Q1"
-    omega_r: float = 0.117
-    omega_0: float = 0.0
-    g: float = 0.0002
-    n_max: int = 8
+    omega_r: float = field(default=0.117, metadata={
+        "help": "oscillator frequency bias (2*pi/taup units)"})
+    omega_0: float = field(default=0.0, metadata={
+        "help": "qubit frequency bias (2*pi/taup units)"})
+    g: float = field(default=0.0002, metadata={
+        "help": "qubit-oscillator coupling (2*pi/taup units)"})
+    n_max: int = field(default=8, metadata={
+        "help": "oscillator truncation level"})
     periods: int = 100
     steps_per_pulse: int = 256
     grid: int = 50
@@ -46,6 +51,7 @@ class ExperimentConfig:
 
 # each key's value type, taken from its default
 _KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_MODEL_KEYS = ("omega_r", "omega_0", "g", "n_max", "steps_per_pulse")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -76,12 +82,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    for f in fields(ExperimentConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            updates[f.name] = v
-    return replace(cfg, **updates)
+    return replace(cfg, **{k: v for k, v in vars(args).items()
+                           if k in _KEY_TYPES and v is not None})
+
+
+def _problem(ns):
+    """(sequence, shape, model, couplings) of a config or parsed arguments,
+    all validated before any quadrature or propagation."""
+    seq = sequences.parse_sequence(ns.sequence)
+    shape = resolve_shape(ns.shape)
+    model = ModelParams(omega_r=ns.omega_r, omega_0=ns.omega_0, g=ns.g,
+                        n_max=ns.n_max)
+    return seq, shape, model, jaynes_cummings(model)
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +134,10 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _model_from_args(args) -> ModelParams:
-    return ModelParams(omega_r=args.omega_r, omega_0=args.omega_0, g=args.g,
-                       n_max=args.n_max)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = _apply_overrides(cfg, args)
-    shape = resolve_shape(cfg.shape)
-    seq = sequences.parse_sequence(cfg.sequence)
-    couplings = jaynes_cummings(_model_from_args(cfg))
+    seq, shape, _, couplings = _problem(cfg)
     schedule = sequences.build_schedule(seq, shape)
     trace = propagate.run_trace(couplings, schedule, cfg.periods,
                                 metrics.bloch_grid(cfg.grid),
@@ -169,17 +174,17 @@ def _format_operator(h: np.ndarray, dim_rest: int) -> str:
 
 
 def cmd_effham(args) -> int:
-    seq = sequences.parse_sequence(args.sequence)
-    shape = resolve_shape(args.shape)
+    seq, shape, model, couplings = _problem(args)
+    # a sequence that does not refocus has no H_eff: refused before numerics
+    sequences.refocusing_phase(seq)
     params = shapes.compute_params(shape)
-    model = _model_from_args(args)
-    couplings = jaynes_cummings(model)
-    h_m = sequences.effective_hamiltonian(seq, couplings, shape, "matched")
-    h_p = sequences.effective_hamiltonian(seq, couplings, shape, "printed")
     schedule = sequences.build_schedule(seq, shape)
     period = schedule.period
+    # first: its roundoff rule refuses couplings that overflow the expansion
     u = propagate.propagate_period(couplings, schedule,
                                    steps_per_pulse=args.steps_per_pulse)
+    h_m = sequences.effective_hamiltonian(seq, couplings, shape, "matched")
+    h_p = sequences.effective_hamiltonian(seq, couplings, shape, "printed")
 
     print(f"sequence {seq.name or seq.label()}: period T = {period:g} taup")
     print(f"shape {shapes.shape_to_text(shape)}: s = {params.s:.6f}, "
@@ -217,10 +222,7 @@ def cmd_effham(args) -> int:
 
 
 def cmd_ordercheck(args) -> int:
-    seq = sequences.parse_sequence(args.sequence)
-    shape = resolve_shape(args.shape)
-    model = _model_from_args(args)
-    couplings = jaynes_cummings(model)
+    seq, shape, _, couplings = _problem(args)
     scales = [float(x) for x in args.scales.split(",")]
     result = sequences.order_check(seq, couplings, shape, scales,
                                    steps_per_pulse=args.steps_per_pulse,
@@ -243,18 +245,19 @@ def cmd_ordercheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_model_args(p: argparse.ArgumentParser):
-    dflt = ExperimentConfig()
-    p.add_argument("--omega-r", type=float, default=dflt.omega_r,
-                   help="oscillator frequency bias (2*pi/taup units)")
-    p.add_argument("--omega-0", type=float, default=dflt.omega_0,
-                   help="qubit frequency bias (2*pi/taup units)")
-    p.add_argument("--g", type=float, default=dflt.g,
-                   help="qubit-oscillator coupling (2*pi/taup units)")
-    p.add_argument("--n-max", type=int, default=dflt.n_max,
-                   help="oscillator truncation level")
-    p.add_argument("--steps-per-pulse", type=int,
-                   default=dflt.steps_per_pulse)
+def _add_keys(p: argparse.ArgumentParser, keys, defaults: bool):
+    """A --key flag for each config key of ``keys``, with the key's default
+    if ``defaults``, else None so that config-file values hold.  It reads
+    exponent-form negatives (-1e-05) as values; argparse < 3.13 did not."""
+    p._negative_number_matcher = re.compile(
+        p._negative_number_matcher.pattern
+        + r"|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
+    for f in fields(ExperimentConfig):
+        if f.name in keys:
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           type=_KEY_TYPES[f.name],
+                           default=f.default if defaults else None,
+                           help=f.metadata.get("help"))
 
 
 @functools.cache
@@ -280,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stroboscopic trace -> CSV")
     p.add_argument("--config", help="flat key = value config file")
-    for key, typ in _KEY_TYPES.items():
-        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
+    _add_keys(p, _KEY_TYPES, defaults=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("effham", help="analytic effective Hamiltonian report")
     p.add_argument("--sequence", required=True)
     p.add_argument("--shape", required=True)
-    _add_model_args(p)
+    _add_keys(p, _MODEL_KEYS, defaults=True)
     p.set_defaults(func=cmd_effham)
 
     p = sub.add_parser("ordercheck", help="refocusing-order exponent fit")
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coupling scale factors")
     p.add_argument("--reference", choices=["zero", "effective"],
                    default="zero")
-    _add_model_args(p)
+    _add_keys(p, _MODEL_KEYS, defaults=True)
     p.set_defaults(func=cmd_ordercheck)
     return parser
 
@@ -307,7 +309,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    # before ValueError, which LinAlgError subclasses
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical convergence failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
@@ -317,7 +320,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -74,7 +74,6 @@ import numpy as np
 from . import shapes
 from .errors import ConvergenceError
 
-ZETA_FLAG_THRESHOLD = shapes.ZETA_FLAG_THRESHOLD
 # Newton seed grid for each free (raw-unit) coefficient; the winning
 # low-power branches sit within a few units of the raised-cosine profile
 _SEEDS = (0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0)
@@ -415,7 +414,7 @@ def _solve_branches(spec: DesignSpec, tail: np.ndarray, n_quad: int,
 
 
 def design(spec: DesignSpec, tol: float = 1e-12,
-           n_quad: int = 4096) -> DesignResult:
+           n_quad: int = shapes.DEFAULT_N_QUAD) -> DesignResult:
     """Solve for the coefficient vector of a self-refocusing shape.
 
     Returns the minimal-peak-amplitude branch.  Residuals are re-verified at

@@ -18,23 +18,23 @@ a = h |K| (c_max - c_min) / 4.
 The fewest nodes with that <= _INTERP_TOL (7 for the figure shapes) get exact
 factors from one stacked eigendecomposition, and every factor is their
 Lagrange combination; when the bound asks for a node per factor, the
-distinct coefficients are the nodes and the factors exact.  The
-coefficients, the nodes and the Lagrange weights do not depend on Hs: they
-are formed once per (shape, step count) and (shape, step count, |K|) and
-kept, read-only, in bounded caches (``_coefficients``, ``_interpolation``),
-so that every pulse, real or complex, every oscillator dimension and every
-coupling scale of an order check share them.  The pulse unitary itself is
-kept too, read-only, in a third bounded cache (``_integrated_pulse``, 64
-entries, at most 1 MB at dim 18) keyed by the exact bytes of Hs and K as
-complex128, the dimension, the shape and the step count: a hit needs
-byte-equal operators and returns bitwise the
-product a fresh integration gives.  A ``figures`` benchmark pass forms the
-interpolation data 4 times and integrates 4 pulses for its 12 pulse
-unitaries (figs 1, 3 and 5 share the G10 +x pulse, figs 2, 4 and 6 the S1
-one); a ``verify`` pass forms the data 4 times and integrates 50 pulses for
-its 62 (12 cache hits), and the one ``longrun`` pair twice for 2.  Each
-block of factors is one real matrix product of its weights with the
-(re, im) view of the exact factors.
+distinct coefficients are the nodes and the factors exact.  Every K is
++-sigma_axis/2 (x) 1 or its image under a diagonal unitary, so |K| = 1/2,
+and the pulse area, the nodes and the Lagrange weights do not depend on
+Hs: they are formed once per (shape, step count) and kept, read-only, in
+one bounded cache (``_interpolation``), so that every pulse, real or
+complex, every oscillator dimension and every coupling scale of an order
+check share them.  The pulse unitary itself is kept too, read-only, in a
+second bounded cache (``_integrated_pulse``, 64 entries, at most 1 MB at
+dim 18) keyed by the exact bytes of Hs and K as complex128, the dimension,
+the shape and the step count: a hit needs byte-equal operators and returns
+bitwise the product a fresh integration gives.  A ``figures`` benchmark
+pass forms the interpolation data 4 times and integrates 4 pulses for its
+12 pulse unitaries (figs 1, 3 and 5 share the G10 +x pulse, figs 2, 4 and
+6 the S1 one); a ``verify`` pass forms the data 4 times and integrates 50
+pulses for its 62 (12 cache hits), and the one ``longrun`` pair twice for
+2.  Each block of factors is one real matrix product of its weights with
+the (re, im) view of the exact factors.
 A block is the longest power of two of factors, never fewer than _BLOCK,
 that holds at most _BLOCK_ENTRIES matrix entries (1024 factors at dim 4, 256
 at dim 8, 64 at dim 16, _BLOCK from dim 18 on, as in the figures), so that a
@@ -153,6 +153,8 @@ _BLOCK_ENTRIES = 1 << 14
 _SYMMETRY_TOL = 1e-12
 # interpolation error bound of one CF4 factor
 _INTERP_TOL = 1e-17
+# |K| of every control operator (see _interpolation)
+_K_NORM = 0.5
 
 
 def _diag_conj(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -191,32 +193,27 @@ def _block_length(dim: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _coefficients(shape: PulseShape, steps: int) -> np.ndarray:
-    """The first ``steps`` CF4 factor coefficients of a pulse in time order,
-    read-only, from one envelope evaluation of its first (steps + 1) // 2
-    steps: step k applies exp(-i h (Hs/2 + c_2k K)) first, then
-    exp(-i h (Hs/2 + c_2k+1 K))."""
+def _interpolation(shape: PulseShape, steps: int):
+    """(area, nodes, weights), read-only: a pulse's two-point Gauss-Legendre
+    area, and the interpolation nodes in c and Lagrange weights of its first
+    ``steps`` CF4 factors, whose coefficients come from one envelope
+    evaluation of (steps + 1) // 2 steps: step k applies
+    exp(-i h (Hs/2 + c_2k K)) first, then exp(-i h (Hs/2 + c_2k+1 K)).
+    The node count assumes |K| = _K_NORM, as every K the propagator
+    integrates is +-sigma/2 (x) 1 under a diagonal unitary, so every pulse,
+    coupling scale and dimension shares the data (see the module docstring).
+    """
     h = 1 / steps
     t0 = np.arange((steps + 1) // 2)[:, None] * h
     amp = amplitude(shape, t0 + np.array([_GL_NODE_1, _GL_NODE_2]) * h)
     coef = (amp @ np.array([[_CF4_W1, _CF4_W2],
                             [_CF4_W2, _CF4_W1]])).ravel()[:steps]
-    coef.flags.writeable = False
-    return coef
-
-
-@lru_cache(maxsize=16)
-def _interpolation(shape: PulseShape, steps: int, k_norm: float):
-    """(nodes, weights) of a pulse's first ``steps`` CF4 factors, read-only:
-    the interpolation nodes in c, and the Lagrange weights of each factor
-    coefficient at them.  They depend on the shape, the step count and
-    |K| = ``k_norm`` alone, so every pulse, coupling scale and dimension
-    shares them (see the module docstring)."""
-    h = 1 / steps
-    coef = _coefficients(shape, steps)
+    # a step's two coefficients sum to half its two amplitudes, and the
+    # middle step of an odd count is symmetric
+    area = 2 / steps * coef.sum()
     lo, hi = coef.min(), coef.max()
     # a Python float, whose a^n / n! overflows to inf without a warning
-    a = float(h * k_norm * (hi - lo) / 4)
+    a = float(h * _K_NORM * (hi - lo) / 4)
     n, err = 1, 2 * a
     while err > _INTERP_TOL and n < steps:
         n += 1
@@ -240,7 +237,7 @@ def _interpolation(shape: PulseShape, steps: int, k_norm: float):
         nodes = np.unique(coef)
         weights = (coef[:, None] == nodes).astype(float)
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return area, nodes, weights
 
 
 def _cf4_product(exact: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -285,7 +282,7 @@ def _integrated_pulse(hs_bytes: bytes, k_bytes: bytes, dim: int,
     if real:
         hs, k_op = hs.real, k_op.real
     h = 1 / steps
-    nodes, weights = _interpolation(shape, steps, op_norm(k_op))
+    _, nodes, weights = _interpolation(shape, steps)
     w, v = np.linalg.eigh(0.5 * hs + nodes[:, None, None] * k_op)
     exact = (v * np.exp(-1j * h * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     u = _cf4_product(exact, weights)
@@ -381,10 +378,7 @@ def _checked_period_unitary(couplings: CouplingSet, schedule: ControlSchedule,
     shape = schedule.shape
     if not shape.is_delta and not all(isinstance(e, Delay)
                                       for e in schedule.elements):
-        # the two-point Gauss-Legendre area of the pulse: a step's two
-        # coefficients sum to half its two amplitudes, and the middle step
-        # of an odd count is symmetric
-        area = [2 / n * _coefficients(shape, n).sum() for n in counts]
+        area = [_interpolation(shape, n)[0] for n in counts]
         if (max(abs(a - np.pi) for a in area)
                 > SELF_CHECK_TOL + 2 * abs(area[0] - area[1])):
             raise ConvergenceError(

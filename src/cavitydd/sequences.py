@@ -275,8 +275,9 @@ def effective_hamiltonian(seq: Sequence, couplings: CouplingSet,
     m0, m1, m2 = eye, np.zeros_like(eye), np.zeros_like(eye)
     for e in seq.elements:
         if isinstance(e, Delay):
-            d = e.duration
-            x0, x1, x2 = eye, -1j * d * hs, -(d ** 2 / 2) * hs @ hs
+            x1 = -1j * e.duration * hs
+            # (-i d Hs)^2 / 2: a float d ** 2 overflows past d = 1.3e154
+            x0, x2 = eye, x1 @ x1 / 2
         else:
             x0, x1, x2 = pulses[e]
         m0, m1, m2 = x0 @ m0, x0 @ m1 + x1 @ m0, x0 @ m2 + x1 @ m1 + x2 @ m0

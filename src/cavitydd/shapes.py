@@ -164,7 +164,7 @@ def _raw_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
     """Unnormalized envelope sampled at t."""
     tau = shape.width_ratio
     # an array also for a 0-d t, so that it can be worked on in place: on
-    # the 16385 nodes of _norm_scale each temporary costs about as much as
+    # the 16385 nodes of _fine_envelope each temporary costs about as much as
     # the exponential
     x = np.subtract(t, 0.5, out=np.empty(np.shape(t)))
     if shape.kind in ("gaussian", "hermitian"):
@@ -259,29 +259,31 @@ def _cumulative_simpson(y: np.ndarray, h: float,
     return out
 
 
-# panels of _norm_scale's area quadrature of a gaussian or hermitian shape
+# panels of the area quadrature of a gaussian or hermitian shape
 _NORM_PANELS = 1 << 14
 
 
 @lru_cache(maxsize=1)
-def _fine_envelope(shape: PulseShape) -> np.ndarray:
-    """Raw envelope, read-only and kept for the last shape, on the finest
-    uniform grid a default compute_params reads: the _NORM_PANELS of
-    _norm_scale for a gaussian or hermitian shape, 2 DEFAULT_N_QUAD panels
-    for a fourier one."""
+def _fine_envelope(shape: PulseShape):
+    """(_norm_scale, envelope rescaled by it, read-only) of the last shape
+    alone, so that no gamma bisection point is kept, on the finest grid a
+    default compute_params reads: _NORM_PANELS panels for a gaussian or
+    hermitian shape, 2 DEFAULT_N_QUAD for a fourier one."""
     panels = 2 * DEFAULT_N_QUAD if shape.kind == "fourier" else _NORM_PANELS
     v = _raw_envelope(shape, np.linspace(0.0, 1.0, panels + 1))
+    scale = (_norm_scale(shape) if shape.kind == "fourier"
+             else np.pi / _simpson(v, 1 / _NORM_PANELS))
+    v *= scale
     v.flags.writeable = False
-    return v
+    return scale, v
 
 
-@lru_cache(maxsize=256)
 def _norm_scale(shape: PulseShape) -> float:
     """Factor rescaling the truncated envelope to exact pi area."""
     if shape.kind == "fourier":
         # cosine terms integrate to zero over full periods: area = 2 pi A0
         return 0.5 / shape.coeffs[0]
-    return np.pi / _simpson(_fine_envelope(shape), 1 / _NORM_PANELS)
+    return _fine_envelope(shape)[0]
 
 
 def _sampled(shape: PulseShape, n_quad: int) -> np.ndarray:
@@ -291,8 +293,8 @@ def _sampled(shape: PulseShape, n_quad: int) -> np.ndarray:
         # a default compute_params: n_quad and the fine grid's panels are
         # powers of two, so linspace's nodes are every step-th of the fine
         # grid's, exactly, and the envelope is taken pointwise
-        fine = _fine_envelope(shape)
-        v = fine[::(len(fine) - 1) // n_quad] * _norm_scale(shape)
+        fine = _fine_envelope(shape)[1]
+        v = fine[::(len(fine) - 1) // n_quad]
     else:
         v = _raw_envelope(shape, np.linspace(0.0, 1.0, n_quad + 1))
         v *= _norm_scale(shape)

@@ -7,12 +7,10 @@ from cavitydd import (CouplingSet, designer, gaussian, hermitian, propagate,
 
 @pytest.fixture(autouse=True)
 def cold_propagator_caches():
-    """Every test starts with empty pulse-unitary, interpolation and
-    coefficient caches, so that what it counts does not depend on the tests
-    run before it."""
+    """Every test starts with empty pulse-unitary and interpolation caches,
+    so that what it counts does not depend on the tests run before it."""
     propagate._integrated_pulse.cache_clear()
     propagate._interpolation.cache_clear()
-    propagate._coefficients.cache_clear()
 
 
 def random_couplings(rng, dim, scale=0.35):

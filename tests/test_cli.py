@@ -495,6 +495,19 @@ class TestCommands:
                      "--n-max", "2"]) == 2
         assert "zero duration" in capsys.readouterr().err
 
+    # the pulse's quadrature does not converge (exit 3), but the model or
+    # the sequence is invalid input, refused first; both once exited 3
+    @pytest.mark.parametrize("argv, err", [
+        (["--sequence", "4p", "--n-max", "0"], "n_max must be >= 1"),
+        (["--sequence", "X Y", "--g", "1e20"],
+         "sequence 'X Y' does not refocus: prod X0 is not a multiple of 1")],
+        ids=("model", "sequence"))
+    def test_effham_validates_before_any_numerics(self, capsys, argv, err):
+        assert main(["effham", "--shape", "gaussian:1e-5", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_effham_prints_roundoff_as_zero(self, capsys):
         assert main(["effham", "--sequence", "8a", "--shape", "G10"]) == 0
         out = capsys.readouterr().out
@@ -549,6 +562,47 @@ class TestCommands:
         assert out.splitlines()[-1] == (
             "fitted exponent p: not fitted (fewer than two defects above "
             "the 1e-12 floor)")
+
+    def test_linalg_failure_is_a_numerical_failure(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, and once read as invalid input
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--sequence", "4p", "--shape", "G10",
+                "--periods", "1", "--n-max", "2", "--grid", "4"]
+        assert main(argv + ["--n-max", "0"]) == 2
+        assert capsys.readouterr().err == "error: n_max must be >= 1\n"
+
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical convergence failure: Eigenvalues "
+                                "did not converge\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # argparse before 3.13 read "-1e-05" as a flag: "expected one argument"
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["simulate", "--sequence", "4p", "--shape", "G10", "--periods", "3",
+          "--n-max", "2", "--grid", "4"], "--g", "-1e-05"),
+        (["effham", "--sequence", "4p", "--shape", "G10", "--n-max", "2"],
+         "--omega-0", "-3E-2"),
+        (["ordercheck", "--sequence", "8a", "--shape", "Q1", "--g", "0.1",
+          "--n-max", "2", "--scales", "0.4,0.2,0.1,0.04"],
+         "--omega-r", "-1e-03")], ids=("simulate", "effham", "ordercheck"))
+    def test_exponent_form_negative_is_a_value(self, tmp_path, monkeypatch,
+                                               capsys, argv, flag, value):
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            assert main(argv + form) == 0
+            csv = tmp_path / "trace.csv"
+            runs.append((capsys.readouterr(),
+                         csv.read_bytes() if csv.exists() else None))
+        assert runs[0] == runs[1]
+        assert runs[0][0].err == ""
 
 
 def test_parser_built_once():
@@ -657,13 +711,42 @@ class TestGeneratedInputs:
     def test_simulate_exits_by_the_contract(self, generated_output, shape,
                                             sequence, omega_r, omega_0, g,
                                             n_max, periods, grid, steps):
-        # key=value, so that argparse reads a negative number as a value
+        # numbers space-separated, so that an exponent-form negative must
+        # parse as a value; a sequence may start with "-", so it takes "="
         argv = ["simulate", f"--shape={shape}", f"--sequence={sequence}",
-                f"--omega-r={omega_r!r}", f"--omega-0={omega_0!r}",
-                f"--g={g!r}", f"--n-max={n_max}", f"--periods={periods}",
-                f"--grid={grid}", f"--steps-per-pulse={steps}",
-                f"--output={generated_output}"]
+                "--omega-r", repr(omega_r), "--omega-0", repr(omega_0),
+                "--g", repr(g), "--n-max", str(n_max), "--periods",
+                str(periods), "--grid", str(grid), "--steps-per-pulse",
+                str(steps), f"--output={generated_output}"]
         assert main(argv) in (0, 2, 3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(command=st.sampled_from(("effham", "ordercheck")),
+           shape=_SHAPE_SPECS, sequence=_SEQUENCES,
+           omega_r=_signed(_magnitudes(-300)),
+           omega_0=_signed(_magnitudes(-300)), g=_signed(_magnitudes(-300)),
+           n_max=st.integers(0, 3),
+           steps=st.integers(1, 128) | st.integers(32, 128),
+           scales=st.lists(_signed(_magnitudes(-300)), min_size=1,
+                           max_size=4).map(lambda v: ",".join(map(repr, v))),
+           reference=st.sampled_from(("zero", "effective")))
+    def test_model_commands_exit_by_the_contract(self, command, shape,
+                                                 sequence, omega_r, omega_0,
+                                                 g, n_max, steps, scales,
+                                                 reference):
+        argv = [command, f"--shape={shape}", f"--sequence={sequence}",
+                "--omega-r", repr(omega_r), "--omega-0", repr(omega_0),
+                "--g", repr(g), "--n-max", str(n_max), "--steps-per-pulse",
+                str(steps)]
+        if command == "ordercheck":
+            argv += [f"--scales={scales}", "--reference", reference]
+        assert main(argv) in (0, 2, 3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(shape=_SHAPE_SPECS, n_quad=st.integers(0, 8192))
+    def test_params_exits_by_the_contract(self, shape, n_quad):
+        assert main(["params", f"--shape={shape}", "--n-quad",
+                     str(n_quad)]) in (0, 2, 3)
 
     # inputs the generated test found, each a traceback under
     # error::RuntimeWarning before: the interpolation bound 2 a^n / n! of a
@@ -682,6 +765,24 @@ class TestGeneratedInputs:
         argv = ["simulate", "--periods=0", "--grid=0", *argv,
                 f"--output={generated_output}"]
         assert main(argv) == 3
+
+    # inputs the generated model-command test found, or found beside it: the
+    # expansion's products of effham overflowed (a traceback under
+    # error::RuntimeWarning) before the propagator's roundoff rule refused
+    # the coupling, a long delay's d ** 2 raised OverflowError even with no
+    # coupling, and a scale factor overflowed order_check's couplings
+    @pytest.mark.parametrize("argv, code", [
+        (["effham", "--shape=G05", "--sequence=4p", "--omega-0",
+          "9.608541549352234e+184", "--n-max", "1"], 3),
+        (["effham", "--shape=G10", "--sequence=X d(1e200) -X d(1e200)",
+          "--omega-r", "0", "--g", "0", "--n-max", "1"], 0),
+        (["ordercheck", "--shape=H05", "--sequence=8s", "--omega-0",
+          "7.452590875672823e+215", "--n-max", "3",
+          "--scales=7.452590875672823e+215,2.9262737912592e-132"], 2)],
+        ids=("strong-coupling", "long-delay", "overflowing-scale"))
+    def test_found_model_command_inputs(self, argv, code, capsys):
+        assert main(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == (code != 0)
 
     # found by the generated test: rescaling the coefficients to A0 = 1/2
     # overflowed (a traceback under error::RuntimeWarning); so did the

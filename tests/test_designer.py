@@ -101,13 +101,12 @@ class TestDesignedShapeInvariants:
         r = design_named(name)
         assert r.zeta_reference == shapes.REFERENCE_PARAMS[name][2]
         # the minimal-power branch lands within the loose comparison window
-        assert r.zeta_deviation < designer.ZETA_FLAG_THRESHOLD
+        assert r.zeta_deviation < shapes.ZETA_FLAG_THRESHOLD
         assert not r.flagged
 
     def test_one_zeta_flag_threshold(self, monkeypatch):
         # shapes owns the threshold: the parameter table and the designer
-        # both follow it, and designer's name refers to the same value
-        assert designer.ZETA_FLAG_THRESHOLD == shapes.ZETA_FLAG_THRESHOLD
+        # both follow it
         monkeypatch.setattr(shapes, "ZETA_FLAG_THRESHOLD", 0.0)
         rows = [line for line in shapes.table_report().splitlines()
                 if "designed" in line]

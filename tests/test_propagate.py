@@ -106,16 +106,18 @@ class TestPulseUnitary:
         looped = step_loop_pulse_unitary(hs, k_op, sh, sign, steps)
         assert op_norm(interpolated - looped) <= 1e-12
 
-    # a control operator this strong makes the bound ask for a node per
-    # factor of the first half, 16, whether the generators are real or not
+    # an envelope this strong (peak 2 pi 150.5) makes the bound ask for a
+    # node per factor of the first half, 16, whether the generators are real
+    # or not
     @pytest.mark.parametrize("model, factors", (("jc", 16), ("generic", 16)))
     def test_as_many_nodes_as_factors_gives_exact_factors(
-            self, monkeypatch, g10, model, factors):
+            self, monkeypatch, model, factors):
         # the distinct coefficients are then the nodes, so each factor is
         # its own exact exponential, and at this scale no interpolant of
         # fewer nodes would come near the step loop
+        strong = fourier([1, 300])
         hs = assemble(drawn_couplings(model, 4, 2))
-        k_op = 100 * kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
+        k_op = kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
         eigh = np.linalg.eigh
         sizes = []
 
@@ -124,10 +126,10 @@ class TestPulseUnitary:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        u = propagate._pulse_unitary(hs, k_op, g10, 16)
+        u = propagate._pulse_unitary(hs, k_op, strong, 16)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert len(sizes) == 1 and sizes[0] <= factors
-        assert op_norm(u - step_loop_pulse_unitary(hs, k_op, g10, 1, 16)) \
+        assert op_norm(u - step_loop_pulse_unitary(hs, k_op, strong, 1, 16)) \
             <= 1e-12
 
     @pytest.mark.parametrize("dim, block", ((2, 4096), (4, 1024), (6, 256),
@@ -338,7 +340,7 @@ class TestOnePassSetUp:
         assert len(calls) == 1
 
     def test_interpolation_data_is_read_only(self, g10):
-        nodes, weights = propagate._interpolation(g10, 64, 0.5)
+        _, nodes, weights = propagate._interpolation(g10, 64)
         for a in (nodes, weights):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -357,14 +359,15 @@ class TestOnePassSetUp:
         assert np.array_equal(cached, fresh)
 
     @pytest.mark.parametrize("model", ("jc", "generic"))
-    def test_cached_product_with_a_node_per_factor(self, model, g10):
-        # the strong control of test_as_many_nodes_as_factors_gives_exact_
+    def test_cached_product_with_a_node_per_factor(self, model):
+        # the strong envelope of test_as_many_nodes_as_factors_gives_exact_
         # factors, whose distinct coefficients are the nodes
+        strong = fourier([1, 300])
         hs = assemble(drawn_couplings(model, 4, 2))
-        k_op = 100 * kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
-        cached, fresh = cached_and_fresh(hs, k_op, g10, 16)
+        k_op = kron(PAULI["x"] / 2, np.eye(3, dtype=complex))
+        cached, fresh = cached_and_fresh(hs, k_op, strong, 16)
         assert np.array_equal(cached, fresh)
-        assert len(propagate._interpolation(g10, 16, 50.0)[0]) > 7
+        assert len(propagate._interpolation(strong, 16)[1]) == 16
 
     def test_real_and_complex_pulses_share_the_interpolation(
             self, monkeypatch, g10):

@@ -380,11 +380,18 @@ class TestGammaSolve:
         assert solve_hermitian_gamma(0.05) == 0.9609317216993076
 
     def test_bisection_leaves_the_cache_alone(self):
-        # the bisection points are used once each and are not kept; only
-        # the final check's quadrature pair is
-        shapes._params_at.cache_clear()
-        solve_hermitian_gamma(0.05)
-        assert shapes._params_at.cache_info().currsize <= 2
+        # the bisection points are used once each and are not kept in any
+        # cache; only the final check's quadrature pair is, and its envelope
+        # with its area scale, in the one-entry fine-grid cache
+        caches = [f for f in vars(shapes).values() if hasattr(f, "cache_info")]
+        for cache in caches:
+            cache.cache_clear()
+        gamma = solve_hermitian_gamma(0.05)
+        assert {c.__name__: c.cache_info().currsize for c in caches} == {
+            "_fine_envelope": 1, "_params_at": 2}
+        hits = shapes._fine_envelope.cache_info().hits
+        shapes._fine_envelope(hermitian(0.05, gamma))
+        assert shapes._fine_envelope.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("n_quad, message", [
         (8193, "n_quad must be even"), (32, "n_quad must be >= 64")])
